@@ -254,31 +254,13 @@ let bench_fig78 =
            ~seed:(Lazy.force seed_fixture)
            ~prior:(Lazy.force tiny_prior) tech28 inv_fall ~k:2))
 
-let batch_lanes_fixture =
-  (* 16 lockstep lanes of the NOR2 arc: same topology, per-lane load
-     spread, as Statistical's (seed x point) batches present it. *)
-  lazy
-    (Array.init 16 (fun i ->
-         ( Process.nominal,
-           {
-             mid_point with
-             Harness.cload = 2e-15 *. (1.0 +. (0.02 *. float_of_int i));
-           } )))
-
-let bench_fig2_batch =
-  (* Fig 2 batch kernel: 16 transient simulations advanced in lockstep
-     by the structure-of-arrays engine.  Per-simulation cost is this
-     time / 16, to be held against fig2/transient-simulation. *)
-  Test.make ~name:"fig2/transient-batch"
-    (Staged.stage (fun () ->
-         Harness.simulate_batch tech14 nor2_fall (Lazy.force batch_lanes_fixture)))
-
 let batch_seeds_fixture =
   lazy (Process.sample_batch (Slc_prob.Rng.create 11) tech28 4)
 
 let bench_fig78_batch =
-  (* Fig 7/8 batched variant: a 4-seed population extraction whose
-     (seed x point) simulation grid rides the batch engine end to end. *)
+  (* Fig 7/8 population variant: a 4-seed extraction whose
+     (seed x point) simulation grid is scheduled as one
+     Harness.simulate_batch call over the domain pool. *)
   Test.make ~name:"fig78/per-seed-extraction-batch"
     (Staged.stage (fun () ->
          Statistical.extract_population ~method_:Statistical.Lse ~tech:tech28
@@ -288,7 +270,7 @@ let bench_fig78_batch =
 
 let bench_fig78_adaptive =
   (* Adaptive-design variant: information-gain point selection drives
-     the same 4-seed population through round-based lockstep batches.
+     the same 4-seed population in rounds, one simulate_batch per round.
      Overhead vs fig78/per-seed-extraction-batch is the acquisition
      cost (refits + candidate scoring) on top of the simulations. *)
   Test.make ~name:"fig78/adaptive-budget"
@@ -443,7 +425,7 @@ let bench_belief_graph =
 let light_benches =
   Test.make_grouped ~name:"slc"
     [
-      bench_table1; bench_fig2; bench_fig2_batch; bench_fig3; bench_fig5;
+      bench_table1; bench_fig2; bench_fig3; bench_fig5;
       bench_fig6_map; bench_fig6_lut; bench_fig78; bench_fig78_batch;
       bench_fig78_adaptive; bench_fig9; bench_ablation_beta;
       bench_ablation_chain; bench_belief_graph; bench_ssta;

@@ -217,12 +217,18 @@ let build_template (tech : Tech.t) (arc : Arc.t) =
     t_cpar = Equivalent.parasitic_cap tech arc;
   }
 
+(* Templates are immutable once built, so the cache hands the same one
+   to every domain and thread.  The per-run solver workspace is NOT
+   shared: [simulate] allocates a fresh one per call, because connection
+   threads of one domain interleave at allocation points and a shared
+   mutable workspace corrupts their runs. *)
 let template tech arc =
   let key = (tech, arc) in
   Mutex.lock templates_lock;
   match Hashtbl.find_opt templates key with
   | Some t ->
     Mutex.unlock templates_lock;
+    Telemetry.incr Telemetry.template_hits;
     t
   | None ->
     let result =
@@ -233,36 +239,8 @@ let template tech arc =
       | exception e -> Error e
     in
     Mutex.unlock templates_lock;
-    (match result with Ok t -> t | Error e -> raise e)
-
-(* Per-domain view of the template cache, plus a per-domain scratch
-   workspace per (tech, arc).  Templates are immutable and built once in
-   the process-wide table above; each domain then keeps its own
-   reference so the hot path never takes [templates_lock].  Workspaces
-   are mutable solver scratch and must not be shared across domains —
-   owning one per (domain, tech, arc) lets the pool's long-lived workers
-   reuse them across every simulate call instead of allocating one per
-   call.  [Transient.respecialize] preserves the system dimensions, so a
-   workspace sized from the template's compiled form fits every
-   specialization of it. *)
-let domain_caches :
-    (Tech.t * Arc.t, template * Transient.workspace) Hashtbl.t
-    Slc_num.Parallel.Slot.t =
-  Slc_num.Parallel.Slot.make (fun () -> Hashtbl.create 8)
-
-let domain_template tech arc =
-  let tbl = Slc_num.Parallel.Slot.get domain_caches in
-  let key = (tech, arc) in
-  match Hashtbl.find_opt tbl key with
-  | Some entry ->
-    Telemetry.incr Telemetry.template_hits;
-    entry
-  | None ->
     Telemetry.incr Telemetry.template_misses;
-    let tmpl = template tech arc in
-    let entry = (tmpl, Transient.make_workspace tmpl.t_compiled) in
-    Hashtbl.add tbl key entry;
-    entry
+    (match result with Ok t -> t | Error e -> raise e)
 
 (* Fresh parameter values for one (seed, point): same arithmetic, in the
    same element order, as building the netlist from scratch. *)
@@ -330,61 +308,75 @@ let context_of ~seed tech (arc : Arc.t) point =
     point = Some (point.sin, point.cload, point.vdd);
   }
 
-(* The synthetic failure raised for a (seed, point) the fault injector
-   matches — identical payload from the scalar and batched flows. *)
-let injected_fault ctx =
-  Slc_error.No_convergence
-    {
-      Slc_error.phase = Slc_error.Transient_step;
-      time_reached = 0.0;
-      dt = 0.0;
-      newton_iters = 0;
-      residual = Float.nan;
-      recovery = [ "injected-fault" ];
-      detail = "injected fault (test hook)";
-      context = ctx;
-    }
-
-(* Pieces shared verbatim by the scalar and batched measurement flows,
-   so the two paths cannot drift: the initial capture window, the
-   per-attempt solver options, and the waveform measurements made on a
-   finished run. *)
-let initial_window tmpl point =
-  let tau =
-    let ieff = Equivalent.ieff tmpl.t_eq ~vdd:point.vdd in
-    (point.cload +. tmpl.t_cpar) *. point.vdd /. Float.max 1e-12 ieff
-  in
-  Float.max (8.0 *. tau) (Float.max (3.0 *. point.sin) 2.0e-11)
-
-let attempt_options point ~window =
-  let tstop = ramp_start +. point.sin +. window in
-  {
-    (Transient.default_options ~tstop) with
-    (* Resolve the edge finely: the default tstop/100 cap leaves
-       only a handful of samples across a fast transition. *)
-    dt_max = tstop /. 300.0;
-    breakpoints = Stimulus.breakpoints ~t0:ramp_start ~duration:point.sin;
-  }
-
-(* Measure a finished run: None when the output edge was not captured
-   or has not settled (the caller retries with a longer window). *)
-let measure tmpl (arc : Arc.t) point ~retries res =
+let simulate ?(seed = Process.nominal) tech (arc : Arc.t) point =
+  if point.sin <= 0.0 || point.cload < 0.0 || point.vdd <= 0.0 then
+    Slc_obs.Slc_error.invalid_input ~site:"Harness.build_netlist" "invalid input condition";
+  let ctx = context_of ~seed tech arc point in
+  (match Atomic.get fault_injector with
+  | Some inject when inject seed point ->
+    Telemetry.incr Telemetry.sim_failures;
+    raise
+      (Slc_error.No_convergence
+         {
+           Slc_error.phase = Slc_error.Transient_step;
+           time_reached = 0.0;
+           dt = 0.0;
+           newton_iters = 0;
+           residual = Float.nan;
+           recovery = [ "injected-fault" ];
+           detail = "injected fault (test hook)";
+           context = ctx;
+         })
+  | _ -> ());
+  let tmpl = template tech arc in
+  let compiled = specialize tmpl tech arc ~seed point in
+  let workspace = Transient.make_workspace tmpl.t_compiled in
   let out_dir =
     match arc.Arc.out_dir with
     | Arc.Fall -> Waveform.Falling
     | Arc.Rise -> Waveform.Rising
   in
-  let target =
-    match arc.Arc.out_dir with Arc.Fall -> 0.0 | Arc.Rise -> point.vdd
+  let target = match arc.Arc.out_dir with Arc.Fall -> 0.0 | Arc.Rise -> point.vdd in
+  let tau =
+    let ieff = Equivalent.ieff tmpl.t_eq ~vdd:point.vdd in
+    (point.cload +. tmpl.t_cpar) *. point.vdd /. Float.max 1e-12 ieff
   in
-  let win = Transient.waveform res tmpl.t_nin in
-  let wout = Transient.waveform res tmpl.t_nout in
-  let ok_settled = Waveform.settled wout ~vdd:point.vdd ~target ~tol_frac:0.02 in
-  let td = Waveform.measure_delay ~input:win ~output:wout ~vdd:point.vdd ~out_dir in
-  let sout = Waveform.measure_slew wout ~vdd:point.vdd out_dir in
-  match (td, sout, ok_settled) with
-  | Some td, Some sout, true ->
-    Some
+  let rec attempt retries window =
+    if retries > 3 then begin
+      Telemetry.incr Telemetry.sim_failures;
+      raise
+        (Slc_error.Simulation_failed
+           {
+             Slc_error.sf_detail =
+               "output edge not captured within the retry budget";
+             sf_retries = retries - 1;
+             sf_window = window /. 3.0;
+             sf_cause = None;
+             sf_context = ctx;
+           })
+    end;
+    if retries > 0 then Telemetry.incr Telemetry.sim_retries;
+    let tstop = ramp_start +. point.sin +. window in
+    let opts =
+      {
+        (Transient.default_options ~tstop) with
+        (* Resolve the edge finely: the default tstop/100 cap leaves
+           only a handful of samples across a fast transition. *)
+        dt_max = tstop /. 300.0;
+        breakpoints = Stimulus.breakpoints ~t0:ramp_start ~duration:point.sin;
+      }
+    in
+    count_simulation ();
+    let res =
+      Transient.run_recovered ~workspace ~record:tmpl.t_record opts compiled
+    in
+    let win = Transient.waveform res tmpl.t_nin in
+    let wout = Transient.waveform res tmpl.t_nout in
+    let ok_settled = Waveform.settled wout ~vdd:point.vdd ~target ~tol_frac:0.02 in
+    let td = Waveform.measure_delay ~input:win ~output:wout ~vdd:point.vdd ~out_dir in
+    let sout = Waveform.measure_slew wout ~vdd:point.vdd out_dir in
+    match (td, sout, ok_settled) with
+    | Some td, Some sout, true ->
       {
         td;
         sout;
@@ -395,226 +387,15 @@ let measure tmpl (arc : Arc.t) point ~retries res =
         degraded = Transient.degraded res;
         recovery = Transient.recovery_log res;
       }
-  | _ -> None
-
-let retry_budget_exhausted ctx ~retries ~window =
-  Slc_error.Simulation_failed
-    {
-      Slc_error.sf_detail = "output edge not captured within the retry budget";
-      sf_retries = retries - 1;
-      sf_window = window /. 3.0;
-      sf_cause = None;
-      sf_context = ctx;
-    }
-
-let simulate ?(seed = Process.nominal) tech (arc : Arc.t) point =
-  if point.sin <= 0.0 || point.cload < 0.0 || point.vdd <= 0.0 then
-    Slc_obs.Slc_error.invalid_input ~site:"Harness.build_netlist" "invalid input condition";
-  let ctx = context_of ~seed tech arc point in
-  (match Atomic.get fault_injector with
-  | Some inject when inject seed point ->
-    Telemetry.incr Telemetry.sim_failures;
-    raise (injected_fault ctx)
-  | _ -> ());
-  let tmpl, workspace = domain_template tech arc in
-  let compiled = specialize tmpl tech arc ~seed point in
-  let rec attempt retries window =
-    if retries > 3 then begin
-      Telemetry.incr Telemetry.sim_failures;
-      raise (retry_budget_exhausted ctx ~retries ~window)
-    end;
-    if retries > 0 then Telemetry.incr Telemetry.sim_retries;
-    let opts = attempt_options point ~window in
-    count_simulation ();
-    let res =
-      Transient.run_recovered ~workspace ~record:tmpl.t_record opts compiled
-    in
-    match measure tmpl arc point ~retries res with
-    | Some m -> m
-    | None -> attempt (retries + 1) (window *. 3.0)
+    | _ -> attempt (retries + 1) (window *. 3.0)
   in
   Telemetry.with_span Telemetry.span_simulate (fun () ->
       Slc_error.with_context ctx (fun () ->
-          attempt 0 (initial_window tmpl point)))
+          attempt 0
+            (Float.max (8.0 *. tau) (Float.max (3.0 *. point.sin) 2.0e-11))))
 
-(* ------------------------------------------------------------------ *)
-(* Batched measurement.
-
-   One call measures a whole array of (seed, point) lanes for the same
-   (tech, arc): every lane is specialized from the shared compiled
-   template and the batch transient engine (Transient.run_batch)
-   advances all of them in lockstep through one structure-of-arrays
-   Newton loop.  Control flow per lane is the scalar [simulate]'s —
-   same validity check, fault injection, retry-with-longer-window
-   policy, one [count_simulation] per lane per attempt, same typed
-   failures with the same context — so callers observe per-lane results
-   and accounting identical to N scalar calls, just faster. *)
-
-(* Per-domain batch workspaces, one per (tech, arc) shape, reused by
-   every batch the domain processes (the workspace grows to the largest
-   lane count seen). *)
-let[@slc.domain_safe "per-domain storage via Parallel.Slot"] domain_batch_workspaces :
-    (Tech.t * Arc.t, Transient.batch_workspace) Hashtbl.t
-    Slc_num.Parallel.Slot.t =
-  Slc_num.Parallel.Slot.make (fun () -> Hashtbl.create 8)
-
-let domain_batch_workspace tech arc tmpl ~lanes =
-  let tbl = Slc_num.Parallel.Slot.get domain_batch_workspaces in
-  let key = (tech, arc) in
-  match Hashtbl.find_opt tbl key with
-  | Some bws -> bws
-  | None ->
-    let bws = Transient.make_batch_workspace tmpl.t_compiled ~lanes in
-    Hashtbl.add tbl key bws;
-    bws
-
-(* Attach the lane's context to a failure that escaped the solver with
-   an empty one (exactly what Slc_error.with_context does around the
-   scalar flow). *)
-let annotate_exn ctx e =
-  try Slc_error.with_context ctx (fun () -> raise e) with e -> e
-
-(* A lane being worked on: resolved lanes hold their final outcome,
-   live lanes their retry state. *)
-type lane_state =
-  | L_live of { retries : int; window : float }
-  | L_resolved of (measurement, exn) result
-
-let simulate_chunk tech (arc : Arc.t) lanes =
-  let nl = Array.length lanes in
-  let states = Array.make nl (L_live { retries = 0; window = 0.0 }) in
-  let ctxs =
-    Array.map (fun (seed, point) -> context_of ~seed tech arc point) lanes
-  in
-  let injector = Atomic.get fault_injector in
-  let any_live = ref false in
-  Array.iteri
-    (fun l (seed, point) ->
-      if point.sin <= 0.0 || point.cload < 0.0 || point.vdd <= 0.0 then
-        states.(l) <-
-          L_resolved
-            (Error
-               (Slc_error.Invalid_input
-                  (Slc_error.invalid ~site:"Harness.build_netlist"
-                     "invalid input condition")))
-      else
-        match injector with
-        | Some inject when inject seed point ->
-          Telemetry.incr Telemetry.sim_failures;
-          states.(l) <- L_resolved (Error (injected_fault ctxs.(l)))
-        | _ -> any_live := true)
-    lanes;
-  if !any_live then begin
-    let tmpl, sws = domain_template tech arc in
-    let bws = domain_batch_workspace tech arc tmpl ~lanes:nl in
-    let compiled =
-      Array.mapi
-        (fun l (seed, point) ->
-          match states.(l) with
-          | L_live _ ->
-            states.(l) <-
-              L_live { retries = 0; window = initial_window tmpl point };
-            Some (specialize tmpl tech arc ~seed point)
-          | L_resolved _ -> None)
-        lanes
-    in
-    (* Attempt passes: every live lane simulates once per pass (in
-       lockstep through the batch engine); lanes whose edge was not
-       captured retry next pass with a 3x window until the budget is
-       spent.  Lane order within a pass matches the scalar call order. *)
-    let live = ref [] in
-    Array.iteri
-      (fun l s -> match s with L_live _ -> live := l :: !live | _ -> ())
-      states;
-    let live = ref (List.rev !live) in
-    while !live <> [] do
-      let pending =
-        List.filter
-          (fun l ->
-            match states.(l) with
-            | L_live { retries; window } when retries > 3 ->
-              Telemetry.incr Telemetry.sim_failures;
-              states.(l) <-
-                L_resolved
-                  (Error (retry_budget_exhausted ctxs.(l) ~retries ~window));
-              false
-            | L_live { retries; _ } ->
-              if retries > 0 then Telemetry.incr Telemetry.sim_retries;
-              count_simulation ();
-              true
-            | L_resolved _ -> false)
-          !live
-      in
-      let batch =
-        Array.of_list
-          (List.map
-             (fun l ->
-               let _, point = lanes.(l) in
-               let window =
-                 match states.(l) with
-                 | L_live { window; _ } -> window
-                 | L_resolved _ -> assert false
-               in
-               (attempt_options point ~window, Option.get compiled.(l)))
-             pending)
-      in
-      let results =
-        if Array.length batch = 0 then [||]
-        else
-          Telemetry.with_span Telemetry.span_simulate (fun () ->
-              Transient.run_batch ~workspace:bws ~scalar_workspace:sws
-                ~record:tmpl.t_record batch)
-      in
-      List.iteri
-        (fun i l ->
-          let _, point = lanes.(l) in
-          match results.(i) with
-          | Error e -> states.(l) <- L_resolved (Error (annotate_exn ctxs.(l) e))
-          | Ok res -> (
-            let retries, window =
-              match states.(l) with
-              | L_live { retries; window } -> (retries, window)
-              | L_resolved _ -> assert false
-            in
-            match measure tmpl arc point ~retries res with
-            | Some m -> states.(l) <- L_resolved (Ok m)
-            | None ->
-              states.(l) <-
-                L_live { retries = retries + 1; window = window *. 3.0 }))
-        pending;
-      live :=
-        List.filter
-          (fun l -> match states.(l) with L_live _ -> true | _ -> false)
-          !live
-    done
-  end;
-  Array.map
-    (function
-      | L_resolved r -> r
-      | L_live _ -> assert false)
-    states
-
-(* Lanes per in-domain batch: large enough to amortize per-batch
-   overhead (template lookup, workspace setup), small enough that the
-   domain pool's dynamic chunking still balances load. *)
-let batch_lanes = 16
-
-let simulate_batch ?(chunk = batch_lanes) tech arc lanes =
-  if chunk <= 0 then
-    Slc_obs.Slc_error.invalid_input ~site:"Harness.simulate_batch" "chunk <= 0";
-  let n = Array.length lanes in
-  if n = 0 then [||]
-  else begin
-    let nchunks = (n + chunk - 1) / chunk in
-    if nchunks = 1 then simulate_chunk tech arc lanes
-    else
-      let chunks =
-        Array.init nchunks (fun ci ->
-            let lo = ci * chunk in
-            Array.sub lanes lo (min chunk (n - lo)))
-      in
-      let rs =
-        Slc_num.Parallel.map (fun ch -> simulate_chunk tech arc ch) chunks
-      in
-      Array.concat (Array.to_list rs)
-  end
+(* Lane [i] is exactly [simulate] on [lanes.(i)], so its value,
+   accounting, telemetry and typed failure match a scalar call; the pool
+   only decides where and in which order lanes run. *)
+let simulate_batch tech arc lanes =
+  Slc_num.Parallel.try_map (fun (seed, point) -> simulate ~seed tech arc point) lanes

@@ -81,21 +81,17 @@ val simulate :
     arc/tech/seed/ξ-point context. *)
 
 val simulate_batch :
-  ?chunk:int ->
   Slc_device.Tech.t ->
   Arc.t ->
   (Slc_device.Process.seed * point) array ->
   (measurement, exn) result array
-(** Batched {!simulate}: measures every (seed, point) lane of the same
-    (tech, arc) through the lockstep structure-of-arrays transient
-    engine ({!Slc_spice.Transient.run_batch}), [chunk] lanes (default
-    16) per in-domain batch with chunks spread over the domain pool.
-    Per-lane control flow is the scalar [simulate]'s — same validity
-    check, fault injection, retry policy, one counted simulation per
-    lane per attempt, same typed failures with the same context — so
-    lane [i]'s outcome (value, accounting and telemetry) is identical
-    to [simulate ~seed:(fst lanes.(i)) tech arc (snd lanes.(i))], with
-    failures returned as [Error] instead of raised. *)
+(** The scheduling API for many measurements of one (tech, arc): maps
+    {!simulate} over every (seed, point) lane on the domain pool
+    ({!Slc_num.Parallel.try_map}).  Lane [i]'s outcome — value,
+    counted simulations, telemetry and typed failure — is that of
+    [simulate ~seed:(fst lanes.(i)) tech arc (snd lanes.(i))], with
+    failures returned as [Error] instead of raised; a failing lane
+    never cancels the others. *)
 
 val set_fault_injector :
   (Slc_device.Process.seed -> point -> bool) option -> unit

@@ -15,9 +15,8 @@ type dataset = {
 
 let simulate_dataset ?seed tech arc points =
   let before = Harness.sim_count () in
-  (* One lane per point, all for the same seed, advanced in lockstep by
-     the batch transient engine.  Failure semantics match the
-     [Parallel.map] this replaces: a single failing point re-raises its
+  (* One lane per point, all for the same seed.  Failure semantics
+     match [Parallel.map]: a single failing point re-raises its
      exception unwrapped, several raise [Parallel.Failures]. *)
   let seed = Option.value seed ~default:Process.nominal in
   let results =

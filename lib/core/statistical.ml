@@ -77,8 +77,8 @@ let gpr_slot = Slc_num.Parallel.Slot.make Gpr.workspace
    takes over the scoring (posterior predictive variance).
 
    Scheduling independence: every per-seed quantity is a pure function
-   of (seed, a_rng, observations of that seed); rounds are advanced in
-   lockstep with one [simulate_batch] per round, and all cross-seed
+   of (seed, a_rng, observations of that seed); each round is one
+   [simulate_batch] call over every seed's pick, and all cross-seed
    state lives in per-seed array slots written only between the
    parallel phases. *)
 let adaptive_seed_datasets ~record_degraded ~record_failed ~min_points
@@ -206,7 +206,7 @@ let adaptive_seed_datasets ~record_degraded ~record_failed ~min_points
         dirty.(si) <- false;
         used.(si).(ci) <- true)
       picks;
-    (* One lockstep batch advances every seed's chosen point. *)
+    (* One batch simulates every seed's chosen point. *)
     let results =
       Harness.simulate_batch tech arc
         (Array.mapi (fun si (ci, _) -> (seeds.(si), cands.(si).(ci))) picks)
@@ -341,14 +341,11 @@ let extract_seed_models ?(min_points = 2) ~design ~method_ ~tech ~arc ~seeds
                 seeds
             | Adaptive _ -> assert false
           in
-          (* All (seed x point) simulations as one flat lane array routed
-             through the lockstep batch engine: [Harness.simulate_batch]
-             advances a whole chunk of lanes through one
-             structure-of-arrays Newton loop per domain, captures per-lane
-             failures without cancelling the batch (so one pathological
-             (seed, point) costs exactly one design point, not the whole
-             extraction), and keeps per-lane results and accounting
-             identical to scalar [Harness.simulate] calls. *)
+          (* All (seed x point) simulations as one flat lane array
+             scheduled by [Harness.simulate_batch], which captures
+             per-lane failures without cancelling the batch (so one
+             pathological (seed, point) costs exactly one design point,
+             not the whole extraction). *)
           let flat =
             Harness.simulate_batch tech arc
               (Array.init (ns * budget) (fun idx ->
@@ -521,12 +518,10 @@ let monte_carlo_baseline ~tech ~arc ~seeds ~points =
   let np = Array.length points in
   let ns = Array.length seeds in
   (* Simulate each (point, seed) once, reading both metrics.  The work
-     list is flattened to individual (seed, point) lanes and routed
-     through the lockstep batch engine, which chunks lanes over the
-     domain pool and advances each chunk through one
-     structure-of-arrays Newton loop.  Failed pairs are recorded and
-     excluded from the moment estimates; their sample slots hold
-     NaN. *)
+     list is flattened to individual (seed, point) lanes scheduled over
+     the domain pool by [Harness.simulate_batch].  Failed pairs are
+     recorded and excluded from the moment estimates; their sample
+     slots hold NaN. *)
   let flat =
     Array.map
       (Result.map (fun m -> (m.Harness.td, m.Harness.sout)))

@@ -80,8 +80,8 @@ type design =
           {!Map_fit.predictive_gain} against the incremental MAP
           posterior information (or by {!Gpr.predict_var} once the
           analytical residuals exceed [a_gpr_threshold]), simulate the
-          argmax, repeat.  Rounds advance all seeds in lockstep through
-          one {!Slc_cell.Harness.simulate_batch} per round; every
+          argmax, repeat.  Each round simulates every seed's pick with
+          one {!Slc_cell.Harness.simulate_batch} call; every
           per-seed choice is a pure function of that seed's own
           sub-stream and observations, so results keep the
           [Random_per_seed] bitwise determinism guarantees.  Spends

@@ -80,30 +80,3 @@ val cgate : params -> float
 
 val cjunction : params -> float
 (** Drain junction capacitance [cj * w], F. *)
-
-(** {2 Structure-of-arrays parameter slabs}
-
-    The batch transient engine keeps per-(device, lane) parameters in a
-    flat [Bigarray] slab: one contiguous {!slab_fields}-float block per
-    device instance, filled once per batch from the lane's {!params}
-    and then streamed by the lockstep Newton loop.  Derived constants
-    ([kp * w / l], [alpha - 1]) are precomputed at fill time with the
-    same floating-point association the record path uses, so
-    {!eval_slab_into} agrees with {!eval_into} bit for bit. *)
-
-type slab = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-val slab_fields : int
-(** Floats per (device, lane) block. *)
-
-val make_slab : int -> slab
-(** [make_slab n] allocates an [n]-float slab (at least one float). *)
-
-val fill_slab : params -> slab -> off:int -> unit
-(** Write one device's block at [off] (callers pass
-    [block_index * slab_fields]). *)
-
-val eval_slab_into :
-  slab -> off:int -> vg:float -> vd:float -> vs:float -> eval_buf -> unit
-(** As {!eval_into}, reading the device from the slab block at [off].
-    Bitwise-identical results to the record path. *)

@@ -1,20 +1,20 @@
 (* Allocation regression gate for the transient hot path.
 
-   A warmed [Harness.simulate] (template compiled, workspaces cached)
-   allocates ~32.6k minor words per call, essentially all of it in the
-   waveform recording and measurement layers — the Newton/stamp/LU core
-   is allocation-free (see [@slc.hot] and lint rule R3).  The budget
-   below is that measurement plus 10% headroom: a regression that puts
-   boxing back into the solver loop costs hundreds of kwords per call
-   and trips this immediately, while legitimate small changes to the
-   measurement layer fit inside the slack. *)
+   A warmed [Harness.simulate] (template compiled and cached) allocates
+   ~9.7k minor words per call, essentially all of it in the per-call
+   solver workspace, waveform recording and measurement layers — the
+   Newton/stamp/LU core is allocation-free (see [@slc.hot] and lint
+   rule R3).  The budget below is that measurement plus 10% headroom: a
+   regression that puts boxing back into the solver loop costs hundreds
+   of kwords per call and trips this immediately, while legitimate small
+   changes to the measurement layer fit inside the slack. *)
 
 module Tech = Slc_device.Tech
 module Harness = Slc_cell.Harness
 module Arc = Slc_cell.Arc
 module Cells = Slc_cell.Cells
 
-let budget_words = 36_300.0
+let budget_words = 10_650.0
 
 let test_warm_simulate_allocation () =
   let tech = Tech.n14 in
@@ -47,16 +47,10 @@ let test_warm_simulate_is_cached () =
     Alcotest.(check bool)
       "second simulate reuses the compiled template" true (hits1 > hits0)
 
-(* A warmed 16-lane [Harness.simulate_batch] measures ~7.9k minor words
-   per lane — under a quarter of the scalar figure, since waveform rows
-   are buffered in flat float slabs and the per-call option/netlist
-   plumbing is paid once per batch.  Gate at measurement + ~15%. *)
-let batch_budget_words = 9_200.0
-
+(* [simulate_batch] is a pool map of [simulate], so a lane may cost no
+   more than a scalar call.  The map runs under [Parallel.sequential]:
+   [Gc.minor_words] counts only the calling domain's allocation. *)
 let test_warm_batch_allocation () =
-  (* Per-lane allocation of a warmed [simulate_batch]: the SoA batch
-     engine amortizes workspace and template setup across the batch, so
-     each lane must land well below the scalar per-call budget. *)
   let tech = Tech.n14 in
   let arc = List.hd (Arc.all_of_cell Cells.inv) in
   let lanes =
@@ -68,18 +62,22 @@ let test_warm_batch_allocation () =
             vdd = 0.8;
           } ))
   in
-  ignore (Harness.simulate_batch tech arc lanes);
-  ignore (Harness.simulate_batch tech arc lanes);
+  let run () =
+    Slc_num.Parallel.sequential (fun () ->
+        ignore (Harness.simulate_batch tech arc lanes))
+  in
+  run ();
+  run ();
   let before = Gc.minor_words () in
-  ignore (Harness.simulate_batch tech arc lanes);
+  run ();
   let per_lane =
     (Gc.minor_words () -. before) /. float_of_int (Array.length lanes)
   in
-  if per_lane > batch_budget_words then
+  if per_lane > budget_words then
     Alcotest.failf
       "warmed Harness.simulate_batch allocated %.0f minor words per lane \
-       (budget %.0f): boxing crept back into the batch hot path"
-      per_lane batch_budget_words
+       (budget %.0f): boxing crept back into the transient hot path"
+      per_lane budget_words
 
 let () =
   Alcotest.run "alloc"

@@ -601,7 +601,7 @@ let prop_equivalent_width_positive_when_conducting =
 
 let batch_arc () = Arc.find Cells.inv ~pin:"A" ~out_dir:Arc.Fall
 
-let batch_lanes () =
+let lane_fixture () =
   let rng = Rng.create 11 in
   let seeds = Process.sample_batch rng tech 2 in
   let seeds = Array.append [| Process.nominal |] seeds in
@@ -643,23 +643,19 @@ let check_measurement_equal l (s : Harness.measurement) = function
 
 let test_simulate_batch_matches_scalar () =
   let arc = batch_arc () in
-  let lanes = batch_lanes () in
+  let lanes = lane_fixture () in
   let scalar =
     Array.map (fun (seed, pt) -> Harness.simulate ~seed tech arc pt) lanes
   in
   let batch = Harness.simulate_batch tech arc lanes in
-  Array.iteri (fun l r -> check_measurement_equal l scalar.(l) r) batch;
-  (* Forcing tiny chunks exercises the chunk-split + domain-pool path
-     and must not change anything either. *)
-  let chunked = Harness.simulate_batch ~chunk:2 tech arc lanes in
-  Array.iteri (fun l r -> check_measurement_equal l scalar.(l) r) chunked
+  Array.iteri (fun l r -> check_measurement_equal l scalar.(l) r) batch
 
 let test_simulate_batch_counts () =
   (* One counted simulation per lane per attempt, in both the global
      sim counter and the telemetry stream — batching must not merge
      per-seed accounting into per-batch accounting. *)
   let arc = batch_arc () in
-  let lanes = batch_lanes () in
+  let lanes = lane_fixture () in
   Harness.reset_sim_count ();
   Array.iter
     (fun (seed, pt) -> ignore (Harness.simulate ~seed tech arc pt))
@@ -680,7 +676,7 @@ let test_simulate_batch_fault_peel () =
      scalar path's exact payload, while the other lanes complete
      undegraded and bitwise-equal to their scalar runs. *)
   let arc = batch_arc () in
-  let lanes = batch_lanes () in
+  let lanes = lane_fixture () in
   let _, bad_point = lanes.(2) in
   let bad_seed, _ = lanes.(2) in
   Fun.protect
@@ -710,7 +706,7 @@ let test_simulate_batch_fault_peel () =
 
 let test_simulate_batch_invalid_lane () =
   let arc = batch_arc () in
-  let lanes = batch_lanes () in
+  let lanes = lane_fixture () in
   let mixed = Array.copy lanes in
   mixed.(1) <- (Process.nominal, { mid_point with Harness.sin = 0.0 });
   let batch = Harness.simulate_batch tech arc mixed in
@@ -724,6 +720,39 @@ let test_simulate_batch_invalid_lane () =
         let seed, pt = mixed.(l) in
         check_measurement_equal l (Harness.simulate ~seed tech arc pt) r)
     batch
+
+(* Server connection threads are systhreads sharing one domain; they
+   interleave at allocation points, in the middle of a transient run.
+   Every call must still return exactly the sequential result, so no
+   mutable solver state may be shared between calls. *)
+let test_systhreads_match_sequential () =
+  let tech = Tech.n28 in
+  let arc = Arc.find Cells.nand2 ~pin:"A" ~out_dir:Arc.Fall in
+  let seeds = Process.sample_batch (Rng.create 5) tech 400 in
+  let points =
+    [|
+      { Harness.sin = 6e-12; cload = 1.5e-15; vdd = 0.9 };
+      { Harness.sin = 15e-12; cload = 4e-15; vdd = 0.8 };
+    |]
+  in
+  let lanes = Array.mapi (fun i seed -> (seed, points.(i mod 2))) seeds in
+  let run (seed, pt) = Harness.simulate ~seed tech arc pt in
+  let reference = Array.map run lanes in
+  let results = Array.make 2 [||] in
+  let threads =
+    List.init 2 (fun t ->
+        Thread.create (fun () -> results.(t) <- Array.map run lanes) ())
+  in
+  List.iter Thread.join threads;
+  Array.iter
+    (fun got ->
+      Alcotest.(check int) "thread finished" (Array.length lanes)
+        (Array.length got);
+      Array.iteri
+        (fun l (r : Harness.measurement) ->
+          check_measurement_equal l reference.(l) (Ok r))
+        got)
+    results
 
 let () =
   Alcotest.run "slc_cell"
@@ -790,6 +819,8 @@ let () =
           Alcotest.test_case "energy grows with vdd" `Quick
             test_energy_grows_with_vdd;
           Alcotest.test_case "PVT corner ordering" `Quick test_pvt_ordering;
+          Alcotest.test_case "two systhreads = sequential (bitwise)" `Quick
+            test_systhreads_match_sequential;
         ] );
       ( "batch harness",
         [

@@ -470,174 +470,6 @@ let test_recovery_exhaustion_reports_rungs () =
           (List.mem rung d.Slc_obs.Slc_error.recovery))
       [ "tight-step"; "gmin-boost"; "relaxed-tol" ]
 
-(* ------------------------------------------------------------------ *)
-(* Lockstep batch engine: bitwise parity with the scalar path. *)
-
-(* An inverter testbench compiled once, plus [n] respecialized lanes
-   with per-lane device widths, load capacitance and supply — the shape
-   Harness feeds the batch engine per (tech, arc). *)
-let batch_fixture n =
-  let tech = Tech.n14 in
-  let vdd = 0.8 in
-  let net, nin, nout = inverter_netlist tech vdd in
-  Netlist.add_vsource net
-    (Stimulus.ramp ~t0:2e-12 ~duration:5e-12 ~v_from:0.0 ~v_to:vdd)
-    nin;
-  let opts =
-    {
-      (Transient.default_options ~tstop:60e-12) with
-      breakpoints = Stimulus.breakpoints ~t0:2e-12 ~duration:5e-12;
-    }
-  in
-  let c = Transient.compile net in
-  let lanes =
-    Array.init n (fun i ->
-        let f = 1.0 +. (0.07 *. float_of_int i) in
-        let mosfets =
-          [|
-            Mosfet.scale_width tech.Tech.nmos f;
-            Mosfet.scale_width (Mosfet.scale_width tech.Tech.pmos 2.0) f;
-          |]
-        in
-        let caps = [| 2e-15 *. (1.0 +. (0.15 *. float_of_int i)) |] in
-        let sources =
-          [|
-            Stimulus.dc vdd;
-            Stimulus.ramp ~t0:2e-12 ~duration:5e-12 ~v_from:0.0 ~v_to:vdd;
-          |]
-        in
-        (opts, Transient.respecialize c ~mosfets ~caps ~sources))
-  in
-  (c, lanes, nout)
-
-let check_bitwise_result l (scalar : Transient.result) = function
-  | Error e ->
-    Alcotest.failf "lane %d failed: %s" l (Printexc.to_string e)
-  | Ok batch ->
-    Alcotest.(check bool)
-      (Printf.sprintf "lane %d times bitwise" l)
-      true
-      (Transient.times scalar = Transient.times batch);
-    Alcotest.(check int)
-      (Printf.sprintf "lane %d newton iterations" l)
-      (Transient.newton_iterations_total scalar)
-      (Transient.newton_iterations_total batch);
-    Alcotest.(check int)
-      (Printf.sprintf "lane %d steps" l)
-      (Transient.steps_taken scalar)
-      (Transient.steps_taken batch);
-    Alcotest.(check bool)
-      (Printf.sprintf "lane %d degraded flag" l)
-      (Transient.degraded scalar) (Transient.degraded batch);
-    Alcotest.(check (list string))
-      (Printf.sprintf "lane %d recovery log" l)
-      (Transient.recovery_log scalar)
-      (Transient.recovery_log batch);
-    for node = 0 to 3 do
-      let ws = Transient.waveform scalar node in
-      let wb = Transient.waveform batch node in
-      Alcotest.(check bool)
-        (Printf.sprintf "lane %d node %d waveform bitwise" l node)
-        true
-        (ws.Waveform.values = wb.Waveform.values)
-    done
-
-let test_batch_of_one_bitwise () =
-  (* A batch of one lane must reproduce the scalar run exactly: same
-     Newton iteration sequence, so bitwise-identical everything. *)
-  let _, lanes, _ = batch_fixture 3 in
-  let opts, c1 = lanes.(1) in
-  let scalar = Transient.run_compiled opts c1 in
-  let batch = Transient.run_batch [| lanes.(1) |] in
-  check_bitwise_result 0 scalar batch.(0)
-
-let test_batch_lanes_match_scalar () =
-  (* N lanes in lockstep = N scalar runs, bitwise, with identical
-     per-lane Newton/step accounting. *)
-  let _, lanes, _ = batch_fixture 6 in
-  let scalar =
-    Array.map (fun (o, cl) -> Transient.run_recovered o cl) lanes
-  in
-  let batch = Transient.run_batch lanes in
-  Array.iteri (fun l r -> check_bitwise_result l scalar.(l) r) batch
-
-let test_batch_workspace_reused () =
-  (* A cached workspace must not change results, batch after batch,
-     including when the lane count shrinks between calls. *)
-  let c, lanes, _ = batch_fixture 5 in
-  let bws = Transient.make_batch_workspace c ~lanes:2 in
-  let sws = Transient.make_workspace c in
-  let fresh = Transient.run_batch lanes in
-  let warm1 =
-    Transient.run_batch ~workspace:bws ~scalar_workspace:sws lanes
-  in
-  let warm2 =
-    Transient.run_batch ~workspace:bws ~scalar_workspace:sws
-      (Array.sub lanes 0 3)
-  in
-  let times_of = function
-    | Ok r -> Transient.times r
-    | Error e -> Alcotest.failf "lane failed: %s" (Printexc.to_string e)
-  in
-  Array.iteri
-    (fun l r ->
-      Alcotest.(check bool)
-        (Printf.sprintf "warm lane %d bitwise" l)
-        true
-        (times_of r = times_of fresh.(l)))
-    warm1;
-  Array.iteri
-    (fun l r ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shrunk lane %d bitwise" l)
-        true
-        (times_of r = times_of fresh.(l)))
-    warm2
-
-let test_batch_peels_straggler () =
-  (* One lane with impossible tolerances fails its plain attempt and is
-     peeled to the scalar recovery ladder; it must come back exactly as
-     scalar run_recovered produces it (rescued, degraded) while the
-     healthy lanes complete undegraded and bitwise-unchanged. *)
-  let _, lanes, _ = batch_fixture 4 in
-  let opts1, c1 = lanes.(1) in
-  let bad_opts = { opts1 with abstol = 1e-30; dxtol = 1e-30 } in
-  let mixed = Array.copy lanes in
-  mixed.(1) <- (bad_opts, c1);
-  let scalar =
-    Array.map (fun (o, cl) -> Transient.run_recovered o cl) mixed
-  in
-  Alcotest.(check bool) "fixture: straggler is degraded" true
-    (Transient.degraded scalar.(1));
-  let batch = Transient.run_batch mixed in
-  Array.iteri (fun l r -> check_bitwise_result l scalar.(l) r) batch
-
-let test_batch_reports_unrecoverable_lane () =
-  (* max_newton = 0 fails at every rung: the lane must come back as
-     [Error No_convergence] carrying the rungs tried, with the rest of
-     the batch unaffected. *)
-  let _, lanes, _ = batch_fixture 3 in
-  let opts2, c2 = lanes.(2) in
-  let mixed = Array.copy lanes in
-  mixed.(2) <- ({ opts2 with max_newton = 0 }, c2);
-  let scalar01 =
-    Array.map (fun (o, cl) -> Transient.run_recovered o cl) (Array.sub mixed 0 2)
-  in
-  let batch = Transient.run_batch mixed in
-  check_bitwise_result 0 scalar01.(0) batch.(0);
-  check_bitwise_result 1 scalar01.(1) batch.(1);
-  match batch.(2) with
-  | Ok _ -> Alcotest.fail "expected the max_newton = 0 lane to fail"
-  | Error (Slc_obs.Slc_error.No_convergence d) ->
-    List.iter
-      (fun rung ->
-        Alcotest.(check bool)
-          (Printf.sprintf "rung %s recorded" rung)
-          true
-          (List.mem rung d.Slc_obs.Slc_error.recovery))
-      [ "tight-step"; "gmin-boost"; "relaxed-tol" ]
-  | Error e -> Alcotest.failf "unexpected failure: %s" (Printexc.to_string e)
-
 let test_dc_sweep_restores_state () =
   (* Regression: the sweep used to leave the compiled circuit's swept
      stimulus at the last sweep value (and the fallback solved at the
@@ -741,18 +573,5 @@ let () =
             test_recovery_exhaustion_reports_rungs;
           Alcotest.test_case "dc sweep restores state" `Quick
             test_dc_sweep_restores_state;
-        ] );
-      ( "batch engine",
-        [
-          Alcotest.test_case "batch of one is bitwise scalar" `Quick
-            test_batch_of_one_bitwise;
-          Alcotest.test_case "N lanes = N scalar runs (bitwise)" `Quick
-            test_batch_lanes_match_scalar;
-          Alcotest.test_case "workspace reuse and shrink" `Quick
-            test_batch_workspace_reused;
-          Alcotest.test_case "straggler peeled to scalar ladder" `Quick
-            test_batch_peels_straggler;
-          Alcotest.test_case "unrecoverable lane reported" `Quick
-            test_batch_reports_unrecoverable_lane;
         ] );
     ]
