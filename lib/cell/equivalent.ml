@@ -33,33 +33,11 @@ let of_arc ?(stack_factor = 0.95) (tech : Tech.t) (arc : Arc.t) =
 
 (* of_arc is deterministic in (tech, arc) and called on every window
    sizing, so memoize the default-stack-factor case.  Keys are compared
-   structurally (both types are plain data); the table is guarded by a
-   mutex because simulations run concurrently under Slc_num.Parallel. *)
-let[@slc.domain_safe "guarded by memo_lock"] memo :
-    (Tech.t * Arc.t, t) Hashtbl.t =
-  Hashtbl.create 32
-
-let memo_lock = Mutex.create ()
+   structurally (both types are plain data). *)
+let memo : (Tech.t * Arc.t, t) Slc_num.Memo.t = Slc_num.Memo.create ()
 
 let of_arc_cached (tech : Tech.t) (arc : Arc.t) =
-  let key = (tech, arc) in
-  Mutex.lock memo_lock;
-  match Hashtbl.find_opt memo key with
-  | Some eq ->
-    Mutex.unlock memo_lock;
-    eq
-  | None ->
-    (* Compute while holding the lock: of_arc is cheap (pure topology
-       walk) and this keeps the table race-free without double work. *)
-    let result =
-      match of_arc tech arc with
-      | eq ->
-        Hashtbl.replace memo key eq;
-        Ok eq
-      | exception e -> Error e
-    in
-    Mutex.unlock memo_lock;
-    (match result with Ok eq -> eq | Error e -> raise e)
+  Slc_num.Memo.find_or_build memo (tech, arc) (fun () -> of_arc tech arc)
 
 let ieff t ~vdd = Mosfet.ieff t.device ~vdd
 
@@ -89,25 +67,13 @@ let input_cap (tech : Tech.t) (cell : Cells.t) ~pin =
    the same pull-up/pull-down topologies ~200k times.  Keys are the
    technology and cell names (both unique per definition); values are
    the pure [input_cap] result, so caching never changes bits. *)
-let[@slc.domain_safe "guarded by input_cap_lock"] input_cap_memo :
-    (string * string * string, float) Hashtbl.t =
-  Hashtbl.create 64
-
-let input_cap_lock = Mutex.create ()
+let input_cap_memo : (string * string * string, float) Slc_num.Memo.t =
+  Slc_num.Memo.create ()
 
 let input_cap_cached (tech : Tech.t) (cell : Cells.t) ~pin =
-  let key = (tech.Tech.name, cell.Cells.name, pin) in
-  Mutex.lock input_cap_lock;
-  match Hashtbl.find_opt input_cap_memo key with
-  | Some c ->
-    Mutex.unlock input_cap_lock;
-    c
-  | None ->
-    (* Compute under the lock: a pure, cheap topology walk. *)
-    let c = input_cap tech cell ~pin in
-    Hashtbl.replace input_cap_memo key c;
-    Mutex.unlock input_cap_lock;
-    c
+  Slc_num.Memo.find_or_build input_cap_memo
+    (tech.Tech.name, cell.Cells.name, pin)
+    (fun () -> input_cap tech cell ~pin)
 
 let parasitic_cap (tech : Tech.t) (arc : Arc.t) =
   let cell = arc.Arc.cell in

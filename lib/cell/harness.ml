@@ -194,11 +194,10 @@ type template = {
    the capacitor). *)
 let template_point = { sin = 1e-12; cload = 1e-15; vdd = 1.0 }
 
-let[@slc.domain_safe "guarded by templates_lock"] templates :
-    (Tech.t * Arc.t, template) Hashtbl.t =
-  Hashtbl.create 32
-
-let templates_lock = Mutex.create ()
+let templates : (Tech.t * Arc.t, template) Slc_num.Memo.t =
+  Slc_num.Memo.create
+    ~counters:(Telemetry.template_hits, Telemetry.template_misses)
+    ()
 
 let build_template (tech : Tech.t) (arc : Arc.t) =
   let r = { rec_bases = []; rec_caps = [] } in
@@ -223,24 +222,8 @@ let build_template (tech : Tech.t) (arc : Arc.t) =
    threads of one domain interleave at allocation points and a shared
    mutable workspace corrupts their runs. *)
 let template tech arc =
-  let key = (tech, arc) in
-  Mutex.lock templates_lock;
-  match Hashtbl.find_opt templates key with
-  | Some t ->
-    Mutex.unlock templates_lock;
-    Telemetry.incr Telemetry.template_hits;
-    t
-  | None ->
-    let result =
-      match build_template tech arc with
-      | t ->
-        Hashtbl.replace templates key t;
-        Ok t
-      | exception e -> Error e
-    in
-    Mutex.unlock templates_lock;
-    Telemetry.incr Telemetry.template_misses;
-    (match result with Ok t -> t | Error e -> raise e)
+  Slc_num.Memo.find_or_build templates (tech, arc) (fun () ->
+      build_template tech arc)
 
 (* Fresh parameter values for one (seed, point): same arithmetic, in the
    same element order, as building the netlist from scratch. *)

@@ -8,37 +8,20 @@ type row = { variant : string; k : int; td_err : float }
 (* Validation baselines are expensive (arcs x points simulations) and
    identical across ablation variants; build them once per (config,
    tech) and reuse. *)
-let[@slc.domain_safe "guarded by baseline_cache_lock"] baseline_cache :
-    (string * int * int, Char_flow.dataset list) Hashtbl.t =
-  Hashtbl.create 4
-
-let baseline_cache_lock = Mutex.create ()
+let baseline_cache :
+    (string * int * int, Char_flow.dataset list) Slc_num.Memo.t =
+  Slc_num.Memo.create ()
 
 let baselines_for ~config ~tech =
   let n = max 30 (config.Config.n_validation / 3) in
-  let key = (tech.Tech.name, n, config.Config.rng_seed) in
-  let hit =
-    Mutex.lock baseline_cache_lock;
-    let h = Hashtbl.find_opt baseline_cache key in
-    Mutex.unlock baseline_cache_lock;
-    h
-  in
-  match hit with
-  | Some b -> b
-  | None ->
-    let arcs = List.concat_map Arc.all_of_cell Cells.paper_set in
-    let points =
-      Input_space.validation_set ~n ~seed:config.Config.rng_seed tech
-    in
-    (* Simulate outside the lock (minutes of work); a racing duplicate
-       build is wasteful but correct, and the replace is idempotent. *)
-    let b =
-      List.map (fun arc -> Char_flow.simulate_dataset tech arc points) arcs
-    in
-    Mutex.lock baseline_cache_lock;
-    Hashtbl.replace baseline_cache key b;
-    Mutex.unlock baseline_cache_lock;
-    b
+  Slc_num.Memo.find_or_build baseline_cache
+    (tech.Tech.name, n, config.Config.rng_seed)
+    (fun () ->
+      let arcs = List.concat_map Arc.all_of_cell Cells.paper_set in
+      let points =
+        Input_space.validation_set ~n ~seed:config.Config.rng_seed tech
+      in
+      List.map (fun arc -> Char_flow.simulate_dataset tech arc points) arcs)
 
 let eval_train ~config ~tech ~train ~ks =
   let baselines = baselines_for ~config ~tech in

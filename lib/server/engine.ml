@@ -1,9 +1,8 @@
 (* The resident query engine: long-lived caches + request dispatch.
 
-   Locking discipline (same as Oracle's memo and trained bank): look up
-   under the mutex, compute outside it, re-check and publish
-   first-build-wins.  Builds are deterministic, so duplicate concurrent
-   builds cannot change what callers observe. *)
+   Every cache is a [Slc_num.Memo]: builds run outside the lock and the
+   first published value wins.  Builds are deterministic, so duplicate
+   concurrent builds cannot change what callers observe. *)
 
 open Slc_core
 module Tech = Slc_device.Tech
@@ -15,33 +14,13 @@ module Store = Slc_store.Store
 module Oracle = Slc_ssta.Oracle
 module Telemetry = Slc_obs.Telemetry
 module Slc_error = Slc_obs.Slc_error
+module Memo = Slc_num.Memo
 
 (* Raised for well-formed requests the library cannot answer; caught in
    [exec] and rendered as [Err (Domain, _)].  Never escapes. *)
 exception Domain_error of string
 
 let domain_fail fmt = Printf.ksprintf (fun m -> raise (Domain_error m)) fmt
-
-(* (key, value) memo published first-build-wins; [build] runs outside
-   the lock.  The generic core of every engine cache. *)
-let memo_find_or_build ~lock table key build =
-  Mutex.lock lock;
-  let hit = Hashtbl.find_opt table key in
-  Mutex.unlock lock;
-  match hit with
-  | Some v -> v
-  | None ->
-    let v = build () in
-    Mutex.lock lock;
-    let v =
-      match Hashtbl.find_opt table key with
-      | Some first -> first
-      | None ->
-        Hashtbl.add table key v;
-        v
-    in
-    Mutex.unlock lock;
-    v
 
 type pop_key = {
   pk_tech : string;
@@ -58,10 +37,9 @@ type t = {
   store : Store.t option;
   prior_for : Tech.t -> Prior.pair;
   bank : Tech.t -> k:int -> Oracle.t;
-  lock : Mutex.t;  (* guards [oracles] and [pops] *)
-  oracles : (string * int, Oracle.t) Hashtbl.t;
+  oracles : (string * int, Oracle.t) Memo.t;
       (* (tech name, k) -> query-cached bank *)
-  pops : (pop_key, Statistical.population) Hashtbl.t;
+  pops : (pop_key, Statistical.population) Memo.t;
 }
 
 let create ?store ?prior_for ?bank () =
@@ -72,10 +50,9 @@ let create ?store ?prior_for ?bank () =
       (* One learned (or store-loaded) prior per technology, shared by
          every k and by the pdf path — prior physical identity is what
          keys the process-wide trained-predictor cache. *)
-      let priors : (string, Prior.pair) Hashtbl.t = Hashtbl.create 4 in
-      let lock = Mutex.create () in
+      let priors = Memo.create () in
       fun tech ->
-        memo_find_or_build ~lock priors tech.Tech.name (fun () ->
+        Memo.find_or_build priors tech.Tech.name (fun () ->
             match store with
             | Some st ->
               Store.get_prior st ~historical:(Tech.historical_for tech)
@@ -91,9 +68,8 @@ let create ?store ?prior_for ?bank () =
     store;
     prior_for;
     bank;
-    lock = Mutex.create ();
-    oracles = Hashtbl.create 8;
-    pops = Hashtbl.create 8;
+    oracles = Memo.create ();
+    pops = Memo.create ();
   }
 
 (* ----------------------------------------------------------------- *)
@@ -124,7 +100,7 @@ let arc_of cell ~pin ~dir =
    construction is cheap; training happens lazily per arc inside the
    bank's own memo. *)
 let oracle_for t tech ~k =
-  memo_find_or_build ~lock:t.lock t.oracles (tech.Tech.name, k) (fun () ->
+  Memo.find_or_build t.oracles (tech.Tech.name, k) (fun () ->
       Oracle.cached (Oracle.make_cache ()) (t.bank tech ~k))
 
 let run_query t (q : Protocol.query) =
@@ -153,7 +129,7 @@ let population_for t (p : Protocol.pdf_query) tech arc =
       pk_rng = p.p_rng;
     }
   in
-  memo_find_or_build ~lock:t.lock t.pops key (fun () ->
+  Memo.find_or_build t.pops key (fun () ->
       let seeds =
         Process.sample_batch (Slc_prob.Rng.create p.p_rng) tech p.p_seeds
       in

@@ -5,10 +5,9 @@
     life of the engine, so a warm repeat of any request costs zero
     simulator runs.
 
-    Thread-safety: every memo table publishes first-build-wins under a
-    mutex with the build running {e outside} the lock (the same
-    discipline as [Oracle.of_predictors] and the trained-bank cache).
-    Concurrent misses on the same key may compute more than once;
+    Thread-safety: every memo table is an {!Slc_num.Memo}, which
+    publishes first-build-wins with the build running {e outside} the
+    lock.  Concurrent misses on the same key may compute more than once;
     builds are deterministic, so every caller then sees the single
     published value and results are independent of interleaving. *)
 

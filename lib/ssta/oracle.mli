@@ -17,12 +17,11 @@ val of_predictors :
 (** Backed by per-arc predictors (e.g. {!Slc_core.Char_flow.train_bayes});
     the function is called once per distinct arc and memoized.
 
-    The memo table is domain-safe: concurrent queries (the levelized
-    parallel timing pass, the characterization server) publish
-    first-build-wins under a mutex, with the build itself running
-    outside the lock.  Builds must be deterministic — concurrent misses
-    on the same arc may build more than once, and every caller then
-    sees the single published value. *)
+    The memo is an {!Slc_num.Memo}, so concurrent queries (the
+    levelized parallel timing pass, the characterization server) are
+    safe.  Builds must be deterministic — concurrent misses on the same
+    arc may build more than once, and every caller then sees the single
+    published value. *)
 
 val of_library : Slc_cell.Library.t -> t
 (** Backed by interpolated NLDM tables; raises [Not_found] when queried
@@ -75,18 +74,13 @@ type cache
     answer — fanout nets and repeated path timings stop re-deriving
     identical arc delays. *)
 
-val make_cache : ?slew_bucket:float -> ?shards:int -> unit -> cache
-(** With no [slew_bucket] the cache is exact (keys are the literal
-    point coordinates; results are bitwise identical to the uncached
-    oracle).  With a bucket (seconds, > 0), input slews are quantized
-    to positive multiples of it and the oracle is queried at the
-    quantized point: nearby slews deterministically share one answer,
-    trading bounded accuracy for fewer queries.
-
-    The table is internally sharded by key hash ([?shards], default 16,
-    rounded up to a power of two) so concurrent queries — a levelized
-    parallel timing pass — contend on independent locks rather than
-    serializing on one.  Sharding never changes results. *)
+val make_cache : unit -> cache
+(** An exact cache: keys are the literal point coordinates, so results
+    are bitwise identical to the uncached oracle.  The table is an
+    {!Slc_num.Memo} split into 16 shards by key hash, so concurrent
+    queries — a levelized parallel timing pass — contend on independent
+    locks rather than serializing on one.  Sharding never changes
+    results. *)
 
 val cached : cache -> t -> t
 (** [cached c oracle] wraps [oracle] so queries go through [c].  A

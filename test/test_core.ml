@@ -970,47 +970,6 @@ let test_baseline_degradation () =
     base.Statistical.mu_td
 
 (* ------------------------------------------------------------------ *)
-(* Bayes_library *)
-
-let test_bayes_library () =
-  let prior = Lazy.force tiny_prior_pair in
-  Harness.reset_sim_count ();
-  let lib =
-    Bayes_library.characterize ~cells:[ Cells.inv; Cells.nor2 ] ~prior tech
-      ~k:2
-  in
-  (* 6 arcs x 2 sims (window retries would add more). *)
-  Alcotest.(check int) "entries" 6 (List.length lib.Bayes_library.entries);
-  Alcotest.(check bool) "cost about k per arc" true
-    (lib.Bayes_library.sim_runs >= 12 && lib.Bayes_library.sim_runs <= 24);
-  let pt = { Harness.sin = 6e-12; cload = 3e-15; vdd = 0.85 } in
-  let d = Bayes_library.delay lib inv_fall pt in
-  let s_ = Bayes_library.slew lib inv_fall pt in
-  Alcotest.(check bool) "delay positive" true (d > 0.0);
-  Alcotest.(check bool) "slew positive" true (s_ > 0.0);
-  let d2, s2 = Bayes_library.oracle_query lib inv_fall pt in
-  Alcotest.(check (float 1e-18)) "oracle delay" d d2;
-  Alcotest.(check (float 1e-18)) "oracle slew" s_ s2;
-  (* Unknown arc. *)
-  let foreign = Arc.find Cells.nand3 ~pin:"B" ~out_dir:Arc.Rise in
-  Alcotest.(check bool) "missing arc" true
-    (Bayes_library.find lib foreign = None);
-  Alcotest.check_raises "missing delay raises" Not_found (fun () ->
-      ignore (Bayes_library.delay lib foreign pt));
-  (* Validation report has a row per arc with sane errors. *)
-  let report = Bayes_library.validate ~n:10 lib in
-  Alcotest.(check int) "report rows" 6 (List.length report);
-  List.iter
-    (fun (name, e) ->
-      Alcotest.(check bool)
-        (name ^ " error sane")
-        true
-        (e.Char_flow.td_err >= 0.0 && e.Char_flow.td_err < 0.3))
-    report;
-  Alcotest.(check bool) "summary renders" true
-    (String.length (Format.asprintf "%a" Bayes_library.summary lib) > 100)
-
-(* ------------------------------------------------------------------ *)
 (* Config / Report *)
 
 let test_config_scaling () =
@@ -1342,8 +1301,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_model_scales_inversely_with_ieff;
           QCheck_alcotest.to_alcotest prop_lse_exact_on_model_data;
         ] );
-      ( "bayes_library",
-        [ Alcotest.test_case "whole-library flow" `Slow test_bayes_library ] );
       ( "config_report",
         [
           Alcotest.test_case "config scaling" `Quick test_config_scaling;

@@ -597,6 +597,81 @@ let prop_lm_quadratic_exact =
       Float.abs (r.Slc_num.Optimize.x.(0) -. a) < 1e-5
       && Float.abs (r.Slc_num.Optimize.x.(1) -. b) < 1e-5)
 
+(* ------------------------------------------------------------------ *)
+(* Memo *)
+
+let spin n =
+  let acc = ref 0 in
+  for k = 1 to n do
+    acc := (!acc + k) land 0xFFFF
+  done;
+  ignore (Sys.opaque_identity !acc)
+
+(* Cold concurrent misses may build more than once, but every caller
+   must get the one published value, and a warm table builds nothing. *)
+let test_memo_concurrent_misses () =
+  let memo = Memo.create () in
+  let builds = Atomic.make 0 in
+  let get k =
+    Memo.find_or_build memo k (fun () ->
+        Atomic.incr builds;
+        (* Widen the miss window so first lookups overlap in the build. *)
+        spin 50_000;
+        ref k)
+  in
+  let keys = Array.init 64 (fun i -> i mod 4) in
+  let got = Parallel.map ~domains:4 ~chunk:1 get keys in
+  Array.iteri
+    (fun i k ->
+      Alcotest.(check int) "built value" k !(got.(i));
+      Alcotest.(check bool) "one published value per key" true
+        (got.(i) == get k))
+    keys;
+  Alcotest.(check int) "four keys" 4 (Memo.length memo);
+  let cold = Atomic.get builds in
+  Alcotest.(check bool) "at least one build per key" true (cold >= 4);
+  ignore (Parallel.map ~domains:4 ~chunk:1 get keys);
+  Alcotest.(check int) "warm table builds nothing" cold (Atomic.get builds)
+
+let test_memo_failed_build_not_cached () =
+  let memo = Memo.create () in
+  Alcotest.check_raises "build failure reaches the caller" (Failure "boom")
+    (fun () -> ignore (Memo.find_or_build memo "k" (fun () -> failwith "boom")));
+  Alcotest.(check int) "nothing published" 0 (Memo.length memo);
+  Alcotest.(check int) "later call builds" 7
+    (Memo.find_or_build memo "k" (fun () -> 7));
+  Alcotest.(check int) "and publishes" 7
+    (Memo.find_or_build memo "k" (fun () -> 8));
+  Alcotest.(check int) "one entry" 1 (Memo.length memo)
+
+let test_memo_shards () =
+  let memo = Memo.create ~shards:16 () in
+  for i = 1 to 100 do
+    ignore (Memo.find_or_build memo i (fun () -> i * i))
+  done;
+  Alcotest.(check int) "sizes sum across shards" 100 (Memo.length memo);
+  Alcotest.(check int) "hit returns the published value" 49
+    (Memo.find_or_build memo 7 (fun () -> 0));
+  Alcotest.check_raises "bad shards"
+    (Slc_obs.Slc_error.Invalid_input
+       (Slc_obs.Slc_error.invalid ~site:"Memo.create" "shards <= 0"))
+    (fun () -> ignore (Memo.create ~shards:0 ()))
+
+let test_memo_counters () =
+  let module T = Slc_obs.Telemetry in
+  let was_on = T.on () in
+  T.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was_on then T.disable ())
+    (fun () ->
+      let memo = Memo.create ~counters:(T.oracle_hits, T.oracle_misses) () in
+      let h0 = T.read T.oracle_hits and m0 = T.read T.oracle_misses in
+      List.iter
+        (fun k -> ignore (Memo.find_or_build memo k (fun () -> k)))
+        [ 1; 2; 1; 1; 3 ];
+      Alcotest.(check int) "hits" 2 (T.read T.oracle_hits - h0);
+      Alcotest.(check int) "misses" 3 (T.read T.oracle_misses - m0))
+
 let () =
   Alcotest.run "slc_num"
     [
@@ -697,4 +772,13 @@ let () =
         ] );
       ( "quadrature",
         [ Alcotest.test_case "rules agree with analytic" `Quick test_quadrature ] );
+      ( "memo",
+        [
+          Alcotest.test_case "concurrent misses publish one value" `Quick
+            test_memo_concurrent_misses;
+          Alcotest.test_case "failed build not cached" `Quick
+            test_memo_failed_build_not_cached;
+          Alcotest.test_case "shards sum in length" `Quick test_memo_shards;
+          Alcotest.test_case "hit/miss counters" `Quick test_memo_counters;
+        ] );
     ]

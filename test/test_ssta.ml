@@ -160,19 +160,9 @@ let test_oracle_query_cache () =
   let du, su = Oracle.of_simulator tech |> fun o -> o.Oracle.query arc p in
   Alcotest.(check bool) "bitwise vs uncached" true
     (Int64.bits_of_float d0 = Int64.bits_of_float du
-    && Int64.bits_of_float s0 = Int64.bits_of_float su);
-  (* A bucketed cache merges nearby slews into one underlying query. *)
-  let oracle2, count2 = counting_oracle () in
-  let cb = Oracle.make_cache ~slew_bucket:1e-12 () in
-  let wb = Oracle.cached cb oracle2 in
-  ignore (wb.Oracle.query arc { p with Harness.sin = 5.0e-12 });
-  ignore (wb.Oracle.query arc { p with Harness.sin = 5.2e-12 });
-  Alcotest.(check int) "bucketed slews share a query" 1 !count2;
-  Alcotest.check_raises "bad bucket"
-    (Slc_obs.Slc_error.Invalid_input (Slc_obs.Slc_error.invalid ~site:"Oracle.make_cache" "bucket <= 0")) (fun () ->
-      ignore (Oracle.make_cache ~slew_bucket:0.0 ()))
+    && Int64.bits_of_float s0 = Int64.bits_of_float su)
 
-(* Regression for the [memo_by_arc] data race: every predictor-backed
+(* Regression for the per-arc memo data race: every predictor-backed
    oracle memoizes per arc in one table, and a levelized parallel
    forward pass queries it from every pool domain at once on shard-cache
    misses (as does the characterization server from its connection
@@ -447,15 +437,8 @@ let test_path_falling_input () =
     true (rel < 0.10)
 
 let test_bayes_library_oracle_on_path () =
-  (* A whole-library Bayesian characterization plugs into path timing. *)
-  let prior = Lazy.force tiny_prior in
-  let lib =
-    Bayes_library.characterize ~cells:[ Cells.inv; Cells.nand2 ] ~prior tech
-      ~k:3
-  in
-  let oracle =
-    { Oracle.label = "bayes-library"; query = Bayes_library.oracle_query lib }
-  in
+  (* A per-arc Bayesian characterization plugs into path timing. *)
+  let oracle = Oracle.bayes_bank ~prior:(Lazy.force tiny_prior) tech ~k:3 in
   let ch = small_chain () in
   let truth = Chain.simulate ch ~sin ~vdd ~in_rises:true in
   let t = Path.propagate oracle ch ~sin ~vdd ~in_rises:true in
@@ -742,7 +725,7 @@ let test_oracle_cache_shards () =
           synthetic_oracle.Oracle.query arc p);
     }
   in
-  let c = Oracle.make_cache ~shards:4 () in
+  let c = Oracle.make_cache () in
   let w = Oracle.cached c counted in
   let arc = Arc.find Cells.inv ~pin:"A" ~out_dir:Arc.Fall in
   let p = { Harness.sin; cload = 2e-15; vdd } in
@@ -758,11 +741,7 @@ let test_oracle_cache_shards () =
     ignore
       (w.Oracle.query arc { p with Harness.cload = float_of_int i *. 1.3e-15 })
   done;
-  Alcotest.(check int) "sizes sum across shards" 21 (Oracle.cache_size c);
-  Alcotest.check_raises "bad shards"
-    (Slc_obs.Slc_error.Invalid_input
-       (Slc_obs.Slc_error.invalid ~site:"Oracle.make_cache" "shards <= 0"))
-    (fun () -> ignore (Oracle.make_cache ~shards:0 ()))
+  Alcotest.(check int) "sizes sum across shards" 21 (Oracle.cache_size c)
 
 let () =
   Alcotest.run "slc_ssta"

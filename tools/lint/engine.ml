@@ -344,8 +344,8 @@ let rec r2_scan ctx (e : Typedtree.expression) =
    functions and flags let-chains that create unsynchronized mutable
    state and end in a [fun].
 
-   Tolerated, by the guarded-memo convention (e.g. [Oracle.memo_by_arc]):
-   a binding anywhere in the same chain — or in an enclosing chain of
+   Tolerated, by the guarded-state convention (the library's caches use
+   [Slc_num.Memo], which never trips the pass): a binding anywhere in the same chain — or in an enclosing chain of
    the same function — whose head is a safe creation ([Mutex.create],
    [Atomic.make], …), plus the usual [@slc.domain_safe "reason"]
    annotation.  Chains whose tail returns closures indirectly (a record
@@ -725,8 +725,8 @@ let check_r4 ctx (str : Typedtree.structure) =
        invisible for the same reason as opaque parameters;
      - acquisitions performed inside a closure a function builds are
        attributed to the function that builds the closure (an
-       over-approximation that keeps factory modules like
-       [Oracle.memo_by_arc] visible to R6). *)
+       over-approximation that keeps closure factories visible to
+       R6). *)
 
 type lockid =
   | Lglobal of string  (* canonical def name of a Mutex.create binding *)
