@@ -5,6 +5,8 @@ type t = {
   pin : string;
   out_dir : direction;
   side_values : (string * bool) list;
+  name : string;
+  id : int;
 }
 
 let direction_to_string = function Rise -> "rise" | Fall -> "fall"
@@ -17,6 +19,18 @@ let assignment side_values pin value p =
     match List.assoc_opt p side_values with
     | Some v -> v
     | None -> Slc_obs.Slc_error.invalid_input ~site:"Arc" "unknown pin in assignment"
+
+(* Arc names interned to small ints.  [find] is the only constructor,
+   so every arc carries its name and id from birth and queries never
+   format or hash the name again.  Concurrent first interns of one name
+   may each draw a number; the first published wins, so ids stay small
+   and equal names always share one id. *)
+let ids : (string, int) Slc_num.Memo.t = Slc_num.Memo.create ()
+
+let next_id = Atomic.make 0
+
+let intern name =
+  Slc_num.Memo.find_or_build ids name (fun () -> Atomic.fetch_and_add next_id 1)
 
 let find cell ~pin ~out_dir =
   if not (List.mem pin cell.Cells.inputs) then raise Not_found;
@@ -44,7 +58,11 @@ let find cell ~pin ~out_dir =
     | _ -> ()
   done;
   match List.sort (fun (a, _) (b, _) -> compare b a) !candidates with
-  | (_, side_values) :: _ -> { cell; pin; out_dir; side_values }
+  | (_, side_values) :: _ ->
+    let name =
+      String.concat "/" [ cell.Cells.name; pin; direction_to_string out_dir ]
+    in
+    { cell; pin; out_dir; side_values; name; id = intern name }
   | [] -> raise Not_found
 
 let all_of_cell cell =
@@ -58,9 +76,9 @@ let all_of_cell cell =
         [ Rise; Fall ])
     cell.Cells.inputs
 
-let name t =
-  Printf.sprintf "%s/%s/%s" t.cell.Cells.name t.pin
-    (direction_to_string t.out_dir)
+let name t = t.name
+
+let id t = t.id
 
 let input_on t ~switching_high p =
   assignment t.side_values t.pin switching_high p

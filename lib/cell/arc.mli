@@ -5,13 +5,17 @@
 type direction = Rise | Fall
 (** Direction of the {e output} transition. *)
 
-type t = {
+type t = private {
   cell : Cells.t;
   pin : string;          (** the switching input *)
   out_dir : direction;
   side_values : (string * bool) list;
       (** static values of the other inputs *)
+  name : string;  (** see {!name} *)
+  id : int;  (** see {!id} *)
 }
+(** Built only by {!find} (and {!all_of_cell}), which fill in [name]
+    and [id] once. *)
 
 val direction_to_string : direction -> string
 (** ["rise"] / ["fall"]. *)
@@ -32,7 +36,13 @@ val all_of_cell : Cells.t -> t list
 (** Every (pin, direction) arc of the cell. *)
 
 val name : t -> string
-(** e.g. "NAND2/A/fall". *)
+(** e.g. "NAND2/A/fall".  Computed once by {!find}; O(1). *)
+
+val id : t -> int
+(** A small non-negative int naming the arc within this process: arcs
+    with equal {!name}s have equal ids and arcs with different names
+    different ones.  Ids depend on the order arcs are first found, so
+    they key in-process caches only and are never persisted. *)
 
 val input_on : t -> switching_high:bool -> string -> bool
 (** Full input assignment given the current logical value of the

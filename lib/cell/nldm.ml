@@ -95,35 +95,53 @@ let build ?seed tech arc ~levels =
   let box = Slc_device.Tech.input_box tech in
   build_on_axes ?seed tech arc ~axes:(axes_of_levels ~box levels)
 
-(* Interpolation over up to three axes, constant along singletons. *)
-let cell_of axis x =
-  let n = Array.length axis in
-  if n = 1 then (0, 0.0)
-  else begin
-    let i = Slc_num.Interp.locate axis x in
-    (i, (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i)))
-  end
+(* Interpolation over up to three axes, constant along singletons.
+   [index]/[weight] locate a coordinate on one axis; [interpolate]
+   blends the eight corners.  A point is located once and every value
+   grid reuses that location, so [lookup_td_sout] is bitwise
+   [(lookup_td t p, lookup_sout t p)] at half the locating work. *)
+let index axis x =
+  if Array.length axis = 1 then 0 else Slc_num.Interp.locate axis x
+
+let weight axis i x =
+  if Array.length axis = 1 then 0.0
+  else (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i))
+
+let interpolate (values : float array array array) t i j k tx ty tz =
+  (* Clamp the upper corner onto singleton axes. *)
+  let i1 = if i + 1 < Array.length t.sin_axis then i + 1 else i in
+  let j1 = if j + 1 < Array.length t.cload_axis then j + 1 else j in
+  let k1 = if k + 1 < Array.length t.vdd_axis then k + 1 else k in
+  let v0 = values.(i) and v1 = values.(i1) in
+  let c00 = ((1.0 -. tx) *. v0.(j).(k)) +. (tx *. v1.(j).(k)) in
+  let c10 = ((1.0 -. tx) *. v0.(j1).(k)) +. (tx *. v1.(j1).(k)) in
+  let c01 = ((1.0 -. tx) *. v0.(j).(k1)) +. (tx *. v1.(j).(k1)) in
+  let c11 = ((1.0 -. tx) *. v0.(j1).(k1)) +. (tx *. v1.(j1).(k1)) in
+  let c0 = ((1.0 -. ty) *. c00) +. (ty *. c10) in
+  let c1 = ((1.0 -. ty) *. c01) +. (ty *. c11) in
+  ((1.0 -. tz) *. c0) +. (tz *. c1)
 
 let lookup values t (p : Harness.point) =
-  let i, tx = cell_of t.sin_axis p.Harness.sin in
-  let j, ty = cell_of t.cload_axis p.Harness.cload in
-  let k, tz = cell_of t.vdd_axis p.Harness.vdd in
-  let at a b c =
-    let a = min a (Array.length t.sin_axis - 1) in
-    let b = min b (Array.length t.cload_axis - 1) in
-    let c = min c (Array.length t.vdd_axis - 1) in
-    values.(a).(b).(c)
-  in
-  let lerp w a b = ((1.0 -. w) *. a) +. (w *. b) in
-  let c00 = lerp tx (at i j k) (at (i + 1) j k) in
-  let c10 = lerp tx (at i (j + 1) k) (at (i + 1) (j + 1) k) in
-  let c01 = lerp tx (at i j (k + 1)) (at (i + 1) j (k + 1)) in
-  let c11 = lerp tx (at i (j + 1) (k + 1)) (at (i + 1) (j + 1) (k + 1)) in
-  lerp tz (lerp ty c00 c10) (lerp ty c01 c11)
+  let i = index t.sin_axis p.Harness.sin in
+  let j = index t.cload_axis p.Harness.cload in
+  let k = index t.vdd_axis p.Harness.vdd in
+  interpolate values t i j k
+    (weight t.sin_axis i p.Harness.sin)
+    (weight t.cload_axis j p.Harness.cload)
+    (weight t.vdd_axis k p.Harness.vdd)
 
 let lookup_td t p = lookup t.td t p
 
 let lookup_sout t p = lookup t.sout t p
+
+let lookup_td_sout t (p : Harness.point) =
+  let i = index t.sin_axis p.Harness.sin in
+  let j = index t.cload_axis p.Harness.cload in
+  let k = index t.vdd_axis p.Harness.vdd in
+  let tx = weight t.sin_axis i p.Harness.sin in
+  let ty = weight t.cload_axis j p.Harness.cload in
+  let tz = weight t.vdd_axis k p.Harness.vdd in
+  (interpolate t.td t i j k tx ty tz, interpolate t.sout t i j k tx ty tz)
 
 let lookup_energy t p = lookup t.energy t p
 

@@ -52,6 +52,10 @@ val lookup_td : t -> Harness.point -> float
 val lookup_sout : t -> Harness.point -> float
 (** Interpolated output slew; same scheme as {!lookup_td}. *)
 
+val lookup_td_sout : t -> Harness.point -> float * float
+(** Bitwise [(lookup_td t p, lookup_sout t p)], locating [p] on the
+    axes once for both grids. *)
+
 val lookup_energy : t -> Harness.point -> float
 (** Interpolated switching energy, J; same scheme as {!lookup_td}. *)
 

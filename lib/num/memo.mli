@@ -2,8 +2,11 @@
 
     Every reusable artifact the library builds once — trained
     predictors, compiled testbench templates, equivalent inverters,
-    oracle answers, server priors and populations — is cached through
-    this module, so the locking discipline lives in one place:
+    arc ids, server priors and populations — is cached through this
+    module, so the locking discipline lives in one place.  The one
+    measured exception is the per-query oracle answer cache
+    ([Slc_ssta.Oracle.cache]), a flat float table whose hits must be
+    cheap next to the table lookup they save; it keeps this discipline:
 
     - look the key up under the shard's mutex and release it;
     - on a miss, run the build {e outside} any lock (builds may run

@@ -26,18 +26,28 @@ let of_predictors ~label build =
         (p.Char_flow.predict_td point, p.Char_flow.predict_sout point));
   }
 
+(* Each arc's table is resolved once, here: a query indexes an array
+   by [Arc.id] instead of scanning the entries by name.  The first entry
+   of a name wins, as in [Library.find]. *)
 let of_library lib =
+  let n =
+    List.fold_left
+      (fun n e -> max n (Arc.id e.Library.arc + 1))
+      0 lib.Library.entries
+  in
+  let tables = Array.make n None in
+  List.iter
+    (fun e ->
+      let id = Arc.id e.Library.arc in
+      if Option.is_none tables.(id) then tables.(id) <- Some e.Library.table)
+    lib.Library.entries;
   {
     label = "nldm-library";
     query =
       (fun arc point ->
-        match
-          Library.find lib ~cell:arc.Arc.cell.Slc_cell.Cells.name
-            ~pin:arc.Arc.pin ~out_dir:arc.Arc.out_dir
-        with
-        | Some e ->
-          (Nldm.lookup_td e.Library.table point,
-           Nldm.lookup_sout e.Library.table point)
+        let id = Arc.id arc in
+        match if id < n then tables.(id) else None with
+        | Some table -> Nldm.lookup_td_sout table point
         | None -> raise Not_found);
   }
 
@@ -54,29 +64,154 @@ let of_simulator ?seed tech =
 (* Query-result cache.
 
    Oracle queries are pure (training happens once per arc; predictors
-   and tables are deterministic functions of the point), so repeated
-   identical queries — a fanout net driving many gates, a path re-timed
-   at the same slew — can reuse the first answer.  Keys are the literal
-   point coordinates, so cached results are bitwise identical to
-   uncached ones.  The table is sharded by key hash so that concurrent
-   queries from a levelized parallel timing pass contend on independent
-   locks instead of serializing on one. *)
+   and tables are deterministic functions of the point), so a repeated
+   query — the same pass re-run on a persistent cache, a served
+   request repeated — can reuse the first answer.
 
-type cache = (string * float * float * float, float * float) Memo.t
+   The table is flat: per shard, one float array of 6-float slots
+   (arc id, sin, cload, vdd, td, sout) with linear probing.  A hit
+   hashes the arc id and the coordinates' bits, probes under the
+   shard's lock and reads two floats: it allocates only the returned
+   pair.  Keys compare coordinates by their bits, so the cache is
+   exact ([0.0] and [-0.0] are distinct keys) and answers are bitwise
+   the uncached oracle's.  The 16 shards are selected by key hash, so a
+   levelized parallel pass contends on independent locks.
+
+   This is the one cache that does not go through [Memo]: a [Memo] key
+   is a boxed tuple hashed and compared structurally, and on the
+   100k-gate SSTA pass a hit through it cost more than the NLDM
+   interpolation it saves.  The discipline is [Memo]'s — look up under
+   the lock, build outside it, first publication wins. *)
+
+let n_shards = 16
+
+let slot = 6 (* floats per slot *)
+
+let empty = -1.0 (* arc-id field of a free slot *)
+
+type shard = {
+  lock : Mutex.t;
+  mutable slots : float array; (* capacity * [slot]; capacity a power of two *)
+  mutable count : int;
+}
+
+type cache = shard array
+
+let initial_capacity = 16
 
 let make_cache () =
-  Memo.create ~shards:16
-    ~counters:(Telemetry.oracle_hits, Telemetry.oracle_misses)
-    ()
+  Array.init n_shards (fun _ ->
+      {
+        lock = Mutex.create ();
+        slots = Array.make (initial_capacity * slot) empty;
+        count = 0;
+      })
 
-let cache_size = Memo.length
+let[@slc.hot] [@inline] bits x = Int64.to_int (Int64.bits_of_float x)
+
+let[@slc.hot] [@inline] mix h x =
+  let h = (h lxor x) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+(* Over the arc id and the coordinates' bits.  The low bits pick the
+   shard, the rest the home slot. *)
+let[@slc.hot] hash id (p : Harness.point) =
+  mix
+    (mix (mix (mix 0 id) (bits p.Harness.sin)) (bits p.Harness.cload))
+    (bits p.Harness.vdd)
+
+let[@slc.hot] [@inline] same a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Offset of the slot holding the key, or of the free slot where it
+   belongs.  The table is never full (growth at 3/4 load), so the
+   probe ends. *)
+let[@slc.hot] rec probe (slots : float array) mask i id
+    (p : Harness.point) =
+  let b = i * slot in
+  let k = slots.(b) in
+  if k = empty then b
+  else if
+    k = float_of_int id
+    && same slots.(b + 1) p.Harness.sin
+    && same slots.(b + 2) p.Harness.cload
+    && same slots.(b + 3) p.Harness.vdd
+  then b
+  else probe slots mask ((i + 1) land mask) id p
+
+let[@slc.hot] mask_of (slots : float array) = (Array.length slots / slot) - 1
+
+(* [probe] from the key's home slot in [slots]; the caller holds the
+   shard's lock. *)
+let[@slc.hot] locate (slots : float array) h id p =
+  let mask = mask_of slots in
+  probe slots mask ((h lsr 4) land mask) id p
+
+(* Double the capacity and re-insert every key (under the lock). *)
+let grow s =
+  let old = s.slots in
+  let slots = Array.make (2 * Array.length old) empty in
+  for i = 0 to mask_of old do
+    let b = i * slot in
+    if old.(b) <> empty then begin
+      let id = int_of_float old.(b) in
+      let p =
+        { Harness.sin = old.(b + 1); cload = old.(b + 2); vdd = old.(b + 3) }
+      in
+      Array.blit old b slots (locate slots (hash id p) id p) slot
+    end
+  done;
+  s.slots <- slots
+
+let cache_size c =
+  Array.fold_left
+    (fun acc s ->
+      Mutex.lock s.lock;
+      let n = s.count in
+      Mutex.unlock s.lock;
+      acc + n)
+    0 c
 
 let cached c oracle =
-  let query arc (point : Harness.point) =
-    let key =
-      (Arc.name arc, point.Harness.sin, point.Harness.cload, point.Harness.vdd)
-    in
-    Memo.find_or_build c key (fun () -> oracle.query arc point)
+  let query arc (p : Harness.point) =
+    let id = Arc.id arc in
+    let h = hash id p in
+    let s = c.(h land (n_shards - 1)) in
+    Mutex.lock s.lock;
+    let slots = s.slots in
+    let b = locate slots h id p in
+    if slots.(b) <> empty then begin
+      let r = (slots.(b + 4), slots.(b + 5)) in
+      Mutex.unlock s.lock;
+      Telemetry.incr Telemetry.oracle_hits;
+      r
+    end
+    else begin
+      Mutex.unlock s.lock;
+      Telemetry.incr Telemetry.oracle_misses;
+      let ((td, sout) as r) = oracle.query arc p in
+      Mutex.lock s.lock;
+      (* The table may have grown, or another caller published this key,
+         while the lock was released: probe again. *)
+      let slots = s.slots in
+      let b = locate slots h id p in
+      let r =
+        if slots.(b) <> empty then (slots.(b + 4), slots.(b + 5))
+        else begin
+          slots.(b) <- float_of_int id;
+          slots.(b + 1) <- p.Harness.sin;
+          slots.(b + 2) <- p.Harness.cload;
+          slots.(b + 3) <- p.Harness.vdd;
+          slots.(b + 4) <- td;
+          slots.(b + 5) <- sout;
+          s.count <- s.count + 1;
+          if 4 * s.count > 3 * (mask_of slots + 1) then grow s;
+          r
+        end
+      in
+      Mutex.unlock s.lock;
+      r
+    end
   in
   { oracle with query }
 

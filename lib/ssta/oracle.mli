@@ -70,17 +70,28 @@ val bayes_bank :
 
 type cache
 (** A mutable, domain-safe map from (arc, point) to query results.
-    Oracle queries are pure, so identical queries can reuse the first
-    answer — fanout nets and repeated path timings stop re-deriving
-    identical arc delays. *)
+    Oracle queries are pure, so an identical query can reuse the first
+    answer — a pass re-run on a persistent cache, a repeated served
+    request.  Within one SSTA pass keys hardly repeat: every gate's
+    output load is its own, so a cold pass over a generated design
+    misses on every query. *)
 
 val make_cache : unit -> cache
-(** An exact cache: keys are the literal point coordinates, so results
-    are bitwise identical to the uncached oracle.  The table is an
-    {!Slc_num.Memo} split into 16 shards by key hash, so concurrent
-    queries — a levelized parallel timing pass — contend on independent
-    locks rather than serializing on one.  Sharding never changes
-    results. *)
+(** An empty exact cache: keys are the arc ({!Slc_cell.Arc.id}) and the
+    point's coordinates compared by their bits, so results are bitwise
+    identical to the uncached oracle and [0.0] and [-0.0] are distinct
+    keys.  The table is flat — 16 shards, each one mutex and one
+    open-addressing [float array] of (arc, sin, cload, vdd, td, sout)
+    slots that starts small and doubles at 3/4 load — so a hit
+    allocates nothing but its returned pair.  Concurrent queries (a
+    levelized parallel timing pass) contend on independent shard locks;
+    sharding never changes results.
+
+    Unlike the library's other caches this is not an {!Slc_num.Memo}:
+    a boxed, structurally hashed key made a hit cost more than the
+    NLDM lookup it saves.  It keeps [Memo]'s discipline — the
+    underlying query runs outside the lock and the first published
+    answer wins — and counts [oracle_hits]/[oracle_misses]. *)
 
 val cached : cache -> t -> t
 (** [cached c oracle] wraps [oracle] so queries go through [c].  A

@@ -252,10 +252,13 @@ let check_compiled_net k n =
    every downstream row are bitwise independent of the domain count and
    identical to a sequential evaluation.
 
-   Queries are memoized: by default through a fresh exact per-pass
-   cache (fanout nets re-query the same (arc, slew, load, vdd) once per
-   sibling), or through a caller-supplied [?cache] that persists across
-   passes. *)
+   Queries go through an exact query cache: by default a fresh one per
+   pass, or a caller-supplied [?cache] that persists across passes.
+   Within a pass keys barely repeat — the load is the driving gate's
+   own output net, so siblings on a fanout net query different points
+   (the 100k-gate generated design misses on every query of a cold
+   pass) — and a persistent cache is what turns a repeated pass into
+   hits. *)
 let forward_compiled ?cache ?domains k (oracle : Oracle.t) ~input_arrivals =
   let oracle =
     match cache with

@@ -60,12 +60,12 @@ val analyze :
     propagate [None] (e.g. a one-sided input transition yields
     alternating one-sided arrivals down an inverter chain).
 
-    Repeated oracle queries within the pass are memoized exactly (a
-    fanout net timing many siblings at one slew/load re-derives the
-    arc delay once); pass [?cache] to keep the memo across calls —
-    exact by default, or slew-bucketed if the cache was built with
-    one.  Results with the default or an exact cache are identical to
-    the unmemoized pass.
+    Oracle queries go through an exact {!Oracle.cache}: a fresh one per
+    call by default, or [?cache] to keep answers across calls (a
+    repeated pass on a kept cache makes no oracle queries).  Each
+    gate's load is its own output net's, so keys rarely repeat within
+    one pass.  Results are bitwise identical to the unmemoized pass
+    either way.
 
     [?domains] sizes the per-level parallel evaluation (default: the
     {!Slc_num.Parallel} pool default).  Results are bitwise independent

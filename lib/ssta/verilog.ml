@@ -108,14 +108,15 @@ let parse src =
   let port_names = ports [] in
   expect Semi ";";
   let inputs = ref [] and outputs = ref [] and wires = ref [] in
+  (* Every declared net and its kind; the lists keep declaration order. *)
+  let declared = Hashtbl.create 64 in
   let instances = ref [] in
   let declare kind names =
     List.iter
       (fun name ->
-        if
-          List.mem name !inputs || List.mem name !outputs
-          || List.mem name !wires
-        then fail (Printf.sprintf "net %s declared twice" name);
+        if Hashtbl.mem declared name then
+          fail (Printf.sprintf "net %s declared twice" name);
+        Hashtbl.add declared name kind;
         match kind with
         | `Input -> inputs := name :: !inputs
         | `Output -> outputs := name :: !outputs
@@ -169,17 +170,16 @@ let parse src =
   (* Every port must be declared; every referenced net must exist. *)
   List.iter
     (fun p ->
-      if not (List.mem p inputs || List.mem p outputs) then
+      match Hashtbl.find_opt declared p with
+      | Some (`Input | `Output) -> ()
+      | Some `Wire | None ->
         fail (Printf.sprintf "port %s lacks an input/output declaration" p))
     port_names;
-  let known net =
-    List.mem net inputs || List.mem net outputs || List.mem net wires
-  in
   List.iter
     (fun inst ->
       List.iter
         (fun (_, net) ->
-          if not (known net) then
+          if not (Hashtbl.mem declared net) then
             fail
               (Printf.sprintf "instance %s references undeclared net %s"
                  inst.instance_name net))

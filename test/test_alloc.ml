@@ -1,4 +1,5 @@
-(* Allocation regression gate for the transient hot path.
+(* Allocation regression gates for the transient hot path and the
+   oracle query cache.
 
    A warmed [Harness.simulate] (template compiled and cached) allocates
    ~9.7k minor words per call, essentially all of it in the per-call
@@ -79,6 +80,38 @@ let test_warm_batch_allocation () =
        (budget %.0f): boxing crept back into the transient hot path"
       per_lane budget_words
 
+(* A warmed [Oracle.cached] hit hashes the key, probes a flat float
+   table and returns the stored pair: the only allocation left is that
+   (float * float) result — 3 words for the tuple, 2 for each boxed
+   float.  A key tuple, a formatted arc name or a boxed coordinate
+   creeping back into the hit path overshoots this at once. *)
+let hit_budget_words = 7.0
+
+let test_warm_oracle_hit_allocation () =
+  let module Oracle = Slc_ssta.Oracle in
+  let base =
+    {
+      Oracle.label = "synthetic";
+      query = (fun _ (p : Harness.point) -> (p.Harness.sin, p.Harness.cload));
+    }
+  in
+  let w = Oracle.cached (Oracle.make_cache ()) base in
+  let arc = List.hd (Arc.all_of_cell Cells.nand2) in
+  let point = { Harness.sin = 5e-12; cload = 2e-15; vdd = 0.8 } in
+  ignore (w.Oracle.query arc point);
+  ignore (w.Oracle.query arc point);
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (w.Oracle.query arc point))
+  done;
+  let per_hit = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_hit > hit_budget_words then
+    Alcotest.failf
+      "warmed Oracle.cached hit allocated %.1f minor words (budget %.0f): \
+       boxing crept back into the query cache's hit path"
+      per_hit hit_budget_words
+
 let () =
   Alcotest.run "alloc"
     [
@@ -90,5 +123,10 @@ let () =
             test_warm_simulate_is_cached;
           Alcotest.test_case "warmed batch fits per-lane budget" `Quick
             test_warm_batch_allocation;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "warmed cache hit allocates only its result"
+            `Quick test_warm_oracle_hit_allocation;
         ] );
     ]

@@ -504,6 +504,84 @@ let test_lut_singleton_axis () =
   check_close ~tol:1e-18 "constant along vdd" (Nldm.lookup_td t p1)
     (Nldm.lookup_td t p2)
 
+(* [lookup_td_sout] locates a point once for both grids.  Pinned
+   bitwise against [lookup_td]/[lookup_sout] and against the trilinear
+   formula written out corner by corner, on synthetic tables with
+   singleton axes, at nodes, between them and outside the grid. *)
+let test_lut_shared_location () =
+  let reference values (t : Nldm.t) (p : Harness.point) =
+    let cell axis x =
+      let n = Array.length axis in
+      if n = 1 then (0, 0.0)
+      else
+        let i = Slc_num.Interp.locate axis x in
+        (i, (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i)))
+    in
+    let i, tx = cell t.Nldm.sin_axis p.Harness.sin in
+    let j, ty = cell t.Nldm.cload_axis p.Harness.cload in
+    let k, tz = cell t.Nldm.vdd_axis p.Harness.vdd in
+    let at a b c =
+      (values : float array array array).(min a (Array.length t.Nldm.sin_axis - 1))
+        .(min b (Array.length t.Nldm.cload_axis - 1))
+        .(min c (Array.length t.Nldm.vdd_axis - 1))
+    in
+    let lerp w a b = ((1.0 -. w) *. a) +. (w *. b) in
+    let c00 = lerp tx (at i j k) (at (i + 1) j k) in
+    let c10 = lerp tx (at i (j + 1) k) (at (i + 1) (j + 1) k) in
+    let c01 = lerp tx (at i j (k + 1)) (at (i + 1) j (k + 1)) in
+    let c11 = lerp tx (at i (j + 1) (k + 1)) (at (i + 1) (j + 1) (k + 1)) in
+    lerp tz (lerp ty c00 c10) (lerp ty c01 c11)
+  in
+  let table sin_axis cload_axis vdd_axis =
+    let grid salt =
+      Array.mapi
+        (fun i _ ->
+          Array.mapi
+            (fun j _ ->
+              Array.mapi
+                (fun k _ ->
+                  salt *. (1.0 +. (0.37 *. float_of_int i))
+                  *. (1.0 +. (0.11 *. float_of_int (j * j)))
+                  /. (1.0 +. (0.29 *. float_of_int k)))
+                vdd_axis)
+            cload_axis)
+        sin_axis
+    in
+    { Nldm.arc_name = "INV/A/fall"; sin_axis; cload_axis; vdd_axis;
+      td = grid 1.3e-11; sout = grid 2.1e-11; energy = grid 1e-15 }
+  in
+  let tables =
+    [ table [| 1e-12; 4e-12; 9e-12 |] [| 1e-15; 3e-15 |] [| 0.8 |];
+      table [| 5e-12 |] [| 1e-15; 2e-15; 6e-15 |] [| 0.6; 0.9 |];
+      table [| 2e-12; 8e-12 |] [| 1e-15; 4e-15 |] [| 0.7; 0.8; 1.0 |] ]
+  in
+  let coords = [| 0.0; 1e-12; 3.3e-12; 9e-12; 2e-11 |] in
+  let loads = [| 0.0; 1e-15; 2.5e-15; 7e-15 |] in
+  let vdds = [| 0.5; 0.8; 0.85; 1.1 |] in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun t ->
+      Array.iter
+        (fun sin ->
+          Array.iter
+            (fun cload ->
+              Array.iter
+                (fun vdd ->
+                  let p = { Harness.sin; cload; vdd } in
+                  let td, sout = Nldm.lookup_td_sout t p in
+                  if
+                    bits td <> bits (Nldm.lookup_td t p)
+                    || bits sout <> bits (Nldm.lookup_sout t p)
+                    || bits td <> bits (reference t.Nldm.td t p)
+                    || bits sout <> bits (reference t.Nldm.sout t p)
+                  then
+                    Alcotest.failf "lookup differs at (%h, %h, %h)" sin cload
+                      vdd)
+                vdds)
+            loads)
+        coords)
+    tables
+
 let test_library_characterize () =
   Harness.reset_sim_count ();
   let lib =
@@ -851,6 +929,8 @@ let () =
             test_lut_interpolates_between;
           Alcotest.test_case "singleton axis" `Quick test_lut_singleton_axis;
           Alcotest.test_case "energy table" `Quick test_lut_energy_lookup;
+          Alcotest.test_case "shared location (bitwise)" `Quick
+            test_lut_shared_location;
           QCheck_alcotest.to_alcotest prop_design_levels_budget;
           Alcotest.test_case "library characterization" `Quick
             test_library_characterize;

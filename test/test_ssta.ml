@@ -98,6 +98,17 @@ let test_oracle_library () =
   let arc = Arc.find Cells.inv ~pin:"A" ~out_dir:Arc.Rise in
   let d, s = oracle.Oracle.query arc { Harness.sin; cload = 2e-15; vdd } in
   Alcotest.(check bool) "positive" true (d > 0.0 && s > 0.0);
+  (* Tables are resolved once per arc; answers stay bitwise the
+     library's own lookups, for a separately found copy of the arc too. *)
+  let again = Arc.find Cells.inv ~pin:"A" ~out_dir:Arc.Rise in
+  List.iter
+    (fun cload ->
+      let p = { Harness.sin; cload; vdd } in
+      let d, s = oracle.Oracle.query again p in
+      Alcotest.(check bool) "bitwise Library.delay/slew" true
+        (Int64.bits_of_float d = Int64.bits_of_float (Library.delay lib arc p)
+        && Int64.bits_of_float s = Int64.bits_of_float (Library.slew lib arc p)))
+    [ 0.0; 2e-15; 9e-15 ];
   let missing = Arc.find Cells.nor2 ~pin:"A" ~out_dir:Arc.Rise in
   Alcotest.check_raises "missing arc" Not_found (fun () ->
       ignore (oracle.Oracle.query missing { Harness.sin; cload = 2e-15; vdd }))
@@ -736,12 +747,115 @@ let test_oracle_cache_shards () =
   Alcotest.(check bool) "hit is bitwise" true
     (Int64.bits_of_float d0 = Int64.bits_of_float d1
     && Int64.bits_of_float s0 = Int64.bits_of_float s1);
-  (* Distinct points land in (possibly) different shards; the size sums. *)
-  for i = 1 to 20 do
-    ignore
-      (w.Oracle.query arc { p with Harness.cload = float_of_int i *. 1.3e-15 })
+  (* Distinct points land in different shards, and each shard's table
+     grows from a small one through several doublings: every point is
+     queried once, the sizes sum, and a second sweep hits bitwise. *)
+  let arcs = [| arc; Arc.find Cells.nand2 ~pin:"B" ~out_dir:Arc.Rise |] in
+  let n = 10_000 in
+  let point i =
+    { Harness.sin = sin *. float_of_int (2 + (i / 100));
+      cload = 1.3e-15 *. float_of_int (1 + (i mod 100)); vdd }
+  in
+  let query i = w.Oracle.query arcs.((i / 50) mod 2) (point i) in
+  let first = Array.init n query in
+  Alcotest.(check int) "one underlying query per point" (n + 1) !calls;
+  Alcotest.(check int) "sizes sum across shards" (n + 1) (Oracle.cache_size c);
+  let bits (d, s) = (Int64.bits_of_float d, Int64.bits_of_float s) in
+  for i = 0 to n - 1 do
+    if bits (query i) <> bits first.(i) then
+      Alcotest.failf "point %d: hit differs from its first answer" i
   done;
-  Alcotest.(check int) "sizes sum across shards" 21 (Oracle.cache_size c)
+  Alcotest.(check int) "second sweep is all hits" (n + 1) !calls
+
+(* Keys compare coordinate bits: 0.0 and -0.0 are different queries. *)
+let test_oracle_cache_signed_zero () =
+  let calls = ref 0 in
+  let tagged =
+    {
+      Oracle.label = "tagged";
+      query =
+        (fun _ _ ->
+          incr calls;
+          (float_of_int !calls, 0.0));
+    }
+  in
+  let c = Oracle.make_cache () in
+  let w = Oracle.cached c tagged in
+  let arc = Arc.find Cells.inv ~pin:"A" ~out_dir:Arc.Fall in
+  let pos = { Harness.sin; cload = 0.0; vdd } in
+  let neg = { pos with Harness.cload = -0.0 } in
+  let dp, _ = w.Oracle.query arc pos in
+  let dn, _ = w.Oracle.query arc neg in
+  Alcotest.(check int) "two underlying queries" 2 !calls;
+  Alcotest.(check int) "two entries" 2 (Oracle.cache_size c);
+  Alcotest.(check (float 0.0)) "+0.0 answer" 1.0 dp;
+  Alcotest.(check (float 0.0)) "-0.0 answer" 2.0 dn;
+  Alcotest.(check (float 0.0)) "+0.0 hit" 1.0 (fst (w.Oracle.query arc pos));
+  Alcotest.(check (float 0.0)) "-0.0 hit" 2.0 (fst (w.Oracle.query arc neg))
+
+(* Four domains miss the same keys at once.  Every build returns a
+   fresh value, so a caller that kept its own build instead of the
+   first published one would disagree with the others. *)
+let test_oracle_cache_concurrent_publish () =
+  let builds = Atomic.make 0 in
+  let fresh =
+    {
+      Oracle.label = "fresh";
+      query =
+        (fun _ _ ->
+          let spin = ref 0 in
+          for _ = 1 to 20_000 do
+            incr spin
+          done;
+          ignore (Sys.opaque_identity !spin);
+          (float_of_int (Atomic.fetch_and_add builds 1), 0.0));
+    }
+  in
+  let c = Oracle.make_cache () in
+  let w = Oracle.cached c fresh in
+  let arc = Arc.find Cells.nor2 ~pin:"A" ~out_dir:Arc.Rise in
+  let keys = 64 and copies = 8 in
+  let point k = { Harness.sin; cload = 1e-15 *. float_of_int (k + 1); vdd } in
+  let got =
+    Slc_num.Parallel.map ~domains:4 ~chunk:1
+      (fun q -> fst (w.Oracle.query arc (point (q mod keys))))
+      (Array.init (keys * copies) Fun.id)
+  in
+  Alcotest.(check int) "one entry per key" keys (Oracle.cache_size c);
+  Alcotest.(check bool) "at least one build per key" true
+    (Atomic.get builds >= keys);
+  for k = 0 to keys - 1 do
+    let published = fst (w.Oracle.query arc (point k)) in
+    for copy = 0 to copies - 1 do
+      let v = got.((copy * keys) + k) in
+      if Int64.bits_of_float v <> Int64.bits_of_float published then
+        Alcotest.failf "key %d: a caller saw %g, the cache holds %g" k v
+          published
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Verilog ingestion at scale *)
+
+let test_verilog_chain_8k () =
+  let n = 8_000 in
+  let b = Buffer.create (n * 40) in
+  Buffer.add_string b "module chain (a, y);\n  input a;\n  output y;\n";
+  for i = 1 to n - 1 do
+    Printf.bprintf b "  wire n%d;\n" i
+  done;
+  let net i = if i = 0 then "a" else if i = n then "y" else Printf.sprintf "n%d" i in
+  for i = 1 to n do
+    Printf.bprintf b "  INV u%d (.A(%s), .Y(%s));\n" i (net (i - 1)) (net i)
+  done;
+  Buffer.add_string b "endmodule\n";
+  let v = Verilog.parse (Buffer.contents b) in
+  Alcotest.(check int) "wires" (n - 1) (List.length v.Verilog.wires);
+  let dag, ins, outs = Verilog.to_sdag v tech ~vdd in
+  Alcotest.(check int) "one input" 1 (List.length ins);
+  Alcotest.(check int) "one output" 1 (List.length outs);
+  Alcotest.(check int) "every instance placed" n
+    (Sdag.compiled_gates (Sdag.compile dag))
 
 let () =
   Alcotest.run "slc_ssta"
@@ -808,6 +922,10 @@ let () =
             test_compiled_parallel_parity;
           Alcotest.test_case "sharded oracle cache" `Quick
             test_oracle_cache_shards;
+          Alcotest.test_case "oracle cache keeps -0.0 apart" `Quick
+            test_oracle_cache_signed_zero;
+          Alcotest.test_case "oracle cache concurrent publication" `Quick
+            test_oracle_cache_concurrent_publish;
           Alcotest.test_case "100k-gate design completes" `Slow
             test_large_design_completes;
         ] );
@@ -817,4 +935,6 @@ let () =
           Alcotest.test_case "wire caps finite" `Quick
             test_wire_cap_draw_finite;
         ] );
+      ( "verilog",
+        [ Alcotest.test_case "8k-gate chain" `Quick test_verilog_chain_8k ] );
     ]

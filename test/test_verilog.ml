@@ -51,6 +51,21 @@ let test_parse_errors () =
   Alcotest.(check bool) "undeclared port" true
     (bad "module m (a, q); input a; endmodule")
 
+let test_parse_error_messages () =
+  let msg s =
+    match Verilog.parse s with
+    | exception Verilog.Parse_error m -> m
+    | _ -> Alcotest.fail "parsed"
+  in
+  Alcotest.(check string) "double declaration" "net a declared twice"
+    (msg "module m (a); input a; wire b, a; endmodule");
+  Alcotest.(check string) "undeclared net"
+    "instance u references undeclared net zz"
+    (msg "module m (a); input a; INV u (.A(a), .Y(zz)); endmodule");
+  Alcotest.(check string) "port declared as a wire"
+    "port q lacks an input/output declaration"
+    (msg "module m (a, q); input a; wire q; endmodule")
+
 let test_out_of_order_instances () =
   (* u2 consumes u1's output but is written first. *)
   let v =
@@ -138,6 +153,7 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_parse_structure;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "error messages" `Quick test_parse_error_messages;
         ] );
       ( "sdag",
         [
