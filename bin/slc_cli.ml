@@ -1,8 +1,10 @@
 (* slc-cli: command-line driver for the statistical library
    characterization experiments.
 
-   Each subcommand regenerates one of the paper's tables or figures
-   (as plain-text series) at a configurable scale. *)
+   Each experiment subcommand regenerates one of the paper's tables or
+   figures (as plain-text series) at a configurable scale; [slc all]
+   regenerates all of them plus the ablations and extensions, and is
+   the reproduction artifact EXPERIMENTS.md reports. *)
 
 open Cmdliner
 open Slc_core
@@ -14,9 +16,21 @@ module Store = Slc_store.Store
 
 let std = Format.std_formatter
 
+(* A scale must be a finite positive number; anything else is a usage
+   error, whether it came from --scale or from SLC_SCALE. *)
+let scale_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let scale_arg =
   let doc = "Experiment scale (1.0 = defaults; also via SLC_SCALE)." in
-  Arg.(value & opt float 1.0 & info [ "s"; "scale" ] ~doc)
+  Arg.(
+    value & opt scale_conv 1.0
+    & info [ "s"; "scale" ] ~doc ~env:(Cmd.Env.info "SLC_SCALE"))
 
 let tech_arg default =
   let doc = "Technology node (n14, n20, n28, n32, n40, n45)." in
@@ -29,7 +43,9 @@ let tech_of_name name =
     Printf.eprintf "unknown technology %S\n" name;
     exit 2
 
-let config_of scale = Config.with_scale scale
+let tech_term default = Term.(const tech_of_name $ tech_arg default)
+
+let config_term = Term.(const Config.with_scale $ scale_arg)
 
 let store_arg =
   let doc =
@@ -57,105 +73,177 @@ let prior_for ?store tech =
   | Some st -> Store.get_prior st ~historical
   | None -> Prior.learn_pair ~historical ()
 
-let with_timer f =
+(* Runs [f] and prints its cost: [\[N simulator runs, T s\]], prefixed
+   by the section name inside [slc all]. *)
+let timed ?section f =
   let t0 = Unix.gettimeofday () in
   Harness.reset_sim_count ();
   f ();
-  Format.fprintf std "[%d simulator runs, %.1f s]@."
+  Format.fprintf std "[%s%d simulator runs, %.1f s]@."
+    (match section with Some s -> s ^ ": " | None -> "")
     (Harness.sim_count ())
-    (Unix.gettimeofday () -. t0);
-  (* With SLC_TELEMETRY=1 every subcommand appends the pipeline
-     counters and spans (retries, recoveries, cache traffic, ...). *)
+    (Unix.gettimeofday () -. t0)
+
+(* With SLC_TELEMETRY=1 every subcommand appends the pipeline counters
+   and spans (retries, recoveries, cache traffic, ...). *)
+let telemetry_report () =
   if Slc_obs.Telemetry.on () then Slc_obs.Telemetry.report std
 
-let table1_cmd =
-  let run () = with_timer (fun () ->
-      Exp_model.print_table1 std (Exp_model.table1 ()))
+let with_timer f =
+  timed f;
+  telemetry_report ()
+
+(* ------------------------------------------------------------------ *)
+(* The paper's experiments.  Each body prints one table or figure; a
+   subcommand runs one of them, [slc all] runs every one in turn. *)
+
+let table1 () = Exp_model.print_table1 std (Exp_model.table1 ())
+
+let fig2 tech () =
+  Exp_model.print_invariance std
+    ~title:"Fig 2: T*Ieff/(Vdd+V') constancy vs Vdd"
+    (Exp_model.fig2 ~tech ())
+
+let fig3 tech () =
+  Exp_model.print_invariance std
+    ~title:"Fig 3: Td/(Cload+Cpar+a*Sin) constancy vs (Cload,Sin)"
+    (Exp_model.fig3 ~tech ())
+
+let fig5 tech () = Exp_nominal.print_fig5 std (Exp_nominal.fig5 tech)
+
+let fig6 config tech () =
+  Exp_nominal.print_fig6 std (Exp_nominal.fig6 ~config ~tech ())
+
+let fig78 config tech () =
+  Exp_statistical.print_fig78 std (Exp_statistical.fig78 ~config ~tech ())
+
+let fig9 config tech () =
+  Exp_statistical.print_fig9 std (Exp_statistical.fig9 ~config ~tech ())
+
+(* The headline claim is a simulator-run count, so the section also
+   prints it from the telemetry [simulations] counter, switched on for
+   the section: the same counter [slc serve]'s [stats] reports. *)
+let adaptive_budget config () =
+  let module Telemetry = Slc_obs.Telemetry in
+  let was_on = Telemetry.on () in
+  Telemetry.enable ();
+  let sims0 = Telemetry.read Telemetry.simulations in
+  Exp_statistical.print_adaptive_budget std
+    (Exp_statistical.adaptive_budget ~config ());
+  Format.fprintf std "[telemetry simulations counter: %d]@."
+    (Telemetry.read Telemetry.simulations - sims0);
+  if not was_on then Telemetry.disable ()
+
+let ablations config () =
+  Exp_ablation.print_rows std ~title:"Ablation: learned vs constant beta"
+    (Exp_ablation.ablation_beta ~config ());
+  Exp_ablation.print_rows std ~title:"Ablation: historical-library selection"
+    (Exp_ablation.ablation_history ~config ());
+  Exp_ablation.print_rows std ~title:"Ablation: pooled vs chained prior"
+    (Exp_ablation.ablation_chain ~config ());
+  Exp_ablation.print_rows std
+    ~title:"Ablation: curated vs random fitting design"
+    (Exp_ablation.ablation_design ~config ());
+  Exp_ablation.print_complexity std (Exp_ablation.ablation_model_complexity ());
+  Exp_ablation.print_sampling std (Exp_ablation.ablation_sampling ())
+
+let vt_transfer config () =
+  Exp_extension.print_result std (Exp_extension.vt_transfer ~config ())
+
+let dff_setup () =
+  let module Seq = Slc_cell.Seq in
+  let tech = Tech.n14 in
+  List.iter
+    (fun vdd ->
+      let setup data_rises =
+        Seq.setup_time ~resolution:2e-13 tech ~vdd ~data_rises
+      in
+      let rise = setup true in
+      let fall = setup false in
+      let hold = Seq.hold_time ~resolution:2e-13 tech ~vdd ~data_rises:true in
+      Format.fprintf std
+        "vdd=%.2fV: setup(rise)=%.2fps  setup(fall)=%.2fps  hold(rise)=%.2fps@."
+        vdd (rise *. 1e12) (fall *. 1e12) (hold *. 1e12))
+    [ 0.8; 0.7 ]
+
+let ring () =
+  let module Ring = Slc_cell.Ring in
+  List.iter
+    (fun vdd ->
+      let r = Ring.simulate ~stages:5 Tech.n14 ~vdd in
+      Format.fprintf std "vdd=%.2fV: f=%.2f GHz, stage delay %.2f ps (%d cycles)@."
+        vdd (r.Ring.frequency /. 1e9) (r.Ring.stage_delay *. 1e12)
+        r.Ring.cycles_measured)
+    [ 0.8; 0.7 ]
+
+(* The consumer-side check: a 5-stage path timed transistor-level and
+   through the Bayes-characterized compact models. *)
+let ssta_check () =
+  let module Chain = Slc_cell.Chain in
+  let tech = Tech.n14 in
+  let chain =
+    Chain.make tech
+      [
+        Chain.stage Cells.inv "A";
+        Chain.stage ~wire_cap:1e-15 Cells.nand2 "A";
+        Chain.stage Cells.nor2 "B";
+        Chain.stage Cells.inv "A";
+        Chain.stage Cells.aoi21 "A";
+      ]
   in
-  Cmd.v (Cmd.info "table1" ~doc:"Extracted model parameters (paper Table I)")
-    Term.(const run $ const ())
+  let truth = Chain.simulate chain ~sin:5e-12 ~vdd:0.8 ~in_rises:true in
+  let oracle = Slc_ssta.Oracle.bayes_bank ~prior:(prior_for tech) tech ~k:3 in
+  let t =
+    Slc_ssta.Path.propagate oracle chain ~sin:5e-12 ~vdd:0.8 ~in_rises:true
+  in
+  let model = t.Slc_ssta.Path.total_delay in
+  let reference = truth.Chain.total_delay in
+  Format.fprintf std
+    "5-stage path: transistor-level %.2f ps, model-based %.2f ps (%+.1f%%)@."
+    (reference *. 1e12) (model *. 1e12)
+    (100.0 *. (model -. reference) /. reference)
+
+(* A subcommand that runs one experiment body under [with_timer]. *)
+let experiment name ~doc body =
+  Cmd.v (Cmd.info name ~doc) Term.(const with_timer $ body)
+
+let table1_cmd =
+  experiment "table1" ~doc:"Extracted model parameters (paper Table I)"
+    Term.(const table1)
 
 let fig2_cmd =
-  let run tech = with_timer (fun () ->
-      let series = Exp_model.fig2 ~tech:(tech_of_name tech) () in
-      Exp_model.print_invariance std
-        ~title:"Fig 2: T*Ieff/(Vdd+V') constancy vs Vdd" series)
-  in
-  Cmd.v (Cmd.info "fig2" ~doc:"Vdd-invariance of the timing model (Fig 2)")
-    Term.(const run $ tech_arg "n14")
+  experiment "fig2" ~doc:"Vdd-invariance of the timing model (Fig 2)"
+    Term.(const fig2 $ tech_term "n14")
 
 let fig3_cmd =
-  let run tech = with_timer (fun () ->
-      let series = Exp_model.fig3 ~tech:(tech_of_name tech) () in
-      Exp_model.print_invariance std
-        ~title:"Fig 3: Td/(Cload+Cpar+a*Sin) constancy vs (Cload,Sin)" series)
-  in
-  Cmd.v (Cmd.info "fig3" ~doc:"(Cload,Sin)-invariance of the timing model (Fig 3)")
-    Term.(const run $ tech_arg "n14")
+  experiment "fig3" ~doc:"(Cload,Sin)-invariance of the timing model (Fig 3)"
+    Term.(const fig3 $ tech_term "n14")
 
 let fig5_cmd =
-  let run tech =
-    Exp_nominal.print_fig5 std (Exp_nominal.fig5 (tech_of_name tech))
-  in
-  Cmd.v (Cmd.info "fig5" ~doc:"Validation input spread (Fig 5)")
-    Term.(const run $ tech_arg "n28")
+  experiment "fig5" ~doc:"Validation input spread (Fig 5)"
+    Term.(const fig5 $ tech_term "n28")
 
 let fig6_cmd =
-  let run scale tech = with_timer (fun () ->
-      let r =
-        Exp_nominal.fig6 ~config:(config_of scale)
-          ~tech:(tech_of_name tech) ()
-      in
-      Exp_nominal.print_fig6 std r)
-  in
-  Cmd.v
-    (Cmd.info "fig6"
-       ~doc:"Nominal error vs training samples, Bayes/LSE/LUT (Fig 6)")
-    Term.(const run $ scale_arg $ tech_arg "n14")
+  experiment "fig6"
+    ~doc:"Nominal error vs training samples, Bayes/LSE/LUT (Fig 6)"
+    Term.(const fig6 $ config_term $ tech_term "n14")
 
 let fig78_cmd =
-  let run scale tech = with_timer (fun () ->
-      let r =
-        Exp_statistical.fig78 ~config:(config_of scale)
-          ~tech:(tech_of_name tech) ()
-      in
-      Exp_statistical.print_fig78 std r)
-  in
-  Cmd.v
-    (Cmd.info "fig78"
-       ~doc:"Statistical mean/sigma errors vs training samples (Figs 7-8)")
-    Term.(const run $ scale_arg $ tech_arg "n28")
+  experiment "fig78"
+    ~doc:"Statistical mean/sigma errors vs training samples (Figs 7-8)"
+    Term.(const fig78 $ config_term $ tech_term "n28")
 
 let fig9_cmd =
-  let run scale tech = with_timer (fun () ->
-      let r =
-        Exp_statistical.fig9 ~config:(config_of scale)
-          ~tech:(tech_of_name tech) ()
-      in
-      Exp_statistical.print_fig9 std r)
-  in
-  Cmd.v (Cmd.info "fig9" ~doc:"Delay pdf at a low-Vdd condition (Fig 9)")
-    Term.(const run $ scale_arg $ tech_arg "n28")
+  experiment "fig9" ~doc:"Delay pdf at a low-Vdd condition (Fig 9)"
+    Term.(const fig9 $ config_term $ tech_term "n28")
 
 let ablations_cmd =
-  let run scale = with_timer (fun () ->
-      let config = config_of scale in
-      Exp_ablation.print_rows std ~title:"Ablation: learned vs constant beta"
-        (Exp_ablation.ablation_beta ~config ());
-      Exp_ablation.print_rows std
-        ~title:"Ablation: historical-library selection"
-        (Exp_ablation.ablation_history ~config ());
-      Exp_ablation.print_rows std ~title:"Ablation: pooled vs chained prior"
-        (Exp_ablation.ablation_chain ~config ());
-      Exp_ablation.print_rows std
-        ~title:"Ablation: curated vs random fitting design"
-        (Exp_ablation.ablation_design ~config ());
-      Exp_ablation.print_complexity std
-        (Exp_ablation.ablation_model_complexity ());
-      Exp_extension.print_result std (Exp_extension.vt_transfer ~config ()))
+  let run config () =
+    ablations config ();
+    vt_transfer config ()
   in
-  Cmd.v (Cmd.info "ablations" ~doc:"Design-choice ablations")
-    Term.(const run $ scale_arg)
+  experiment "ablations" ~doc:"Design-choice ablations and multi-Vt transfer"
+    Term.(const run $ config_term)
 
 let characterize_cmd =
   let cell_arg =
@@ -708,18 +796,41 @@ let query_cmd =
     Term.(const run $ connect_arg $ store_arg)
 
 let all_cmd =
-  let run scale = with_timer (fun () ->
-      let config = config_of scale in
-      Exp_model.print_table1 std (Exp_model.table1 ());
-      Exp_model.print_invariance std ~title:"Fig 2" (Exp_model.fig2 ());
-      Exp_model.print_invariance std ~title:"Fig 3" (Exp_model.fig3 ());
-      Exp_nominal.print_fig5 std (Exp_nominal.fig5 Tech.n28);
-      Exp_nominal.print_fig6 std (Exp_nominal.fig6 ~config ());
-      Exp_statistical.print_fig78 std (Exp_statistical.fig78 ~config ());
-      Exp_statistical.print_fig9 std (Exp_statistical.fig9 ~config ()))
+  let run config =
+    Format.fprintf std
+      "Regenerating all paper tables/figures at scale %.2f (--scale or \
+       SLC_SCALE to change)@."
+      config.Config.scale;
+    List.iter
+      (fun (title, section, body) ->
+        Format.fprintf std "@.%s@.%s@." title
+          (String.make (String.length title) '=');
+        timed ~section body)
+      [
+        ("Table I", "table1", table1);
+        ("Fig 2", "fig2", fig2 Tech.n14);
+        ("Fig 3", "fig3", fig3 Tech.n14);
+        ("Fig 5", "fig5", fig5 Tech.n28);
+        ("Fig 6", "fig6", fig6 config Tech.n14);
+        ("Figs 7/8", "fig78", fig78 config Tech.n28);
+        ("Fig 9", "fig9", fig9 config Tech.n28);
+        ( "Extension: adaptive simulation budgets", "adaptive-budget",
+          adaptive_budget config );
+        ("Ablations", "ablations", ablations config);
+        ("Extension: multi-Vt transfer", "vt-transfer", vt_transfer config);
+        ( "Extension: sequential (DFF) setup characterization", "dff-setup",
+          dff_setup );
+        ("Extension: ring-oscillator cross-check", "ring", ring);
+        ("Extension: SSTA consumer validation", "ssta", ssta_check);
+      ];
+    telemetry_report ()
   in
-  Cmd.v (Cmd.info "all" ~doc:"Regenerate every table and figure")
-    Term.(const run $ scale_arg)
+  Cmd.v
+    (Cmd.info "all"
+       ~doc:
+         "Regenerate every table and figure of the paper, the ablations \
+          and the extensions, one timed section each")
+    Term.(const run $ config_term)
 
 let main =
   Cmd.group

@@ -247,23 +247,21 @@ let check_compiled_net k n =
 
    Gates within a level are evaluated in parallel over the domain pool
    (each gate writes only its own output-net arrival slot and its own
-   [used] slot, so slots never race).  Oracle queries are pure and
-   memoized first-publication-wins, so arrivals, [used] contents and
-   every downstream row are bitwise independent of the domain count and
-   identical to a sequential evaluation.
+   [used] slot, so slots never race).  Oracle queries are pure (and a
+   supplied cache publishes first-wins), so arrivals, [used] contents
+   and every downstream row are bitwise independent of the domain count
+   and identical to a sequential evaluation.
 
-   Queries go through an exact query cache: by default a fresh one per
-   pass, or a caller-supplied [?cache] that persists across passes.
-   Within a pass keys barely repeat — the load is the driving gate's
-   own output net, so siblings on a fanout net query different points
-   (the 100k-gate generated design misses on every query of a cold
-   pass) — and a persistent cache is what turns a repeated pass into
-   hits. *)
+   Queries go straight to the oracle unless the caller supplies a
+   [?cache] that persists across passes.  Within a pass keys barely
+   repeat — the load is the driving gate's own output net, so siblings
+   on a fanout net query different points (the 100k-gate generated
+   design misses on every query of a cold pass) — so a per-pass cache
+   costs more than it saves; a persistent one is what turns a repeated
+   pass into hits. *)
 let forward_compiled ?cache ?domains k (oracle : Oracle.t) ~input_arrivals =
   let oracle =
-    match cache with
-    | Some c -> Oracle.cached c oracle
-    | None -> Oracle.cached (Oracle.make_cache ()) oracle
+    match cache with Some c -> Oracle.cached c oracle | None -> oracle
   in
   let n_nets = Array.length k.k_names in
   let arrivals = Array.make n_nets none in

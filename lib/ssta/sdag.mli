@@ -19,8 +19,8 @@
     ASAP levelization that lets each level's gates be timed in parallel
     over the {!Slc_num.Parallel} domain pool.  Parallel evaluation is
     bitwise identical to sequential ([Parallel.sequential]) evaluation:
-    gates write disjoint result slots and oracle queries are pure and
-    memoized first-publication-wins. *)
+    gates write disjoint result slots, oracle queries are pure, and a
+    supplied {!Oracle.cache} publishes first-wins. *)
 
 type t
 
@@ -60,12 +60,14 @@ val analyze :
     propagate [None] (e.g. a one-sided input transition yields
     alternating one-sided arrivals down an inverter chain).
 
-    Oracle queries go through an exact {!Oracle.cache}: a fresh one per
-    call by default, or [?cache] to keep answers across calls (a
-    repeated pass on a kept cache makes no oracle queries).  Each
-    gate's load is its own output net's, so keys rarely repeat within
-    one pass.  Results are bitwise identical to the unmemoized pass
-    either way.
+    Without [?cache] every timing arc is one direct oracle query.  With
+    [?cache], queries go through that exact {!Oracle.cache}, which
+    keeps answers across calls (a repeated pass on a kept cache makes
+    no oracle queries).  Within one pass a key repeats only where two
+    gates of one cell see the same input slew and output load; pass a
+    cache when the oracle is expensive per query (e.g.
+    {!Oracle.of_simulator}) or the same graph is timed more than once.  Results are bitwise identical either
+    way.
 
     [?domains] sizes the per-level parallel evaluation (default: the
     {!Slc_num.Parallel} pool default).  Results are bitwise independent
@@ -91,7 +93,8 @@ val slack_report :
     the given (output net, required time) constraints.  Returns one row
     per net that has a finite arrival, sorted most-critical first.
     Nets with no requirement reachable from them get infinite slack.
-    Oracle queries are memoized as in {!analyze}. *)
+    Oracle queries go through [?cache] when given, directly otherwise,
+    as in {!analyze}. *)
 
 val net_name : t -> net -> string
 (** The label the net was created under.  O(1). *)

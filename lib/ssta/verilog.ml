@@ -194,10 +194,19 @@ let parse src =
   }
 
 (* ------------------------------------------------------------------ *)
-(* DAG construction with topological ordering of instances. *)
+(* DAG construction.  Instances are placed in the order a repeated
+   source-order sweep ("place every instance whose inputs are defined,
+   until nothing moves") would place them: by (sweep round, source
+   index), where an instance's round is the latest round among its
+   drivers, plus one for a driver that comes later in the source.  Net
+   ids and the fanout-capacitance sums follow the placement order, so
+   keeping that order keeps them bitwise; a Kahn pass computes it in
+   time linear in the netlist. *)
 
 let to_sdag t tech ~vdd =
   let dag = Sdag.create tech ~vdd in
+  let insts = Array.of_list t.instances in
+  let n = Array.length insts in
   (* Output net of each instance. *)
   let out_net inst =
     match List.assoc_opt "Y" inst.connections with
@@ -205,64 +214,95 @@ let to_sdag t tech ~vdd =
     | None ->
       fail (Printf.sprintf "instance %s has no .Y output" inst.instance_name)
   in
-  (* Multiply-driven check. *)
-  let driven = Hashtbl.create 16 in
-  List.iter
-    (fun inst ->
+  let is_input = Hashtbl.create 16 in
+  List.iter (fun name -> Hashtbl.replace is_input name ()) t.inputs;
+  (* The instance driving each net, with the multiply-driven check. *)
+  let driver = Hashtbl.create (max 16 n) in
+  Array.iteri
+    (fun i inst ->
       let net = out_net inst in
-      if Hashtbl.mem driven net then
+      if Hashtbl.mem driver net then
         fail (Printf.sprintf "net %s driven more than once" net);
-      if List.mem net t.inputs then
+      if Hashtbl.mem is_input net then
         fail (Printf.sprintf "primary input %s driven by %s" net
                 inst.instance_name);
-      Hashtbl.add driven net inst.instance_name)
-    t.instances;
-  let nets : (string, Sdag.net) Hashtbl.t = Hashtbl.create 16 in
+      Hashtbl.add driver net i)
+    insts;
+  let in_pins =
+    Array.map
+      (fun inst ->
+        List.filter (fun (pin, _) -> not (String.equal pin "Y"))
+          inst.connections)
+      insts
+  in
+  (* [pending.(i)]: input pins of [i] not yet defined (a pin on an
+     undriven internal net never clears); [readers.(d)]: one entry per
+     input pin that [d]'s output feeds. *)
+  let pending = Array.make n 0 in
+  let readers = Array.make n [] in
+  Array.iteri
+    (fun i pins ->
+      List.iter
+        (fun (_, net) ->
+          if not (Hashtbl.mem is_input net) then begin
+            pending.(i) <- pending.(i) + 1;
+            match Hashtbl.find_opt driver net with
+            | Some d -> readers.(d) <- i :: readers.(d)
+            | None -> ()
+          end)
+        pins)
+    in_pins;
+  let round = Array.make n 0 in
+  let ready = Queue.create () in
+  Array.iteri (fun i p -> if p = 0 then Queue.add i ready) pending;
+  let max_round = ref 0 in
+  while not (Queue.is_empty ready) do
+    let d = Queue.pop ready in
+    if round.(d) > !max_round then max_round := round.(d);
+    List.iter
+      (fun i ->
+        round.(i) <- max round.(i) (round.(d) + if d > i then 1 else 0);
+        pending.(i) <- pending.(i) - 1;
+        if pending.(i) = 0 then Queue.add i ready)
+      readers.(d)
+  done;
+  (* Bucket the placeable instances (every input defined) by round,
+     each bucket in source order. *)
+  let buckets = Array.make (!max_round + 1) [] in
+  for i = n - 1 downto 0 do
+    if pending.(i) = 0 then buckets.(round.(i)) <- i :: buckets.(round.(i))
+  done;
+  let nets : (string, Sdag.net) Hashtbl.t = Hashtbl.create (max 16 n) in
   List.iter
     (fun name -> Hashtbl.add nets name (Sdag.input dag name))
     t.inputs;
-  (* Repeatedly place instances whose input nets are all defined. *)
-  let remaining = ref t.instances in
-  let progress = ref true in
-  while !remaining <> [] && !progress do
-    progress := false;
-    let still = ref [] in
-    List.iter
-      (fun inst ->
-        let ins =
-          List.filter (fun (pin, _) -> not (String.equal pin "Y"))
-            inst.connections
-        in
-        if List.for_all (fun (_, net) -> Hashtbl.mem nets net) ins then begin
-          let cell =
-            match Cells.by_name inst.cell_name with
-            | c -> c
-            | exception Not_found ->
-              fail (Printf.sprintf "unknown cell type %s" inst.cell_name)
-          in
-          let pins =
-            List.map (fun (pin, net) -> (pin, Hashtbl.find nets net)) ins
-          in
-          let out =
-            match Sdag.gate dag cell ~pins (out_net inst) with
-            | net -> net
-            | exception Slc_obs.Slc_error.Invalid_input iv ->
-              fail iv.Slc_obs.Slc_error.iv_detail
-          in
-          Hashtbl.replace nets (out_net inst) out;
-          progress := true
-        end
-        else still := inst :: !still)
-      !remaining;
-    remaining := List.rev !still
-  done;
-  (match !remaining with
-  | [] -> ()
-  | inst :: _ ->
+  let place i =
+    let inst = insts.(i) in
+    let cell =
+      match Cells.by_name inst.cell_name with
+      | c -> c
+      | exception Not_found ->
+        fail (Printf.sprintf "unknown cell type %s" inst.cell_name)
+    in
+    let pins =
+      List.map (fun (pin, net) -> (pin, Hashtbl.find nets net)) in_pins.(i)
+    in
+    let out =
+      match Sdag.gate dag cell ~pins (out_net inst) with
+      | net -> net
+      | exception Slc_obs.Slc_error.Invalid_input iv ->
+        fail iv.Slc_obs.Slc_error.iv_detail
+    in
+    Hashtbl.replace nets (out_net inst) out
+  in
+  Array.iter (List.iter place) buckets;
+  (match Array.find_index (fun p -> p > 0) pending with
+  | None -> ()
+  | Some i ->
     fail
       (Printf.sprintf
          "combinational loop or undriven net involving instance %s"
-         inst.instance_name));
+         insts.(i).instance_name));
   (* Undriven internal nets used as gate inputs would have been caught
      above; undriven outputs are reported here. *)
   let lookup name =

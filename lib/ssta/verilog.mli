@@ -46,4 +46,5 @@ val to_sdag :
 (** Builds the timing DAG; returns it with the (name, net) pairs of the
     primary inputs and outputs.  Raises {!Parse_error} on unknown cell
     types, missing pins, multiply-driven nets, undriven internal nets,
-    or combinational loops. *)
+    or combinational loops.  Instances may appear in any source order;
+    the cost is linear in the netlist size. *)

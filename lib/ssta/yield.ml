@@ -45,6 +45,7 @@ let of_dag ~population ~seeds ~clock_period dag ~input_arrivals ~outputs =
       Hashtbl.add table key p;
       p
   in
+  let compiled = Sdag.compile dag in
   let delays =
     Array.map
       (fun seed ->
@@ -61,7 +62,7 @@ let of_dag ~population ~seeds ~clock_period dag ~input_arrivals ~outputs =
         let worst = ref neg_infinity in
         List.iter
           (fun out ->
-            let arr = Sdag.analyze dag oracle ~input_arrivals out in
+            let arr = Sdag.analyze_compiled compiled oracle ~input_arrivals out in
             List.iter
               (fun rises ->
                 match Sdag.at_edge arr ~rises with

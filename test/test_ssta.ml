@@ -837,25 +837,41 @@ let test_oracle_cache_concurrent_publish () =
 (* ------------------------------------------------------------------ *)
 (* Verilog ingestion at scale *)
 
+(* The chain is built twice: in source order, and with its instances
+   listed in reverse, where every instance reads a net driven later in
+   the file — the order a repeat-until-placed sweep handled in
+   quadratic time. *)
 let test_verilog_chain_8k () =
   let n = 8_000 in
-  let b = Buffer.create (n * 40) in
-  Buffer.add_string b "module chain (a, y);\n  input a;\n  output y;\n";
-  for i = 1 to n - 1 do
-    Printf.bprintf b "  wire n%d;\n" i
-  done;
-  let net i = if i = 0 then "a" else if i = n then "y" else Printf.sprintf "n%d" i in
-  for i = 1 to n do
-    Printf.bprintf b "  INV u%d (.A(%s), .Y(%s));\n" i (net (i - 1)) (net i)
-  done;
-  Buffer.add_string b "endmodule\n";
-  let v = Verilog.parse (Buffer.contents b) in
-  Alcotest.(check int) "wires" (n - 1) (List.length v.Verilog.wires);
-  let dag, ins, outs = Verilog.to_sdag v tech ~vdd in
-  Alcotest.(check int) "one input" 1 (List.length ins);
-  Alcotest.(check int) "one output" 1 (List.length outs);
-  Alcotest.(check int) "every instance placed" n
-    (Sdag.compiled_gates (Sdag.compile dag))
+  let chain ~reverse =
+    let b = Buffer.create (n * 40) in
+    Buffer.add_string b "module chain (a, y);\n  input a;\n  output y;\n";
+    for i = 1 to n - 1 do
+      Printf.bprintf b "  wire n%d;\n" i
+    done;
+    let net i =
+      if i = 0 then "a" else if i = n then "y" else Printf.sprintf "n%d" i
+    in
+    for j = 1 to n do
+      let i = if reverse then n + 1 - j else j in
+      Printf.bprintf b "  INV u%d (.A(%s), .Y(%s));\n" i (net (i - 1)) (net i)
+    done;
+    Buffer.add_string b "endmodule\n";
+    Buffer.contents b
+  in
+  let build ~reverse =
+    let v = Verilog.parse (chain ~reverse) in
+    Alcotest.(check int) "wires" (n - 1) (List.length v.Verilog.wires);
+    let dag, ins, outs = Verilog.to_sdag v tech ~vdd in
+    Alcotest.(check int) "one input" 1 (List.length ins);
+    Alcotest.(check int) "one output" 1 (List.length outs);
+    let k = Sdag.compile dag in
+    Alcotest.(check int) "every instance placed" n (Sdag.compiled_gates k);
+    Sdag.level_widths k
+  in
+  let forward = build ~reverse:false in
+  Alcotest.(check (array int)) "reverse order builds the same levels" forward
+    (build ~reverse:true)
 
 let () =
   Alcotest.run "slc_ssta"
