@@ -193,10 +193,19 @@ let ssta_check () =
   in
   let truth = Chain.simulate chain ~sin:5e-12 ~vdd:0.8 ~in_rises:true in
   let oracle = Slc_ssta.Oracle.bayes_bank ~prior:(prior_for tech) tech ~k:3 in
-  let t =
-    Slc_ssta.Path.propagate oracle chain ~sin:5e-12 ~vdd:0.8 ~in_rises:true
+  let module Sdag = Slc_ssta.Sdag in
+  let dag, chain_in, chain_out = Sdag.of_chain chain ~vdd:0.8 in
+  let input_arrivals name =
+    if String.equal name (Sdag.net_name dag chain_in) then
+      Sdag.input_edge ~at:0.0 ~slew:5e-12 ~rises:true
+    else { Sdag.rise = None; fall = None }
   in
-  let model = t.Slc_ssta.Path.total_delay in
+  (* Five inverting stages turn the rising input into a falling output. *)
+  let model =
+    match Sdag.analyze dag oracle ~input_arrivals chain_out with
+    | { Sdag.fall = Some e; _ } -> e.Sdag.at
+    | _ -> assert false
+  in
   let reference = truth.Chain.total_delay in
   Format.fprintf std
     "5-stage path: transistor-level %.2f ps, model-based %.2f ps (%+.1f%%)@."
@@ -446,47 +455,33 @@ let sta_cmd =
   let run tech netlist clock k prior_path store_dir =
     let tech = tech_of_name tech in
     let store = store_of store_dir in
-    let src = In_channel.with_open_text netlist In_channel.input_all in
-    let v =
-      match Slc_ssta.Verilog.parse src with
-      | v -> v
-      | exception Slc_ssta.Verilog.Parse_error msg ->
-        Printf.eprintf "parse error: %s\n" msg;
-        exit 2
+    let oracle () =
+      let prior =
+        match prior_path with
+        | Some p -> Prior_io.load p
+        | None -> prior_for ?store tech
+      in
+      Slc_ssta.Oracle.bayes_bank ?store ~prior tech ~k
     in
     with_timer (fun () ->
-        let dag, _, outputs =
-          Slc_ssta.Verilog.to_sdag v tech ~vdd:tech.Tech.vdd_nom
-        in
-        let prior =
-          match prior_path with
-          | Some p -> Prior_io.load p
-          | None -> prior_for ?store tech
-        in
-        let oracle = Slc_ssta.Oracle.bayes_bank ?store ~prior tech ~k in
-        let input_arrivals _ =
-          Slc_ssta.Sdag.input_edge ~at:0.0 ~slew:5e-12 ~rises:true
-        in
-        let rows =
-          Slc_ssta.Sdag.slack_report dag oracle ~input_arrivals
-            ~outputs:(List.map (fun (_, n) -> (n, clock)) outputs)
-        in
-        Format.fprintf std "%s: slack report at Tclk=%.2fps@."
-          v.Slc_ssta.Verilog.module_name (clock *. 1e12);
-        Report.table std
-          ~header:[ "net"; "arrival(ps)"; "required(ps)"; "slack(ps)" ]
-          (List.filter_map
-             (fun r ->
-               if r.Slc_ssta.Sdag.required_time < Float.infinity then
-                 Some
-                   [
-                     r.Slc_ssta.Sdag.net_label;
-                     Printf.sprintf "%.2f" (r.Slc_ssta.Sdag.arrival_time *. 1e12);
-                     Printf.sprintf "%.2f" (r.Slc_ssta.Sdag.required_time *. 1e12);
-                     Printf.sprintf "%+.2f" (r.Slc_ssta.Sdag.slack *. 1e12);
-                   ]
-               else None)
-             rows))
+        match Slc_ssta.Verilog.sta tech ~oracle ~clock netlist with
+        | Error msg ->
+          Printf.eprintf "%s\n" msg;
+          exit 2
+        | Ok (module_name, rows) ->
+          Format.fprintf std "%s: slack report at Tclk=%.2fps@." module_name
+            (clock *. 1e12);
+          Report.table std
+            ~header:[ "net"; "arrival(ps)"; "required(ps)"; "slack(ps)" ]
+            (List.map
+               (fun r ->
+                 [
+                   r.Slc_ssta.Sdag.net_label;
+                   Printf.sprintf "%.2f" (r.Slc_ssta.Sdag.arrival_time *. 1e12);
+                   Printf.sprintf "%.2f" (r.Slc_ssta.Sdag.required_time *. 1e12);
+                   Printf.sprintf "%+.2f" (r.Slc_ssta.Sdag.slack *. 1e12);
+                 ])
+               rows))
   in
   Cmd.v
     (Cmd.info "sta"

@@ -28,17 +28,6 @@ let with_scale scale =
     rng_seed = 42;
   }
 
-let default () =
-  let scale =
-    match Sys.getenv_opt "SLC_SCALE" with
-    | None -> 1.0
-    | Some s -> (
-      match float_of_string_opt s with
-      | Some f when f > 0.0 -> f
-      | _ -> 1.0)
-  in
-  with_scale scale
-
 let tiny =
   {
     scale = 0.05;

@@ -3,10 +3,9 @@
     The paper uses 1000 validation points and 1000 Monte-Carlo seeds on
     a compute farm; the defaults here are scaled so the full harness
     finishes in minutes on one core, and every count can be grown with
-    the [SLC_SCALE] environment variable (1.0 = defaults, 2.0 = twice
-    the points/seeds...).  Shapes, crossovers and speedup factors are
-    stable under scaling; absolute error values move slightly with the
-    Monte-Carlo noise floor. *)
+    a scale (1.0 = defaults, 2.0 = twice the points/seeds...).  Shapes,
+    crossovers and speedup factors are stable under scaling; absolute
+    error values move slightly with the Monte-Carlo noise floor. *)
 
 type t = {
   scale : float;
@@ -21,10 +20,10 @@ type t = {
   rng_seed : int;
 }
 
-val default : unit -> t
-(** Reads [SLC_SCALE] (default 1.0). *)
-
 val with_scale : float -> t
+(** The defaults with every count grown by [scale] (> 0).  Nothing here
+    reads the environment: the CLI binds [SLC_SCALE] to its [--scale]
+    option and passes [with_scale] of the result to every experiment. *)
 
 val tiny : t
 (** Minimal configuration for unit tests. *)

@@ -48,7 +48,7 @@ let small_ks (config : Config.t) =
   List.filter (fun k -> k <= 5) config.Config.ks
   |> function [] -> [ 2; 3 ] | l -> l
 
-let ablation_beta ?(config = Config.default ()) ?(tech = Tech.n14) ?prior () =
+let ablation_beta ~config ?(tech = Tech.n14) ?prior () =
   let prior =
     match prior with
     | Some p -> p
@@ -64,7 +64,7 @@ let ablation_beta ?(config = Config.default ()) ?(tech = Tech.n14) ?prior () =
   rows_of "learned beta(xi)" (eval_prior ~config ~tech ~prior ~ks)
   @ rows_of "constant beta" (eval_prior ~config ~tech ~prior:const ~ks)
 
-let ablation_history ?(config = Config.default ()) ?(tech = Tech.n14) () =
+let ablation_history ~config ?(tech = Tech.n14) () =
   let similar = [ Tech.n20; Tech.n28 ] in
   let dissimilar = [ Tech.n40; Tech.n45 ] in
   let all = Tech.historical_for tech in
@@ -77,8 +77,7 @@ let ablation_history ?(config = Config.default ()) ?(tech = Tech.n14) () =
   @ variant "all five nodes" all
   @ variant "dissimilar nodes (n40,n45)" dissimilar
 
-let ablation_design ?(config = Config.default ()) ?(tech = Tech.n14) ?prior
-    ?(n_draws = 5) () =
+let ablation_design ~config ?(tech = Tech.n14) ?prior ?(n_draws = 5) () =
   let prior =
     match prior with
     | Some p -> p
@@ -238,8 +237,7 @@ let print_sampling ppf rows =
          ])
        rows)
 
-let ablation_chain ?(config = Config.default ()) ?(tech = Tech.n14) ?prior ()
-    =
+let ablation_chain ~config ?(tech = Tech.n14) ?prior () =
   let prior =
     match prior with
     | Some p -> p

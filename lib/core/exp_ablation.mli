@@ -13,7 +13,7 @@ type row = {
 }
 
 val ablation_beta :
-  ?config:Config.t ->
+  config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?prior:Prior.pair ->
   unit ->
@@ -22,12 +22,12 @@ val ablation_beta :
     input-averaged constant. *)
 
 val ablation_history :
-  ?config:Config.t -> ?tech:Slc_device.Tech.t -> unit -> row list
+  config:Config.t -> ?tech:Slc_device.Tech.t -> unit -> row list
 (** Prior learned from similar nodes (adjacent geometry), all five
     nodes, and dissimilar (oldest) nodes only. *)
 
 val ablation_design :
-  ?config:Config.t ->
+  config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?prior:Prior.pair ->
   ?n_draws:int ->
@@ -74,7 +74,7 @@ val ablation_sampling :
 val print_sampling : Format.formatter -> sampling_row list -> unit
 
 val ablation_chain :
-  ?config:Config.t ->
+  config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?prior:Prior.pair ->
   unit ->

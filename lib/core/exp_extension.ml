@@ -30,7 +30,7 @@ let mean_td_err ~config ~tech ~train =
   in
   Describe.mean (Array.of_list errs)
 
-let vt_transfer ?(config = Config.default ()) ?(tech = Tech.n14)
+let vt_transfer ~config ?(tech = Tech.n14)
     ?(vt_shift = -0.06) ?(k = 2) ?(lut_budget = 18) () =
   let target = Tech.vt_variant tech ~shift:vt_shift ~suffix:"-lvt" in
   let historical = Tech.historical_for tech in

@@ -21,7 +21,7 @@ type result = {
 }
 
 val vt_transfer :
-  ?config:Config.t ->
+  config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?vt_shift:float ->
   ?k:int ->

@@ -92,8 +92,7 @@ let curve_of budgets per_arc_errors =
   done;
   { budgets; mean_err; std_err }
 
-let fig6 ?(config = Config.default ()) ?(tech = Tech.n14)
-    ?(cells = Cells.paper_set) ?prior () =
+let fig6 ~config ?(tech = Tech.n14) ?(cells = Cells.paper_set) ?prior () =
   let prior =
     match prior with
     | Some p -> p

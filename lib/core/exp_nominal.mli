@@ -49,7 +49,7 @@ type fig6_result = {
 }
 
 val fig6 :
-  ?config:Config.t ->
+  config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?cells:Slc_cell.Cells.t list ->
   ?prior:Prior.pair ->

@@ -70,7 +70,7 @@ let speedup_at ~bayes_budgets ~bayes_errs ~other_budgets ~other_errs =
   Char_flow.speedup_vs ~budget:(float_of_int bayes_budgets.(idx)) ~curve
     ~target
 
-let fig78 ?(config = Config.default ()) ?(tech = Tech.n28) ?arcs ?prior () =
+let fig78 ~config ?(tech = Tech.n28) ?arcs ?prior () =
   let arcs = match arcs with Some a -> a | None -> default_arcs () in
   let prior =
     match prior with
@@ -164,8 +164,7 @@ let max_metric c i =
     (Float.max c.e_mu_td.(i) c.e_sigma_td.(i))
     (Float.max c.e_mu_sout.(i) c.e_sigma_sout.(i))
 
-let adaptive_budget ?(config = Config.default ()) ?(tech = Tech.n28) ?arcs
-    ?prior () =
+let adaptive_budget ~config ?(tech = Tech.n28) ?arcs ?prior () =
   let arcs = match arcs with Some a -> a | None -> default_arcs () in
   let prior =
     match prior with
@@ -369,8 +368,7 @@ type fig9_result = {
 
 let paper_fig9_point = { Harness.sin = 5.09e-12; cload = 1.67e-15; vdd = 0.734 }
 
-let fig9 ?(config = Config.default ()) ?(tech = Tech.n28) ?arc ?point ?prior
-    () =
+let fig9 ~config ?(tech = Tech.n28) ?arc ?point ?prior () =
   let arc =
     match arc with
     | Some a -> a

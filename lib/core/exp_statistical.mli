@@ -27,7 +27,7 @@ type fig78_result = {
 }
 
 val fig78 :
-  ?config:Config.t ->
+  config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?arcs:Slc_cell.Arc.t list ->
   ?prior:Prior.pair ->
@@ -73,7 +73,7 @@ type adaptive_budget_result = {
 }
 
 val adaptive_budget :
-  ?config:Config.t ->
+  config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?arcs:Slc_cell.Arc.t list ->
   ?prior:Prior.pair ->
@@ -113,7 +113,7 @@ type fig9_result = {
 }
 
 val fig9 :
-  ?config:Config.t ->
+  config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?arc:Slc_cell.Arc.t ->
   ?point:Input_space.point ->

@@ -155,44 +155,20 @@ let run_pdf t (p : Protocol.pdf_query) =
 let run_sta t (s : Protocol.sta_query) =
   if s.s_k < 1 then domain_fail "k must be >= 1, got %d" s.s_k;
   let tech = tech_of s.s_tech in
-  let src =
-    match
-      In_channel.with_open_text s.s_netlist In_channel.input_all
-    with
-    | src -> src
-    | exception Sys_error m -> domain_fail "netlist: %s" m
-  in
-  let v =
-    match Slc_ssta.Verilog.parse src with
-    | v -> v
-    | exception Slc_ssta.Verilog.Parse_error m ->
-      domain_fail "netlist parse error: %s" m
-  in
-  let dag, _inputs, outputs =
-    match Slc_ssta.Verilog.to_sdag v tech ~vdd:tech.Tech.vdd_nom with
-    | r -> r
-    | exception Slc_ssta.Verilog.Parse_error m ->
-      domain_fail "netlist error: %s" m
-  in
-  let oracle = oracle_for t tech ~k:s.s_k in
-  let input_arrivals _ =
-    Slc_ssta.Sdag.input_edge ~at:0.0 ~slew:5e-12 ~rises:true
-  in
-  let rows =
-    Slc_ssta.Sdag.slack_report dag oracle ~input_arrivals
-      ~outputs:(List.map (fun (_, n) -> (n, s.s_clock)) outputs)
-  in
-  (* Same rows the CLI's slack table prints: constrained nets only. *)
-  List.filter_map
-    (fun r ->
-      if r.Slc_ssta.Sdag.required_time < Float.infinity then
-        Some
-          ( r.Slc_ssta.Sdag.net_label,
-            r.Slc_ssta.Sdag.arrival_time,
-            r.Slc_ssta.Sdag.required_time,
-            r.Slc_ssta.Sdag.slack )
-      else None)
-    rows
+  match
+    Slc_ssta.Verilog.sta tech
+      ~oracle:(fun () -> oracle_for t tech ~k:s.s_k)
+      ~clock:s.s_clock s.s_netlist
+  with
+  | Error m -> domain_fail "%s" m
+  | Ok (_, rows) ->
+    List.map
+      (fun r ->
+        ( r.Slc_ssta.Sdag.net_label,
+          r.Slc_ssta.Sdag.arrival_time,
+          r.Slc_ssta.Sdag.required_time,
+          r.Slc_ssta.Sdag.slack ))
+      rows
 
 (* ----------------------------------------------------------------- *)
 (* Stats + dispatch *)

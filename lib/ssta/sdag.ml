@@ -1,5 +1,6 @@
 module Arc = Slc_cell.Arc
 module Cells = Slc_cell.Cells
+module Chain = Slc_cell.Chain
 module Equivalent = Slc_cell.Equivalent
 module Harness = Slc_cell.Harness
 module Tech = Slc_device.Tech
@@ -108,6 +109,28 @@ let set_load t net load =
   if load < 0.0 then Slc_obs.Slc_error.invalid_input ~site:"Sdag.set_load" "negative load";
   Hashtbl.replace t.loads net
     (load +. Option.value ~default:0.0 (Hashtbl.find_opt t.loads net))
+
+(* Stage i's output net is "s<i>"; each of its side pins gets its own
+   primary input "s<i>.<pin>", which callers leave without arrival. *)
+let of_chain (chain : Chain.t) ~vdd =
+  let t = create chain.Chain.tech ~vdd in
+  let chain_in = input t "in" in
+  let _, chain_out =
+    List.fold_left
+      (fun (i, drive) (s : Chain.stage) ->
+        let name = Printf.sprintf "s%d" i in
+        let pins =
+          List.map
+            (fun pin ->
+              if String.equal pin s.Chain.pin then (pin, drive)
+              else (pin, input t (name ^ "." ^ pin)))
+            s.Chain.cell.Cells.inputs
+        in
+        (i + 1, gate t s.Chain.cell ~pins ~wire_cap:s.Chain.wire_cap name))
+      (1, chain_in) chain.Chain.stages
+  in
+  set_load t chain_out chain.Chain.final_load;
+  (t, chain_in, chain_out)
 
 let net_name t n =
   check_net t n;
@@ -306,15 +329,15 @@ let forward_compiled ?cache ?domains k (oracle : Oracle.t) ~input_arrivals =
     k.k_levels;
   (arrivals, used)
 
-let analyze_compiled ?cache ?domains k (oracle : Oracle.t) ~input_arrivals
-    target =
-  check_compiled_net k target;
+let arrivals_compiled ?cache ?domains k (oracle : Oracle.t) ~input_arrivals =
   let arrivals, _ = forward_compiled ?cache ?domains k oracle ~input_arrivals in
-  arrivals.(target)
+  fun target ->
+    check_compiled_net k target;
+    arrivals.(target)
 
 let analyze ?cache ?domains t oracle ~input_arrivals target =
   check_net t target;
-  analyze_compiled ?cache ?domains (compile t) oracle ~input_arrivals target
+  arrivals_compiled ?cache ?domains (compile t) oracle ~input_arrivals target
 
 type slack_row = {
   net_label : string;

@@ -43,6 +43,17 @@ val gate :
 val set_load : t -> net -> float -> unit
 (** Extra capacitive load on a net (primary-output load). *)
 
+val of_chain : Slc_cell.Chain.t -> vdd:float -> t * net * net
+(** [of_chain chain ~vdd] is the DAG of a {!Slc_cell.Chain}, with its
+    input net (named ["in"]) and its final output net.  Stage [i]
+    (from 1) drives net ["s<i>"] from its switching pin; each side pin
+    sits on its own primary input ["s<i>.<pin>"], which the caller gives
+    no arrival, so only the chain input launches edges.  Stage wire caps
+    and the chain's final load land on the stage outputs, so every
+    stage sees the load the transistor-level chain simulates; timing
+    the output of a one-edge input with {!analyze} gives the chain's
+    total delay and output slew. *)
+
 type edge_arrival = { at : float; slew : float }
 
 type arrival = { rise : edge_arrival option; fall : edge_arrival option }
@@ -72,7 +83,7 @@ val analyze :
     [?domains] sizes the per-level parallel evaluation (default: the
     {!Slc_num.Parallel} pool default).  Results are bitwise independent
     of the domain count.  Compiles the graph internally; hot callers
-    should {!compile} once and use {!analyze_compiled}. *)
+    should {!compile} once and use {!arrivals_compiled}. *)
 
 type slack_row = {
   net_label : string;
@@ -134,15 +145,16 @@ val level_widths : compiled -> int array
 (** Gates per ASAP level, in level order — the available parallelism
     profile of the design. *)
 
-val analyze_compiled :
+val arrivals_compiled :
   ?cache:Oracle.cache ->
   ?domains:int ->
   compiled ->
   Oracle.t ->
   input_arrivals:(string -> arrival) ->
-  net ->
-  arrival
-(** {!analyze} over a compiled graph, skipping recompilation. *)
+  (net -> arrival)
+(** {!analyze} over a compiled graph, for every net at once: one forward
+    pass runs when the input arrivals are applied, and the returned
+    function reads any net's arrival from it. *)
 
 val slack_report_compiled :
   ?cache:Oracle.cache ->

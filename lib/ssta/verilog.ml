@@ -313,3 +313,26 @@ let to_sdag t tech ~vdd =
   let ins = List.map (fun n -> (n, Hashtbl.find nets n)) t.inputs in
   let outs = List.map (fun n -> (n, lookup n)) t.outputs in
   (dag, ins, outs)
+
+let sta tech ~oracle ~clock path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error m -> Error ("netlist: " ^ m)
+  | src -> (
+    match parse src with
+    | exception Parse_error m -> Error ("netlist parse error: " ^ m)
+    | v -> (
+      match to_sdag v tech ~vdd:tech.Slc_device.Tech.vdd_nom with
+      | exception Parse_error m -> Error ("netlist error: " ^ m)
+      | dag, _, outputs ->
+        let input_arrivals _ =
+          Sdag.input_edge ~at:0.0 ~slew:5e-12 ~rises:true
+        in
+        let rows =
+          Sdag.slack_report dag (oracle ()) ~input_arrivals
+            ~outputs:(List.map (fun (_, n) -> (n, clock)) outputs)
+        in
+        Ok
+          ( v.module_name,
+            List.filter
+              (fun r -> r.Sdag.required_time < Float.infinity)
+              rows )))

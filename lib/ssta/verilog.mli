@@ -48,3 +48,21 @@ val to_sdag :
     types, missing pins, multiply-driven nets, undriven internal nets,
     or combinational loops.  Instances may appear in any source order;
     the cost is linear in the netlist size. *)
+
+val sta :
+  Slc_device.Tech.t ->
+  oracle:(unit -> Oracle.t) ->
+  clock:float ->
+  string ->
+  (string * Sdag.slack_row list, string) result
+(** [sta tech ~oracle ~clock path] is the slack report of [slc sta] and
+    of the served [sta] request: it reads the netlist file at [path],
+    builds its DAG at [tech]'s nominal supply, launches a rising edge
+    with a 5 ps slew at t = 0 on every primary input, requires every
+    primary output at [clock], and returns the module name with the
+    rows of the constrained nets (finite required time), most critical
+    first.  [oracle] is called once, after the netlist is built, so a
+    bad netlist costs no characterization.  [Error] carries one line
+    naming the failure: ["netlist: ..."] (unreadable file),
+    ["netlist parse error: ..."] or ["netlist error: ..."] (the
+    {!Parse_error}s of {!parse} and {!to_sdag}). *)

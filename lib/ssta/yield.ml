@@ -29,10 +29,6 @@ let of_delays ~clock_period delays =
     worst_delay = Array.fold_left Float.max delays.(0) delays;
   }
 
-let of_path ~population ~seeds ~clock_period chain ~sin ~vdd ~in_rises =
-  let delays = Path.statistical ~population ~seeds chain ~sin ~vdd ~in_rises in
-  of_delays ~clock_period delays
-
 let of_dag ~population ~seeds ~clock_period dag ~input_arrivals ~outputs =
   let module Statistical = Slc_core.Statistical in
   let table : (string, Statistical.population) Hashtbl.t = Hashtbl.create 8 in
@@ -59,10 +55,12 @@ let of_dag ~population ~seeds ~clock_period dag ~input_arrivals ~outputs =
                   pop.Statistical.predict_sout seed point ));
           }
         in
+        (* One forward pass per seed; every output reads from it. *)
+        let arrival = Sdag.arrivals_compiled compiled oracle ~input_arrivals in
         let worst = ref neg_infinity in
         List.iter
           (fun out ->
-            let arr = Sdag.analyze_compiled compiled oracle ~input_arrivals out in
+            let arr = arrival out in
             List.iter
               (fun rises ->
                 match Sdag.at_edge arr ~rises with

@@ -1,6 +1,6 @@
 (** Timing yield: the fraction of process seeds whose worst path meets
     a clock constraint — the quantity SSTA exists to compute, evaluated
-    here by pushing per-seed compact models through a path or DAG. *)
+    here by pushing per-seed compact models through a DAG. *)
 
 type result = {
   clock_period : float;
@@ -16,18 +16,6 @@ type result = {
 val of_delays : clock_period:float -> float array -> result
 (** Classify pre-computed per-seed delays against a clock period. *)
 
-val of_path :
-  population:(Slc_cell.Arc.t -> Slc_core.Statistical.population) ->
-  seeds:Slc_device.Process.seed array ->
-  clock_period:float ->
-  Slc_cell.Chain.t ->
-  sin:float ->
-  vdd:float ->
-  in_rises:bool ->
-  result
-(** Monte-Carlo SSTA over a path using per-seed extracted models (no
-    additional simulation per seed). *)
-
 val of_dag :
   population:(Slc_cell.Arc.t -> Slc_core.Statistical.population) ->
   seeds:Slc_device.Process.seed array ->
@@ -36,8 +24,11 @@ val of_dag :
   input_arrivals:(string -> Sdag.arrival) ->
   outputs:Sdag.net list ->
   result
-(** Monte-Carlo SSTA over a DAG: per seed, the worst arrival over all
-    listed outputs and both edges is classified against the clock.
+(** Monte-Carlo SSTA over a DAG: per seed, one forward pass with that
+    seed's extracted per-arc models (no additional simulation), and the
+    worst arrival over all listed outputs and both edges is classified
+    against the clock.  A {!Slc_cell.Chain} path is timed through
+    {!Sdag.of_chain}.
     Raises [Invalid_argument] when some seed produces no arrival at any
     output. *)
 

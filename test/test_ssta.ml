@@ -1,5 +1,5 @@
 (* Tests for the SSTA consumer layer: chains (transistor-level ground
-   truth), oracles, path propagation and the timing DAG. *)
+   truth), oracles, chain paths timed as graphs and the timing DAG. *)
 
 module Tech = Slc_device.Tech
 module Process = Slc_device.Process
@@ -237,15 +237,33 @@ let test_oracle_memo_concurrent_miss () =
   Alcotest.(check int) "warm memo builds nothing" raced (Atomic.get builds)
 
 (* ------------------------------------------------------------------ *)
-(* Path *)
+(* Path: a chain timed as a graph ({!Sdag.of_chain}) *)
+
+(* The chain's graph with one edge launched at its input; the side-pin
+   inputs never arrive. *)
+let chain_dag ch ~in_rises =
+  let dag, chain_in, chain_out = Sdag.of_chain ch ~vdd in
+  let input_arrivals name =
+    if String.equal name (Sdag.net_name dag chain_in) then
+      Sdag.input_edge ~at:0.0 ~slew:sin ~rises:in_rises
+    else { Sdag.rise = None; fall = None }
+  in
+  (dag, chain_out, input_arrivals)
+
+(* The one edge that reaches the chain output. *)
+let chain_arrival oracle ch ~in_rises =
+  let dag, chain_out, input_arrivals = chain_dag ch ~in_rises in
+  match Sdag.analyze dag oracle ~input_arrivals chain_out with
+  | { Sdag.rise = Some e; fall = None } | { Sdag.rise = None; fall = Some e } ->
+    e
+  | _ -> Alcotest.fail "expected exactly one output edge"
 
 let test_path_matches_chain_with_simulator_oracle () =
   let ch = five_chain () in
   let truth = Chain.simulate ch ~sin ~vdd ~in_rises:true in
-  let t = Path.propagate (Oracle.of_simulator tech) ch ~sin ~vdd ~in_rises:true in
+  let t = chain_arrival (Oracle.of_simulator tech) ch ~in_rises:true in
   let rel =
-    Float.abs (t.Path.total_delay -. truth.Chain.total_delay)
-    /. truth.Chain.total_delay
+    Float.abs (t.Sdag.at -. truth.Chain.total_delay) /. truth.Chain.total_delay
   in
   Alcotest.(check bool)
     (Printf.sprintf "path vs chain within 8%% (got %.1f%%)" (100.0 *. rel))
@@ -253,14 +271,19 @@ let test_path_matches_chain_with_simulator_oracle () =
 
 let test_path_stage_structure () =
   let ch = five_chain () in
-  let t = Path.propagate (Oracle.of_simulator tech) ch ~sin ~vdd ~in_rises:true in
-  Alcotest.(check int) "five stages" 5 (List.length t.Path.stages);
-  (* Slew propagates: stage i+1's input is stage i's output slew, which
-     is visible through loads: final stage load = final_load. *)
-  let last = List.nth t.Path.stages 4 in
-  Alcotest.(check (float 1e-18)) "final load" 2e-15 last.Path.load;
-  Alcotest.(check (float 1e-18)) "timing out_slew = last stage slew"
-    last.Path.out_slew t.Path.out_slew
+  let dag, chain_out, input_arrivals = chain_dag ch ~in_rises:true in
+  let k = Sdag.compile dag in
+  Alcotest.(check int) "five stages" 5 (Sdag.compiled_gates k);
+  Alcotest.(check (array int)) "one stage per level" [| 1; 1; 1; 1; 1 |]
+    (Sdag.level_widths k);
+  Alcotest.(check (float 1e-18)) "final load" 2e-15 (Sdag.net_cap dag chain_out);
+  (* Five inverting stages: a rising input arrives as a falling output,
+     carrying the last stage's output slew. *)
+  let arr = Sdag.analyze dag (Oracle.of_simulator tech) ~input_arrivals chain_out in
+  Alcotest.(check bool) "no rising output" true (arr.Sdag.rise = None);
+  match arr.Sdag.fall with
+  | Some e -> Alcotest.(check bool) "positive out slew" true (e.Sdag.slew > 0.0)
+  | None -> Alcotest.fail "expected a falling output"
 
 let test_path_statistical_shapes () =
   let ch = small_chain () in
@@ -271,7 +294,12 @@ let test_path_statistical_shapes () =
       ~method_:(Statistical.Bayes (Lazy.force tiny_prior))
       ~tech ~arc ~seeds ~budget:2 ()
   in
-  let samples = Path.statistical ~population ~seeds ch ~sin ~vdd ~in_rises:true in
+  let dag, chain_out, input_arrivals = chain_dag ch ~in_rises:true in
+  let samples =
+    (Yield.of_dag ~population ~seeds ~clock_period:1e-9 dag ~input_arrivals
+       ~outputs:[ chain_out ])
+      .Yield.delays
+  in
   Alcotest.(check int) "one sample per seed" 5 (Array.length samples);
   Array.iter
     (fun s -> Alcotest.(check bool) "positive" true (s > 0.0))
@@ -303,6 +331,52 @@ let test_yield_of_dag () =
   Array.iter
     (fun d -> Alcotest.(check bool) "positive" true (d > 0.0))
     r.Yield.delays
+
+let test_yield_of_dag_two_outputs () =
+  (* One forward pass per seed serves every output: the per-seed worst
+     over two outputs is the max of the single-output runs, bitwise. *)
+  let rng = Slc_prob.Rng.create 43 in
+  let seeds = Process.sample_batch rng tech 4 in
+  let pops = Hashtbl.create 4 in
+  let population arc =
+    let key = Arc.name arc in
+    match Hashtbl.find_opt pops key with
+    | Some p -> p
+    | None ->
+      let p =
+        Statistical.extract_population
+          ~method_:(Statistical.Bayes (Lazy.force tiny_prior))
+          ~tech ~arc ~seeds ~budget:2 ()
+      in
+      Hashtbl.add pops key p;
+      p
+  in
+  let dag = Sdag.create tech ~vdd in
+  let x = Sdag.input dag "x" in
+  let n1 = Sdag.gate dag Cells.inv ~pins:[ ("A", x) ] "n1" in
+  let o1 = Sdag.gate dag Cells.nand2 ~pins:[ ("A", n1); ("B", x) ] "o1" in
+  let o2 = Sdag.gate dag Cells.inv ~pins:[ ("A", n1) ] "o2" in
+  Sdag.set_load dag o1 2e-15;
+  Sdag.set_load dag o2 1e-15;
+  let input_arrivals _ = Sdag.input_edge ~at:0.0 ~slew:sin ~rises:true in
+  let delays outputs =
+    (Yield.of_dag ~population ~seeds ~clock_period:1e-9 dag ~input_arrivals
+       ~outputs)
+      .Yield.delays
+  in
+  let d1 = delays [ o1 ] and d2 = delays [ o2 ] in
+  Alcotest.(check bool) "outputs differ" true (d1 <> d2);
+  List.iter
+    (fun outputs ->
+      Array.iteri
+        (fun i d ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d: worst = max of single outputs" i)
+            true
+            (Int64.bits_of_float d
+            = Int64.bits_of_float (Float.max d1.(i) d2.(i))))
+        (delays outputs))
+    [ [ o1; o2 ]; [ o2; o1 ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Sdag *)
@@ -361,29 +435,59 @@ let test_dag_max_semantics () =
   Alcotest.(check bool) "monotone in input arrival" true (t_late >= t0);
   Alcotest.(check bool) "late input dominates" true (t_late >= 50e-12)
 
+(* Reference for {!Sdag.of_chain}: walk the chain stage by stage as the
+   transistor-level chain is wired.  Stage i drives its wire cap plus
+   stage i+1's switching pin (the last stage: the final load), and its
+   output slew is stage i+1's input slew. *)
+let walk_chain (oracle : Oracle.t) (ch : Chain.t) ~in_rises =
+  let rec loads = function
+    | [] -> []
+    | [ (last : Chain.stage) ] -> [ last.Chain.wire_cap +. ch.Chain.final_load ]
+    | (s : Chain.stage) :: (next :: _ as rest) ->
+      (s.Chain.wire_cap
+      +. Equivalent.input_cap tech next.Chain.cell ~pin:next.Chain.pin)
+      :: loads rest
+  in
+  List.fold_left2
+    (fun (at, slew) arc cload ->
+      let d, s = oracle.Oracle.query arc { Harness.sin = slew; cload; vdd } in
+      (at +. d, s))
+    (0.0, sin)
+    (Chain.arcs_of ch ~in_rises)
+    (loads ch.Chain.stages)
+
 let test_dag_chain_equals_path () =
-  (* A DAG that is just a 2-stage chain must agree with Path.propagate
-     using the same oracle. *)
-  let oracle = Oracle.of_simulator tech in
-  let dag = Sdag.create tech ~vdd in
-  let a = Sdag.input dag "a" in
-  let n1 = Sdag.gate dag Cells.inv ~pins:[ ("A", a) ] "n1" in
-  let out = Sdag.gate dag Cells.nand2 ~pins:[ ("A", n1); ("B", a) ] "out" in
-  ignore out;
-  (* Simpler: INV -> INV chain. *)
-  let dag2 = Sdag.create tech ~vdd in
-  let x = Sdag.input dag2 "x" in
-  let m1 = Sdag.gate dag2 Cells.inv ~pins:[ ("A", x) ] "m1" in
-  let m2 = Sdag.gate dag2 Cells.inv ~pins:[ ("A", m1) ] "m2" in
-  Sdag.set_load dag2 m2 2e-15;
-  let input_arrivals _ = Sdag.input_edge ~at:0.0 ~slew:sin ~rises:true in
-  let arr = Sdag.analyze dag2 oracle ~input_arrivals m2 in
-  let chain = Chain.make tech [ Chain.stage Cells.inv "A"; Chain.stage Cells.inv "A" ] in
-  let path = Path.propagate oracle chain ~sin ~vdd ~in_rises:true in
-  match Sdag.at_edge arr ~rises:true with
-  | Some e ->
-    Alcotest.(check (float 1e-14)) "dag = path" path.Path.total_delay e.Sdag.at
-  | None -> Alcotest.fail "no arrival"
+  (* The chain's graph times the path bitwise like the stage walk, on
+     both input edges, with the simulator and with a closed-form
+     oracle (which would expose a load or slew wired to the wrong
+     stage). *)
+  let closed_form =
+    {
+      Oracle.label = "closed-form";
+      query =
+        (fun arc p ->
+          let a = float_of_int (String.length (Arc.name arc)) in
+          ( (a *. 1e-12) +. (0.3 *. p.Harness.sin) +. (4e3 *. p.Harness.cload),
+            (0.5 *. p.Harness.sin) +. (7e3 *. p.Harness.cload) ));
+    }
+  in
+  let ch = five_chain () in
+  List.iter
+    (fun (oracle : Oracle.t) ->
+      List.iter
+        (fun in_rises ->
+          let at, slew = walk_chain oracle ch ~in_rises in
+          let e = chain_arrival oracle ch ~in_rises in
+          let what =
+            Printf.sprintf "%s, input %s" oracle.Oracle.label
+              (if in_rises then "rise" else "fall")
+          in
+          Alcotest.(check bool) (what ^ ": delay bitwise") true
+            (Int64.bits_of_float e.Sdag.at = Int64.bits_of_float at);
+          Alcotest.(check bool) (what ^ ": slew bitwise") true
+            (Int64.bits_of_float e.Sdag.slew = Int64.bits_of_float slew))
+        [ true; false ])
+    [ Oracle.of_simulator tech; closed_form ]
 
 let test_dag_slack_report () =
   let oracle = Oracle.of_simulator tech in
@@ -435,12 +539,9 @@ let test_path_falling_input () =
   (* The other input polarity also matches chain truth. *)
   let ch = small_chain () in
   let truth = Chain.simulate ch ~sin ~vdd ~in_rises:false in
-  let t =
-    Path.propagate (Oracle.of_simulator tech) ch ~sin ~vdd ~in_rises:false
-  in
+  let t = chain_arrival (Oracle.of_simulator tech) ch ~in_rises:false in
   let rel =
-    Float.abs (t.Path.total_delay -. truth.Chain.total_delay)
-    /. truth.Chain.total_delay
+    Float.abs (t.Sdag.at -. truth.Chain.total_delay) /. truth.Chain.total_delay
   in
   Alcotest.(check bool)
     (Printf.sprintf "falling-input path within 10%% (got %.1f%%)"
@@ -452,10 +553,9 @@ let test_bayes_library_oracle_on_path () =
   let oracle = Oracle.bayes_bank ~prior:(Lazy.force tiny_prior) tech ~k:3 in
   let ch = small_chain () in
   let truth = Chain.simulate ch ~sin ~vdd ~in_rises:true in
-  let t = Path.propagate oracle ch ~sin ~vdd ~in_rises:true in
+  let t = chain_arrival oracle ch ~in_rises:true in
   let rel =
-    Float.abs (t.Path.total_delay -. truth.Chain.total_delay)
-    /. truth.Chain.total_delay
+    Float.abs (t.Sdag.at -. truth.Chain.total_delay) /. truth.Chain.total_delay
   in
   Alcotest.(check bool)
     (Printf.sprintf "library-backed path within 12%% (got %.1f%%)"
@@ -551,9 +651,10 @@ let test_yield_of_path () =
       ~tech ~arc ~seeds ~budget:2 ()
   in
   (* A generous clock passes everything; a tiny one fails everything. *)
+  let dag, chain_out, input_arrivals = chain_dag ch ~in_rises:true in
   let loose =
-    Yield.of_path ~population ~seeds ~clock_period:1e-9 ch ~sin ~vdd
-      ~in_rises:true
+    Yield.of_dag ~population ~seeds ~clock_period:1e-9 dag ~input_arrivals
+      ~outputs:[ chain_out ]
   in
   Alcotest.(check (float 1e-9)) "all pass" 1.0 loose.Yield.yield;
   let tight =
@@ -916,6 +1017,8 @@ let () =
           Alcotest.test_case "of_delays" `Quick test_yield_of_delays;
           Alcotest.test_case "of_path" `Slow test_yield_of_path;
           Alcotest.test_case "of_dag" `Slow test_yield_of_dag;
+          Alcotest.test_case "of_dag two outputs" `Slow
+            test_yield_of_dag_two_outputs;
         ] );
       ( "sdag",
         [

@@ -146,6 +146,55 @@ let test_slack_through_netlist () =
   let slacks = List.map (fun r -> r.Sdag.slack) rows in
   Alcotest.(check bool) "sorted" true (List.sort compare slacks = slacks)
 
+let test_sta_pipeline () =
+  (* The [slc sta] / served [sta] pipeline: a bad netlist is one message
+     naming its stage, reported before any oracle is built; a good one
+     yields the constrained rows only. *)
+  let no_oracle () = Alcotest.fail "oracle built for a bad netlist" in
+  let sta ?(oracle = no_oracle) path =
+    Verilog.sta tech ~oracle ~clock:50e-12 path
+  in
+  let with_file text f =
+    let path = Filename.temp_file "slc_verilog" ".v" in
+    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+  in
+  let err what want = function
+    | Error m -> Alcotest.(check string) what want m
+    | Ok _ -> Alcotest.fail (what ^ ": want an error")
+  in
+  err "missing file" "netlist: /nonexistent/x.v: No such file or directory"
+    (sta "/nonexistent/x.v");
+  let syntax = "module m (a, q); input a; output q" in
+  let syntax_msg =
+    match Verilog.parse syntax with
+    | exception Verilog.Parse_error m -> m
+    | _ -> Alcotest.fail "syntax error accepted"
+  in
+  with_file syntax (fun p ->
+      err "syntax" ("netlist parse error: " ^ syntax_msg) (sta p));
+  let loop =
+    "module m (a, q); input a; output q; wire n1; INV u1 (.A(n1), .Y(q)); \
+     INV u2 (.A(q), .Y(n1)); endmodule"
+  in
+  let loop_msg =
+    match Verilog.to_sdag (Verilog.parse loop) tech ~vdd:tech.Tech.vdd_nom with
+    | exception Verilog.Parse_error m -> m
+    | _ -> Alcotest.fail "loop accepted"
+  in
+  with_file loop (fun p -> err "loop" ("netlist error: " ^ loop_msg) (sta p));
+  with_file src (fun p ->
+      match sta ~oracle:(fun () -> Oracle.of_simulator tech) p with
+      | Error m -> Alcotest.fail m
+      | Ok (name, rows) ->
+        Alcotest.(check string) "module name" "top" name;
+        Alcotest.(check bool) "rows" true (rows <> []);
+        List.iter
+          (fun r ->
+            Alcotest.(check bool) (r.Sdag.net_label ^ " constrained") true
+              (r.Sdag.required_time < Float.infinity))
+          rows)
+
 let () =
   Alcotest.run "verilog"
     [
@@ -164,4 +213,5 @@ let () =
           Alcotest.test_case "semantic errors" `Quick test_semantic_errors;
           Alcotest.test_case "slack report" `Quick test_slack_through_netlist;
         ] );
+      ("sta", [ Alcotest.test_case "file pipeline" `Quick test_sta_pipeline ]);
     ]
