@@ -65,6 +65,18 @@ let store_of = function
       Printf.eprintf "store: %s\n" (Slc_obs.Slc_error.store_fault_message f);
       exit 2)
 
+(* A prior file named on the command line: a missing or malformed file
+   is one line on stderr and exit 2. *)
+let load_prior path =
+  match Prior_io.load path with
+  | p -> p
+  | exception Sys_error m ->
+    Printf.eprintf "%s\n" m;
+    exit 2
+  | exception Slc_num.Line_reader.Malformed m ->
+    Printf.eprintf "%s: malformed prior: %s\n" path m;
+    exit 2
+
 (* Learn the historical prior — or load it from the store, where a
    previous process already paid for it. *)
 let prior_for ?store tech =
@@ -330,7 +342,7 @@ let prior_cmd =
           match load with
           | Some path ->
             Format.fprintf std "loading prior from %s@." path;
-            Prior_io.load path
+            load_prior path
           | None ->
             Format.fprintf std "learning prior from %s@."
               (String.concat ","
@@ -458,7 +470,7 @@ let sta_cmd =
     let oracle () =
       let prior =
         match prior_path with
-        | Some p -> Prior_io.load p
+        | Some p -> load_prior p
         | None -> prior_for ?store tech
       in
       Slc_ssta.Oracle.bayes_bank ?store ~prior tech ~k

@@ -42,9 +42,9 @@ let slew t arc point = Nldm.lookup_sout (entry_for t arc).table point
    through [Arc.find], which is exactly how [characterize] derived
    them — the round trip reproduces the same side-input assignment. *)
 
-exception Format_error of string
+module R = Slc_num.Line_reader
 
-let fail msg = raise (Format_error ("Library: " ^ msg))
+let fail = R.fail
 
 let direction_of_string = function
   | "rise" -> Arc.Rise
@@ -69,31 +69,13 @@ let to_string t =
   Buffer.contents b
 
 let of_string ?tech src =
-  let lines =
-    ref
-      (String.split_on_char '\n' src
-      |> List.map String.trim
-      |> List.filter (fun l -> l <> ""))
-  in
-  let next_line () =
-    match !lines with
-    | [] -> fail "unexpected end of input"
-    | l :: rest ->
-      lines := rest;
-      l
-  in
-  let fields l = String.split_on_char ' ' l |> List.filter (fun s -> s <> "") in
-  let expect key =
-    let l = next_line () in
-    match fields l with
-    | k :: rest when String.equal k key -> rest
-    | _ -> fail (Printf.sprintf "expected %S, got %S" key l)
-  in
-  (match expect "slc-library" with
+  R.scope "Library" @@ fun () ->
+  let c = R.of_string src in
+  (match R.expect c "slc-library" with
   | [ "1" ] -> ()
   | _ -> fail "unsupported format version (want 1)");
   let tech_name =
-    match expect "tech" with [ n ] -> n | _ -> fail "bad tech line"
+    match R.expect c "tech" with [ n ] -> n | _ -> fail "bad tech line"
   in
   let tech =
     match tech with
@@ -109,22 +91,18 @@ let of_string ?tech src =
       | exception Not_found -> fail ("unknown tech " ^ tech_name))
   in
   let sim_runs =
-    match expect "sim_runs" with
-    | [ n ] -> (
-      match int_of_string_opt n with Some i -> i | None -> fail "bad sim_runs")
+    match R.expect c "sim_runs" with
+    | [ n ] -> R.int n
     | _ -> fail "bad sim_runs line"
   in
   let n_entries =
-    match expect "entries" with
-    | [ n ] -> (
-      match int_of_string_opt n with
-      | Some i when i >= 0 -> i
-      | _ -> fail "bad entries count")
+    match R.expect c "entries" with
+    | [ n ] -> R.int n
     | _ -> fail "bad entries line"
   in
   let entries =
     List.init n_entries (fun _ ->
-        match expect "entry" with
+        match R.expect c "entry" with
         | [ cell_name; pin; dir ] ->
           let cell =
             match Cells.by_name cell_name with
@@ -139,16 +117,13 @@ let of_string ?tech src =
               fail
                 (Printf.sprintf "no %s arc on %s/%s" dir cell_name pin)
           in
-          let table =
-            try Nldm.parse_lines next_line
-            with Nldm.Format_error msg -> fail msg
-          in
-          { arc; table }
+          { arc; table = Nldm.parse_lines c }
         | _ -> fail "bad entry line")
   in
-  (match fields (next_line ()) with
+  (match R.fields (R.next c) with
   | [ "end" ] -> ()
   | _ -> fail "missing end marker");
+  R.finish c;
   { tech; entries; sim_runs }
 
 let summary ppf t =

@@ -44,8 +44,6 @@ val summary : Format.formatter -> t -> unit
     Values round-trip bitwise via the embedded {!Nldm} hex-float
     blocks. *)
 
-exception Format_error of string
-
 val to_string : t -> string
 (** Versioned line-oriented text: a header naming the technology
     followed by one embedded {!Nldm} block per entry. *)
@@ -56,5 +54,6 @@ val of_string : ?tech:Slc_device.Tech.t -> string -> t
     [?tech] the stored technology name must match the supplied card
     (use this for temperature or Vt variants whose cards are not
     registered under {!Slc_device.Tech.by_name}); without it the name
-    is resolved via [Tech.by_name].  Raises {!Format_error} on
-    malformed input, an unsupported version, or a tech mismatch. *)
+    is resolved via [Tech.by_name].  Raises
+    {!Slc_num.Line_reader.Malformed} on malformed input, an unsupported
+    version, a tech mismatch, or text after the [end] line. *)

@@ -150,9 +150,7 @@ let lookup_energy t p = lookup t.energy t p
    stored table reloads with bitwise-identical axes and values — the
    persistent store's correctness contract. *)
 
-exception Format_error of string
-
-let fail msg = raise (Format_error ("Nldm: " ^ msg))
+module R = Slc_num.Line_reader
 
 let hex = Slc_num.Hexfloat.to_string
 
@@ -189,43 +187,19 @@ let to_string t =
   to_buffer b t;
   Buffer.contents b
 
-let fields l = String.split_on_char ' ' l |> List.filter (fun s -> s <> "")
-
-let float_of s =
-  match Slc_num.Hexfloat.of_string_opt s with
-  | Some f -> f
-  | None -> fail ("bad float " ^ s)
-
-(* Parse one table from a line cursor; shared with [Library.of_string],
-   which embeds table blocks inline. *)
-let parse_lines next_line =
-  let expect key =
-    let l = next_line () in
-    match fields l with
-    | k :: rest when String.equal k key -> rest
-    | _ -> fail (Printf.sprintf "expected %S, got %S" key l)
-  in
-  (match expect "slc-nldm" with
+(* One table from a cursor; shared with [Library.of_string] and the
+   store's predictor blocks, which embed table blocks inline. *)
+let parse c =
+  (match R.expect c "slc-nldm" with
   | [ "1" ] -> ()
-  | _ -> fail "unsupported format version (want 1)");
+  | _ -> R.fail "unsupported format version (want 1)");
   let arc_name =
-    match expect "arc" with [ a ] -> a | _ -> fail "bad arc line"
+    match R.expect c "arc" with [ a ] -> a | _ -> R.fail "bad arc line"
   in
   let axis name =
-    match expect "axis" with
-    | n :: rest when n = name -> (
-      match rest with
-      | count :: vals ->
-        let count =
-          match int_of_string_opt count with
-          | Some c when c >= 1 -> c
-          | _ -> fail ("bad axis count for " ^ name)
-        in
-        let a = Array.of_list (List.map float_of vals) in
-        if Array.length a <> count then fail ("axis length mismatch for " ^ name);
-        a
-      | [] -> fail ("empty axis " ^ name))
-    | _ -> fail ("expected axis " ^ name)
+    match R.expect c "axis" with
+    | n :: rest when n = name -> R.axis name rest
+    | _ -> R.fail ("expected axis " ^ name)
   in
   let sin_axis = axis "sin" in
   let cload_axis = axis "cload" in
@@ -234,9 +208,9 @@ let parse_lines next_line =
   and n_c = Array.length cload_axis
   and n_v = Array.length vdd_axis in
   let grid name =
-    let vals = Array.of_list (List.map float_of (expect name)) in
+    let vals = R.floats (R.expect c name) in
     if Array.length vals <> n_s * n_c * n_v then
-      fail (name ^ " grid size mismatch");
+      R.fail (name ^ " grid size mismatch");
     Array.init n_s (fun i ->
         Array.init n_c (fun j ->
             Array.init n_v (fun k -> vals.((((i * n_c) + j) * n_v) + k))))
@@ -244,25 +218,16 @@ let parse_lines next_line =
   let td = grid "td" in
   let sout = grid "sout" in
   let energy = grid "energy" in
-  (match fields (next_line ()) with
+  (match R.fields (R.next c) with
   | [ "end" ] -> ()
-  | _ -> fail "missing end marker");
+  | _ -> R.fail "missing end marker");
   { arc_name; sin_axis; cload_axis; vdd_axis; td; sout; energy }
 
+let parse_lines c = R.scope "Nldm" (fun () -> parse c)
+
 let of_string src =
-  let lines =
-    ref
-      (String.split_on_char '\n' src
-      |> List.map String.trim
-      |> List.filter (fun l -> l <> ""))
-  in
-  let next_line () =
-    match !lines with
-    | [] -> fail "unexpected end of input"
-    | l :: rest ->
-      lines := rest;
-      l
-  in
-  let t = parse_lines next_line in
-  if !lines <> [] then fail "trailing garbage after end marker";
-  t
+  R.scope "Nldm" (fun () ->
+      let c = R.of_string src in
+      let t = parse c in
+      R.finish c;
+      t)

@@ -65,22 +65,23 @@ val lookup_energy : t -> Harness.point -> float
     persistent store keeps them on disk.  The format is line-oriented
     text whose floats use the exact hexadecimal encoding
     ({!Slc_num.Hexfloat}): a reloaded table is bitwise identical to the
-    one written — lookups through it return the same 64-bit values. *)
-
-exception Format_error of string
+    one written — lookups through it return the same 64-bit values.
+    Reading goes through {!Slc_num.Line_reader}, whose one exception,
+    {!Slc_num.Line_reader.Malformed}, reports every malformation. *)
 
 val to_string : t -> string
 (** Versioned line-oriented text (header, axes, value grids). *)
 
 val of_string : string -> t
-(** Raises {!Format_error} on malformed input or an unsupported format
-    version. *)
+(** Raises {!Slc_num.Line_reader.Malformed} on malformed input (an axis
+    that is empty or not strictly increasing included), an unsupported
+    format version, or text after the [end] line. *)
 
 val to_buffer : Buffer.t -> t -> unit
 (** Appends exactly what {!to_string} returns — used by containers
     (e.g. {!Library}) that embed table blocks in their own format. *)
 
-val parse_lines : (unit -> string) -> t
-(** Parses one table block from a line cursor (the inverse of
-    {!to_buffer}); the cursor must yield trimmed, non-empty lines.
-    Raises {!Format_error}. *)
+val parse_lines : Slc_num.Line_reader.t -> t
+(** Parses one table block from a cursor (the inverse of
+    {!to_buffer}), leaving the cursor after its [end] line.  Raises
+    {!Slc_num.Line_reader.Malformed}. *)

@@ -2,10 +2,6 @@ module Mvn = Slc_prob.Mvn
 module Mat = Slc_num.Mat
 module Interp = Slc_num.Interp
 
-exception Format_error of string
-
-let fail msg = raise (Format_error msg)
-
 let fl x = Printf.sprintf "%.17g" x
 
 let write_one ppf (p : Prior.t) =
@@ -60,62 +56,26 @@ let to_string pair = Format.asprintf "%a" write pair
 
 (* ------------------------------------------------------------------ *)
 
-type cursor = { mutable lines : string list }
+module R = Slc_num.Line_reader
 
-let next_line c =
-  match c.lines with
-  | [] -> fail "unexpected end of file"
-  | l :: rest ->
-    c.lines <- rest;
-    l
-
-let fields l =
-  String.split_on_char ' ' l |> List.filter (fun s -> s <> "")
-
-let expect_key key l =
-  match fields l with
-  | k :: rest when String.equal k key -> rest
-  | _ -> fail (Printf.sprintf "expected %S, got %S" key l)
-
-let float_of s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail ("bad float " ^ s)
-
-let int_of s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> fail ("bad int " ^ s)
+let fail = R.fail
 
 let parse_one c =
   let metric =
-    match expect_key "metric" (next_line c) with
+    match R.expect c "metric" with
     | [ "delay" ] -> Prior.Delay
     | [ "slew" ] -> Prior.Slew
     | _ -> fail "bad metric"
   in
-  let mu =
-    match expect_key "mu" (next_line c) with
-    | [ a; b; d; e ] -> [| float_of a; float_of b; float_of d; float_of e |]
-    | _ -> fail "mu needs 4 values"
-  in
-  let cov_vals = List.map float_of (expect_key "cov" (next_line c)) in
-  if List.length cov_vals <> 16 then fail "cov needs 16 values";
-  let cov_arr = Array.of_list cov_vals in
+  let mu = R.floats (R.expect c "mu") in
+  if Array.length mu <> 4 then fail "mu needs 4 values";
+  let cov_arr = R.floats (R.expect c "cov") in
+  if Array.length cov_arr <> 16 then fail "cov needs 16 values";
   let cov = Mat.init 4 4 (fun i j -> cov_arr.((i * 4) + j)) in
-  let axis () =
-    match expect_key "axis" (next_line c) with
-    | n :: rest ->
-      let n = int_of n in
-      let vals = Array.of_list (List.map float_of rest) in
-      if Array.length vals <> n then fail "axis length mismatch";
-      vals
-    | [] -> fail "empty axis"
-  in
-  let xs = axis () in
-  let ys = axis () in
-  let zs = axis () in
-  let betas = Array.of_list (List.map float_of (expect_key "beta" (next_line c))) in
+  let xs = R.axis "sin" (R.expect c "axis") in
+  let ys = R.axis "cload" (R.expect c "axis") in
+  let zs = R.axis "vdd" (R.expect c "axis") in
+  let betas = R.floats (R.expect c "beta") in
   let n_s = Array.length xs and n_c = Array.length ys and n_v = Array.length zs in
   if Array.length betas <> n_s * n_c * n_v then fail "beta size mismatch";
   let values3 =
@@ -124,56 +84,58 @@ let parse_one c =
             Array.init n_v (fun k -> betas.((((i * n_c) + j) * n_v) + k))))
   in
   let n_prov =
-    match expect_key "provenance" (next_line c) with
-    | [ n ] -> int_of n
+    match R.expect c "provenance" with
+    | [ n ] -> R.int n
     | _ -> fail "bad provenance count"
   in
   let provenance =
     List.init n_prov (fun _ ->
-        match expect_key "prov" (next_line c) with
+        match R.expect c "prov" with
         | [ tech_name; arc_name; kd; cpar; v_off; alpha; err ] ->
           {
             Prior.tech_name;
             arc_name;
             params =
               {
-                Timing_model.kd = float_of kd;
-                cpar = float_of cpar;
-                v_off = float_of v_off;
-                alpha = float_of alpha;
+                Timing_model.kd = R.float kd;
+                cpar = R.float cpar;
+                v_off = R.float v_off;
+                alpha = R.float alpha;
               };
-            fit_error = float_of err;
+            fit_error = R.float err;
           }
         | _ -> fail "bad prov line")
   in
   let learn_cost =
-    match expect_key "cost" (next_line c) with
-    | [ n ] -> int_of n
+    match R.expect c "cost" with
+    | [ n ] -> R.int n
     | _ -> fail "bad cost"
+  in
+  let mvn =
+    match Mvn.make ~mu ~cov with
+    | m -> m
+    | exception Slc_obs.Slc_error.Invalid_input _ ->
+      fail "cov not positive definite"
   in
   {
     Prior.metric;
-    mvn = Mvn.make ~mu ~cov;
+    mvn;
     beta = { Interp.axes = (xs, ys, zs); values3 };
     provenance;
     learn_cost;
   }
 
 let parse src =
-  let lines =
-    String.split_on_char '\n' src
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
-  in
-  let c = { lines } in
-  (match fields (next_line c) with
+  let c = R.of_string src in
+  (match R.fields (R.next c) with
   | [ "slc-prior"; "1" ] -> ()
   | _ -> fail "bad header (want: slc-prior 1)");
   let delay = parse_one c in
   let slew = parse_one c in
-  (match fields (next_line c) with
+  (match R.fields (R.next c) with
   | [ "end" ] -> ()
   | _ -> fail "missing end marker");
+  R.finish c;
   if delay.Prior.metric <> Prior.Delay then fail "first block must be delay";
   if slew.Prior.metric <> Prior.Slew then fail "second block must be slew";
   { Prior.delay; slew }

@@ -20,6 +20,7 @@ module Prior = Slc_core.Prior
 module Prior_io = Slc_core.Prior_io
 module Timing_model = Slc_core.Timing_model
 module Gpr = Slc_core.Gpr
+module R = Slc_num.Line_reader
 
 type t = { root : string }
 
@@ -35,17 +36,19 @@ let () =
     | Stored_failure m -> Some (Printf.sprintf "Stored_failure(%s)" m)
     | _ -> None)
 
-(* Internal parse failures; converted to [Slc_error.Store_failed] (final
-   artifacts) or swallowed (checkpoints) before leaving this module. *)
-exception Parse_error of string
-
-let fail msg = raise (Parse_error msg)
-let corrupt path m = Err.raise_store_failed ~path ~kind:Err.Store_corrupt m
+let fail = R.fail
 
 (* ---------------------------------------------------------------- *)
 (* Filesystem primitives                                            *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The one translation of a malformed final artifact: every reader
+   raises [Line_reader.Malformed], which leaves this module as
+   [Store_failed Store_corrupt].  (Checkpoints are discarded instead.) *)
+let read_artifact path parse =
+  try parse (read_file path)
+  with R.Malformed m -> Err.raise_store_failed ~path ~kind:Err.Store_corrupt m
 
 let write_atomic path content =
   let dir = Filename.dirname path in
@@ -207,38 +210,6 @@ let population_key ~method_ ~design ~tech ~arc ~seeds ~budget ~min_points =
       string_of_int budget; string_of_int min_points ]
 
 (* ---------------------------------------------------------------- *)
-(* Line cursor (same discipline as [Prior_io])                      *)
-
-type cursor = { mutable lines : string list }
-
-let cursor_of_string s =
-  {
-    lines =
-      String.split_on_char '\n' s
-      |> List.map String.trim
-      |> List.filter (fun l -> l <> "");
-  }
-
-let next c =
-  match c.lines with
-  | [] -> fail "unexpected end of artifact"
-  | l :: rest ->
-    c.lines <- rest;
-    l
-
-let peek c = match c.lines with [] -> None | l :: _ -> Some l
-
-let fields l = String.split_on_char ' ' l |> List.filter (fun s -> s <> "")
-
-let int_of s =
-  match int_of_string_opt s with Some i -> i | None -> fail ("bad int " ^ s)
-
-let float_of s =
-  match Hex.of_string_opt s with
-  | Some f -> f
-  | None -> fail ("bad float " ^ s)
-
-(* ---------------------------------------------------------------- *)
 (* Priors                                                           *)
 
 let put_prior t ~key pair =
@@ -247,10 +218,7 @@ let put_prior t ~key pair =
 let find_prior t ~key =
   let path = artifact_path t `Prior key in
   if not (Sys.file_exists path) then None
-  else
-    match Prior_io.parse (read_file path) with
-    | p -> Some p
-    | exception Prior_io.Format_error m -> corrupt path m
+  else Some (read_artifact path Prior_io.parse)
 
 let get_prior t ~historical =
   let key = prior_key ~historical in
@@ -305,77 +273,62 @@ let pred_to_buffer b (p : Char_flow.predictor) =
     Slc_obs.Slc_error.invalid_input ~site:"Slc_store" "a predictor with an Opaque model cannot be persisted");
   Buffer.add_string b "end\n"
 
-let params_of name = function
+(* A [name n] line. *)
+let count c name =
+  match R.expect c name with [ n ] -> R.int n | _ -> fail ("bad " ^ name)
+
+let params_of c name =
+  match R.expect c name with
   | [ kd; cpar; v_off; alpha ] ->
     {
-      Timing_model.kd = float_of kd;
-      cpar = float_of cpar;
-      v_off = float_of v_off;
-      alpha = float_of alpha;
+      Timing_model.kd = R.float kd;
+      cpar = R.float cpar;
+      v_off = R.float v_off;
+      alpha = R.float alpha;
     }
   | _ -> fail (name ^ " needs 4 values")
 
-let scan_string line fmt =
-  try Scanf.sscanf line fmt Fun.id with
-  | Scanf.Scan_failure m -> fail m
-  | End_of_file -> fail ("truncated line: " ^ line)
-  | Failure m -> fail m
-
 let parse_pred_block c =
-  (match fields (next c) with
-  | [ "slc-pred"; v ] when int_of v = format_version -> ()
+  (match R.fields (R.next c) with
+  | [ "slc-pred"; v ] when R.int v = format_version -> ()
   | _ -> fail "bad predictor header (want: slc-pred 1)");
-  let label = scan_string (next c) "label %S" in
-  let train_cost =
-    match fields (next c) with
-    | [ "train_cost"; n ] -> int_of n
-    | _ -> fail "bad train_cost"
-  in
+  let label = R.quoted ~key:"label" (R.next c) in
+  let train_cost = count c "train_cost" in
   let model =
-    match fields (next c) with
+    match R.fields (R.next c) with
     | [ "timing" ] ->
-      let td =
-        match fields (next c) with
-        | "td" :: rest -> params_of "td" rest
-        | _ -> fail "expected td"
-      in
-      let sout =
-        match fields (next c) with
-        | "sout" :: rest -> params_of "sout" rest
-        | _ -> fail "expected sout"
-      in
+      let td = params_of c "td" in
+      let sout = params_of c "sout" in
       Char_flow.Timing_pair { td; sout }
-    | [ "nldm" ] -> (
-      try Char_flow.Nldm_table (Nldm.parse_lines (fun () -> next c))
-      with Nldm.Format_error m -> fail m)
+    | [ "nldm" ] -> Char_flow.Nldm_table (Nldm.parse_lines c)
     | [ "gpr" ] ->
       let gp name =
-        match fields (next c) with
-        | [ n; signal2; noise2; l0; l1; l2; mean; count ] when n = name ->
-          let count = int_of count in
+        match R.expect c name with
+        | [ signal2; noise2; l0; l1; l2; mean; count ] ->
+          let count = R.int count in
           if count < 1 then fail (name ^ " needs >= 1 training point");
           let points = Array.make count Slc_cell.Harness.{ sin = 0.0; cload = 0.0; vdd = 0.0 } in
           let targets = Array.make count 0.0 in
           for i = 0 to count - 1 do
-            match fields (next c) with
-            | [ "p"; sin; cload; vdd; y ] ->
+            match R.expect c "p" with
+            | [ sin; cload; vdd; y ] ->
               points.(i) <-
                 {
-                  Slc_cell.Harness.sin = float_of sin;
-                  cload = float_of cload;
-                  vdd = float_of vdd;
+                  Slc_cell.Harness.sin = R.float sin;
+                  cload = R.float cload;
+                  vdd = R.float vdd;
                 };
-              targets.(i) <- float_of y
+              targets.(i) <- R.float y
             | _ -> fail ("bad " ^ name ^ " training point")
           done;
           {
             Gpr.m_hyper =
               {
-                Gpr.signal2 = float_of signal2;
-                noise2 = float_of noise2;
-                lengths = [| float_of l0; float_of l1; float_of l2 |];
+                Gpr.signal2 = R.float signal2;
+                noise2 = R.float noise2;
+                lengths = [| R.float l0; R.float l1; R.float l2 |];
               };
-            m_mean = float_of mean;
+            m_mean = R.float mean;
             m_points = points;
             m_targets = targets;
           }
@@ -386,7 +339,7 @@ let parse_pred_block c =
       Char_flow.Gpr_pair { td; sout }
     | _ -> fail "bad predictor model kind"
   in
-  (match fields (next c) with
+  (match R.fields (R.next c) with
   | [ "end" ] -> ()
   | _ -> fail "missing predictor end");
   (label, train_cost, model)
@@ -405,14 +358,14 @@ let find_predictor ?seed t ~key ~tech ~arc =
   let path = artifact_path t `Predictor key in
   if not (Sys.file_exists path) then None
   else
-    try
-      let c = cursor_of_string (read_file path) in
-      let label, train_cost, model = parse_pred_block c in
-      (match peek c with
-      | None -> ()
-      | Some l -> fail ("trailing garbage: " ^ l));
-      Some (Char_flow.predictor_of_model ?seed ~label ~train_cost tech arc model)
-    with Parse_error m -> corrupt path m
+    let label, train_cost, model =
+      read_artifact path (fun text ->
+          let c = R.of_string text in
+          let block = parse_pred_block c in
+          R.finish c;
+          block)
+    in
+    Some (Char_flow.predictor_of_model ?seed ~label ~train_cost tech arc model)
 
 (* ---------------------------------------------------------------- *)
 (* Libraries                                                        *)
@@ -423,10 +376,7 @@ let put_library t ~key lib =
 let find_library ?tech t ~key =
   let path = artifact_path t `Library key in
   if not (Sys.file_exists path) then None
-  else
-    try Some (Library.of_string ?tech (read_file path)) with
-    | Library.Format_error m | Nldm.Format_error m -> corrupt path m
-    | Not_found -> corrupt path "library references an unknown cell, arc or technology"
+  else Some (read_artifact path (Library.of_string ?tech))
 
 (* ---------------------------------------------------------------- *)
 (* Populations: entries, final artifacts, checkpoints               *)
@@ -448,26 +398,26 @@ let entry_to_buffer b i e =
   | Some p -> pred_to_buffer b p
 
 let parse_status l =
-  match fields l with
+  match R.fields l with
   | [ "status"; "ok" ] -> Statistical.Seed_ok
-  | [ "status"; "degraded"; n ] -> Statistical.Seed_degraded (int_of n)
+  | [ "status"; "degraded"; n ] -> Statistical.Seed_degraded (R.int n)
   | "status" :: "failed" :: _ ->
-    Statistical.Seed_failed (Stored_failure (scan_string l "status failed %S"))
+    Statistical.Seed_failed (Stored_failure (R.quoted ~key:"status failed" l))
   | _ -> fail ("bad status line: " ^ l)
 
 (* Returns the raw (label, cost, model) so the caller can rebuild the
    predictor under the right process seed. *)
 let parse_entry c =
   let i =
-    match fields (next c) with
-    | [ "entry"; n ] -> int_of n
+    match R.expect c "entry" with
+    | [ n ] -> R.int n
     | _ -> fail "expected entry"
   in
-  let status = parse_status (next c) in
+  let status = parse_status (R.next c) in
   let pred =
-    match peek c with
-    | Some l when fields l = [ "predictor"; "none" ] ->
-      ignore (next c);
+    match R.peek c with
+    | Some l when R.fields l = [ "predictor"; "none" ] ->
+      ignore (R.next c);
       None
     | _ -> Some (parse_pred_block c)
   in
@@ -489,46 +439,36 @@ let pop_to_string ~key ~method_ ~(tech : Tech.t) ~arc ~budget ~min_points
   Buffer.add_string b "end\n";
   Buffer.contents b
 
-let load_population_exn ~key ~method_ ~tech ~arc ~seeds path =
-  let c = cursor_of_string (read_file path) in
-  (match fields (next c) with
+let load_population ~key ~method_ ~tech ~arc ~seeds path =
+  read_artifact path @@ fun text ->
+  let c = R.of_string text in
+  (match R.fields (R.next c) with
   | [ "slc-pop"; v ] ->
-    let v = int_of v in
+    let v = R.int v in
     if v <> format_version then
       Err.raise_store_failed ~path ~kind:Err.Store_version_mismatch
         (Printf.sprintf "population artifact is format %d; this build speaks %d"
            v format_version)
   | _ -> fail "bad population header (want: slc-pop 1)");
-  (match fields (next c) with
-  | [ "key"; k ] ->
+  (match R.expect c "key" with
+  | [ k ] ->
     if not (String.equal k key) then
       Err.raise_store_failed ~path ~kind:Err.Store_key_mismatch
         (Printf.sprintf "artifact embeds key %s but was found under key %s" k key)
   | _ -> fail "missing key line");
   (* The method/tech/arc/budget/min_points lines are informational for
      humans poking at the store; the key already pins their content. *)
-  let expect name =
-    match fields (next c) with
-    | k :: rest when String.equal k name -> rest
-    | _ -> fail ("expected " ^ name)
-  in
-  ignore (expect "method");
-  ignore (expect "tech");
-  ignore (expect "arc");
-  ignore (expect "budget");
-  ignore (expect "min_points");
-  let n =
-    match expect "nseeds" with [ n ] -> int_of n | _ -> fail "bad nseeds"
-  in
+  ignore (R.expect c "method");
+  ignore (R.expect c "tech");
+  ignore (R.expect c "arc");
+  ignore (count c "budget");
+  ignore (count c "min_points");
+  let n = count c "nseeds" in
   if n <> Array.length seeds then
     fail
       (Printf.sprintf "artifact holds %d seeds; caller supplied %d" n
          (Array.length seeds));
-  let train_cost =
-    match expect "train_cost" with
-    | [ n ] -> int_of n
-    | _ -> fail "bad train_cost"
-  in
+  let train_cost = count c "train_cost" in
   let predictors = Array.make n None in
   let status = Array.make n Statistical.Seed_ok in
   for i = 0 to n - 1 do
@@ -537,13 +477,9 @@ let load_population_exn ~key ~method_ ~tech ~arc ~seeds path =
     status.(i) <- st;
     predictors.(i) <- rebuild_pred ~tech ~arc ~seed:seeds.(i) pred
   done;
-  (match fields (next c) with [ "end" ] -> () | _ -> fail "missing end");
-  (match peek c with None -> () | Some l -> fail ("trailing garbage: " ^ l));
+  (match R.fields (R.next c) with [ "end" ] -> () | _ -> fail "missing end");
+  R.finish c;
   Statistical.assemble ~method_ ~seeds ~predictors ~status ~train_cost
-
-let load_population ~key ~method_ ~tech ~arc ~seeds path =
-  try load_population_exn ~key ~method_ ~tech ~arc ~seeds path
-  with Parse_error m -> corrupt path m
 
 let ckpt_to_string ~key ~nseeds ~cost (entries : (int * pop_entry) list) =
   let b = Buffer.create 8192 in
@@ -562,40 +498,29 @@ let load_checkpoint ~key ~tech ~arc ~seeds path =
   if not (Sys.file_exists path) then None
   else
     try
-      let c = cursor_of_string (read_file path) in
-      (match fields (next c) with
-      | [ "slc-pop-ckpt"; v ] when int_of v = format_version -> ()
+      let c = R.of_string (read_file path) in
+      (match R.expect c "slc-pop-ckpt" with
+      | [ v ] when R.int v = format_version -> ()
       | _ -> fail "bad checkpoint header");
-      (match fields (next c) with
-      | [ "key"; k ] when String.equal k key -> ()
+      (match R.expect c "key" with
+      | [ k ] when String.equal k key -> ()
       | _ -> fail "checkpoint key mismatch");
-      let n =
-        match fields (next c) with
-        | [ "nseeds"; n ] -> int_of n
-        | _ -> fail "bad nseeds"
-      in
+      let n = count c "nseeds" in
       if n <> Array.length seeds then fail "seed count mismatch";
-      let cost =
-        match fields (next c) with
-        | [ "cost"; n ] -> int_of n
-        | _ -> fail "bad cost"
-      in
-      let ndone =
-        match fields (next c) with
-        | [ "ndone"; n ] -> int_of n
-        | _ -> fail "bad ndone"
-      in
+      let cost = count c "cost" in
+      let ndone = count c "ndone" in
       let entries = ref [] in
       for _ = 1 to ndone do
         let i, st, pred = parse_entry c in
-        if i < 0 || i >= n then fail "entry index out of range";
+        if i >= n then fail "entry index out of range";
         entries :=
           (i, { e_pred = rebuild_pred ~tech ~arc ~seed:seeds.(i) pred; e_status = st })
           :: !entries
       done;
-      (match fields (next c) with [ "end" ] -> () | _ -> fail "missing end");
+      (match R.fields (R.next c) with [ "end" ] -> () | _ -> fail "missing end");
+      R.finish c;
       Some (List.rev !entries, cost)
-    with Parse_error _ | Sys_error _ -> None
+    with R.Malformed _ | Sys_error _ -> None
 
 (* ---------------------------------------------------------------- *)
 (* Store-backed statistical extraction                              *)

@@ -1017,7 +1017,7 @@ let test_prior_io_rejects_future_version () =
   let text = Prior_io.to_string pair in
   let v2 = "slc-prior 2" ^ String.sub text 11 (String.length text - 11) in
   match Prior_io.parse v2 with
-  | exception Prior_io.Format_error _ -> ()
+  | exception Slc_num.Line_reader.Malformed _ -> ()
   | _ -> Alcotest.fail "version 2 should be rejected"
 
 let test_report_table_and_bar () =
@@ -1105,7 +1105,7 @@ let test_prior_roundtrip () =
 let test_prior_io_errors () =
   let bad s =
     match Prior_io.parse s with
-    | exception Prior_io.Format_error _ -> true
+    | exception Slc_num.Line_reader.Malformed _ -> true
     | _ -> false
   in
   Alcotest.(check bool) "bad header" true (bad "nope");

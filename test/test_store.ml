@@ -182,7 +182,7 @@ let prop_nldm_roundtrip =
 let test_nldm_rejects_garbage () =
   match Nldm.of_string "slc-nldm 999\nend" with
   | _ -> Alcotest.fail "future-format table accepted"
-  | exception Nldm.Format_error _ -> ()
+  | exception Slc_num.Line_reader.Malformed _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Prior round-trip *)
@@ -614,6 +614,245 @@ let test_gpr_predictor_roundtrip_bitwise () =
           (p'.Char_flow.predict_sout pt))
       points3
 
+(* ------------------------------------------------------------------ *)
+(* Malformed artifacts: one reader, one error *)
+
+module Reader = Slc_num.Line_reader
+
+let malformed f =
+  match f () with
+  | _ -> false
+  | exception Reader.Malformed _ -> true
+
+let store_corrupt f =
+  match f () with
+  | _ -> false
+  | exception Err.Store_failed { Err.st_kind = Err.Store_corrupt; _ } -> true
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [text] with the first line that starts with [prefix] replaced. *)
+let replace_line text ~prefix by =
+  let done_ = ref false in
+  String.split_on_char '\n' text
+  |> List.map (fun l ->
+         if (not !done_) && String.starts_with ~prefix l then (
+           done_ := true;
+           by)
+         else l)
+  |> String.concat "\n"
+
+let test_prior_negative_count () =
+  let text = Prior_io.to_string (Lazy.force tiny_prior) in
+  let bad = replace_line text ~prefix:"provenance " "provenance -1" in
+  Alcotest.(check bool) "parse rejects" true
+    (malformed (fun () -> Prior_io.parse bad));
+  let st = Store.open_ (fresh_dir ()) in
+  let key = "negative-provenance" in
+  write_file (Store.artifact_path st `Prior key) bad;
+  Alcotest.(check bool) "store reports Store_corrupt" true
+    (store_corrupt (fun () -> Store.find_prior st ~key))
+
+let test_prior_beta_axes_validated () =
+  let text = Prior_io.to_string (Lazy.force tiny_prior) in
+  (* The delay block's three axes, then its beta line, emptied. *)
+  let empty_axis t = replace_line t ~prefix:"axis 2 " "axis 0" in
+  let empty_grid =
+    empty_axis (empty_axis (empty_axis (replace_line text ~prefix:"beta " "beta")))
+  in
+  Alcotest.(check bool) "empty beta grid" true
+    (malformed (fun () -> Prior_io.parse empty_grid));
+  let descending = replace_line text ~prefix:"axis 2 " "axis 2 0.95 0.05" in
+  Alcotest.(check bool) "descending axis" true
+    (malformed (fun () -> Prior_io.parse descending))
+
+let test_prior_covariance_validated () =
+  let text = Prior_io.to_string (Lazy.force tiny_prior) in
+  let cov = "cov -1" ^ String.concat "" (List.init 15 (fun _ -> " 0")) in
+  let not_pd = replace_line text ~prefix:"cov " cov in
+  Alcotest.(check bool) "negative variance" true
+    (malformed (fun () -> Prior_io.parse not_pd))
+
+let tiny_library =
+  lazy (Library.characterize ~cells:[ Cells.inv ] tech ~levels:[| 2; 2; 1 |])
+
+let test_trailing_lines_rejected () =
+  let prior = Prior_io.to_string (Lazy.force tiny_prior) in
+  Alcotest.(check bool) "prior" true
+    (malformed (fun () -> Prior_io.parse (prior ^ "end\n")));
+  let lib = Library.to_string (Lazy.force tiny_library) in
+  Alcotest.(check bool) "library" true
+    (malformed (fun () -> Library.of_string (lib ^ "garbage\n")))
+
+(* Every format, every mutation: a line-boundary truncation, a deleted
+   line, a numeric field replaced by a non-number, a count replaced by
+   a negative one.  Each mutant must raise the reader's one exception
+   (or [Store_corrupt] through [Store.find_*]) and nothing else; the
+   unmutated text must round-trip bitwise. *)
+
+let lines_of text =
+  List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text)
+
+let unlines ls = String.concat "\n" ls ^ "\n"
+
+(* Positions (line, field) of the integer counts, by line keyword. *)
+let count_fields i line =
+  let fs = Array.of_list (String.split_on_char ' ' line) in
+  let at k = if Array.length fs > k then [ (i, k) ] else [] in
+  match fs.(0) with
+  | "slc-prior" | "slc-nldm" | "slc-library" | "slc-pred" | "slc-pop"
+  | "provenance" | "cost" | "sim_runs" | "entries" | "train_cost" | "nseeds"
+  | "budget" | "min_points" | "entry" ->
+    at 1
+  | "axis" -> if int_of_string_opt fs.(1) <> None then at 1 else at 2
+  | "status" -> at 2
+  | ("td" | "sout") when Array.length fs = 8 -> at 7
+  | _ -> []
+
+let numeric_fields i line =
+  List.concat
+    (List.mapi
+       (fun k f -> if k > 0 && float_of_string_opt f <> None then [ (i, k) ] else [])
+       (String.split_on_char ' ' line))
+
+let set_field lines (i, k) v =
+  List.mapi
+    (fun j l ->
+      if j <> i then l
+      else
+        String.concat " "
+          (List.mapi (fun m f -> if m = k then v else f) (String.split_on_char ' ' l)))
+    lines
+
+let mutants text (r1, r2) =
+  let ls = lines_of text in
+  let n = List.length ls in
+  let pick xs r = List.nth xs (r mod List.length xs) in
+  let positions f = List.concat (List.mapi f ls) in
+  [
+    ("truncate", unlines (List.filteri (fun j _ -> j < r1 mod n) ls));
+    ("delete", unlines (List.filteri (fun j _ -> j <> r1 mod n) ls));
+    ("non-number", unlines (set_field ls (pick (positions numeric_fields) r2) "x"));
+    ("negative", unlines (set_field ls (pick (positions count_fields) r2) "-1"));
+  ]
+
+type artifact = {
+  name : string;
+  text : string Lazy.t;
+  roundtrips : string -> bool;
+  rejects : string -> bool;
+}
+
+let mutation_formats =
+  let st = lazy (Store.open_ (fresh_dir ())) in
+  let via_store kind key find text =
+    let st = Lazy.force st in
+    write_file (Store.artifact_path st kind key) text;
+    find st
+  in
+  let find_pred st = Store.find_predictor st ~key:"mutant" ~tech ~arc:inv_fall in
+  let pop_key =
+    Store.population_key ~method_:Statistical.Lse ~design:Statistical.Curated
+      ~tech ~arc:inv_fall ~seeds:seeds4 ~budget:2 ~min_points:2
+  in
+  let fresh = lazy (extract_fresh ()) in
+  let find_pop st =
+    Store.find_population ~store:st ~method_:Statistical.Lse
+      ~design:Statistical.Curated ~tech ~arc:inv_fall ~seeds:seeds4 ~budget:2
+      ~min_points:2
+  in
+  let predictor_text (p : Char_flow.predictor) =
+    let st = Lazy.force st in
+    Store.put_predictor st ~key:"mutant" p;
+    read_file (Store.artifact_path st `Predictor "mutant")
+  in
+  let pred_roundtrips text =
+    match via_store `Predictor "mutant" find_pred text with
+    | None -> false
+    | Some p ->
+      let st = Lazy.force st in
+      Store.put_predictor st ~key:"again" p;
+      read_file (Store.artifact_path st `Predictor "again") = text
+  in
+  let pred_rejects text =
+    store_corrupt (fun () -> via_store `Predictor "mutant" find_pred text)
+  in
+  [
+    {
+      name = "prior";
+      text = lazy (Prior_io.to_string (Lazy.force tiny_prior));
+      roundtrips = (fun t -> Prior_io.to_string (Prior_io.parse t) = t);
+      rejects = (fun t -> malformed (fun () -> Prior_io.parse t));
+    };
+    {
+      name = "nldm";
+      text = lazy (Nldm.to_string (random_table (Rng.create 5)));
+      roundtrips = (fun t -> Nldm.to_string (Nldm.of_string t) = t);
+      rejects = (fun t -> malformed (fun () -> Nldm.of_string t));
+    };
+    {
+      name = "library";
+      text = lazy (Library.to_string (Lazy.force tiny_library));
+      roundtrips = (fun t -> Library.to_string (Library.of_string t) = t);
+      rejects = (fun t -> malformed (fun () -> Library.of_string t));
+    };
+    {
+      name = "timing predictor";
+      text = lazy (predictor_text (Char_flow.train_lse tech inv_fall ~k:2));
+      roundtrips = pred_roundtrips;
+      rejects = pred_rejects;
+    };
+    {
+      name = "gpr predictor";
+      text =
+        lazy
+          (let ds =
+             Char_flow.simulate_dataset tech inv_fall
+               (Input_space.fitting_points tech ~k:4)
+           in
+           let p0 = Char_flow.train_bayes_on ~prior:(Lazy.force tiny_prior) tech ds in
+           predictor_text (Char_flow.with_gpr_fallback ~threshold:1e-12 tech ds p0));
+      roundtrips = pred_roundtrips;
+      rejects = pred_rejects;
+    };
+    {
+      name = "population";
+      text =
+        lazy
+          (let st = Lazy.force st in
+           ignore (store_extract st);
+           read_file (Store.artifact_path st `Population pop_key));
+      roundtrips =
+        (fun t ->
+          match via_store `Population pop_key find_pop t with
+          | None -> false
+          | Some pop ->
+            check_pop_bitwise_equal (Lazy.force fresh) pop;
+            true);
+      rejects =
+        (fun t -> store_corrupt (fun () -> via_store `Population pop_key find_pop t));
+    };
+  ]
+
+let prop_every_mutant_rejected =
+  let nformats = List.length mutation_formats in
+  QCheck.Test.make ~name:"every artifact mutant raises the one reader error"
+    ~count:1000
+    QCheck.(triple (int_bound (nformats - 1)) (int_bound 9999) (int_bound 9999))
+    (fun (f, r1, r2) ->
+      let a = List.nth mutation_formats f in
+      let text = Lazy.force a.text in
+      if not (a.roundtrips text) then
+        QCheck.Test.fail_reportf "%s: unmutated text does not round-trip" a.name;
+      List.for_all
+        (fun (kind, m) ->
+          a.rejects m
+          || QCheck.Test.fail_reportf "%s: %s mutant accepted:\n%s" a.name kind m)
+        (mutants text (r1, r2)))
+
 let () =
   Alcotest.run "slc_store"
     [
@@ -675,5 +914,17 @@ let () =
             test_adaptive_key_sensitivity;
           Alcotest.test_case "gpr predictor roundtrip" `Slow
             test_gpr_predictor_roundtrip_bitwise;
+        ] );
+      ( "malformed",
+        [
+          Alcotest.test_case "prior negative count" `Quick
+            test_prior_negative_count;
+          Alcotest.test_case "prior beta axes validated" `Quick
+            test_prior_beta_axes_validated;
+          Alcotest.test_case "prior covariance validated" `Quick
+            test_prior_covariance_validated;
+          Alcotest.test_case "trailing lines rejected" `Quick
+            test_trailing_lines_rejected;
+          QCheck_alcotest.to_alcotest prop_every_mutant_rejected;
         ] );
     ]
