@@ -99,15 +99,18 @@ let build ?seed tech arc ~levels =
    [index]/[weight] locate a coordinate on one axis; [interpolate]
    blends the eight corners.  A point is located once and every value
    grid reuses that location, so [lookup_td_sout] is bitwise
-   [(lookup_td t p, lookup_sout t p)] at half the locating work. *)
+   [(lookup_td t p, lookup_sout t p)] at half the locating work.
+   [weight] and [interpolate] are inlined, so their float arguments and
+   results stay unboxed: besides its result, a lookup allocates only the
+   coordinate each [Interp.locate] call boxes. *)
 let index axis x =
   if Array.length axis = 1 then 0 else Slc_num.Interp.locate axis x
 
-let weight axis i x =
+let[@inline] weight axis i x =
   if Array.length axis = 1 then 0.0
   else (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i))
 
-let interpolate (values : float array array array) t i j k tx ty tz =
+let[@inline] interpolate (values : float array array array) t i j k tx ty tz =
   (* Clamp the upper corner onto singleton axes. *)
   let i1 = if i + 1 < Array.length t.sin_axis then i + 1 else i in
   let j1 = if j + 1 < Array.length t.cload_axis then j + 1 else j in

@@ -1,4 +1,4 @@
-let is_strictly_increasing axis =
+let is_strictly_increasing (axis : float array) =
   let n = Array.length axis in
   let ok = ref (n >= 1) in
   for i = 0 to n - 2 do
@@ -12,7 +12,7 @@ let check_axis name axis =
   if not (is_strictly_increasing axis) then
     invalid_arg (Printf.sprintf "Interp.%s: axis not strictly increasing" name)
 
-let locate axis x =
+let locate (axis : float array) (x : float) =
   check_axis "locate" axis;
   let n = Array.length axis in
   if x <= axis.(0) then 0

@@ -154,34 +154,27 @@ let input_edge ~at ~slew ~rises =
   let e = Some { at; slew } in
   if rises then { rise = e; fall = None } else { none with fall = e }
 
-let later a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some x, Some y -> if x.at >= y.at then Some x else Some y
-
 (* ------------------------------------------------------------------ *)
 (* Compiled graph: an immutable, int-indexed snapshot of the DAG built
-   once per analysis batch.  Pins are arrays, timing-arc candidates are
-   resolved up front (one [Arc.find] per distinct (cell, pin, edge)
-   instead of one per gate evaluation), net capacitance is frozen per
-   gate output, and gates are grouped into ASAP levels: every gate in a
-   level depends only on nets produced by strictly earlier levels, so a
-   level's gates can be evaluated in parallel. *)
-
-type cgate = {
-  c_cell : Cells.t;
-  c_pins : (string * net) array;
-  c_rise : Arc.t option array; (* per pin: arc producing a rising output *)
-  c_fall : Arc.t option array; (* per pin: arc producing a falling output *)
-  c_out : net;
-  c_load : float; (* total capacitance on [c_out] *)
-}
+   once per analysis batch.  Pins are flat arrays sliced per gate (CSR:
+   gate [gi]'s pins are [k_pin_off.(gi) .. k_pin_off.(gi + 1) - 1]),
+   timing-arc candidates are resolved up front (one [Arc.find] per
+   distinct (cell, pin, edge) instead of one per gate evaluation), net
+   capacitance is frozen per gate output, and gates are grouped into
+   ASAP levels: every gate in a level depends only on nets produced by
+   strictly earlier levels, so a level's gates can be evaluated in
+   parallel. *)
 
 type compiled = {
   k_vdd : float;
   k_names : string array;
   k_origins : int array; (* -1 = primary input, else gate index *)
-  k_gates : cgate array;
+  k_out : net array; (* per gate: output net *)
+  k_load : float array; (* per gate: total capacitance on its output *)
+  k_pin_off : int array; (* per gate, plus one: first pin of its slice *)
+  k_pin_net : net array; (* per pin: driver net *)
+  k_rise : Arc.t option array; (* per pin: arc producing a rising output *)
+  k_fall : Arc.t option array; (* per pin: arc producing a falling output *)
   k_levels : int array array; (* gate indices grouped by ASAP level *)
 }
 
@@ -207,19 +200,26 @@ let compile t =
       Hashtbl.add arcs key r;
       r
   in
-  let gates =
-    Array.init n_gates (fun gi ->
-        let g = t.gates.(gi) in
-        let pins = Array.of_list g.pins in
-        {
-          c_cell = g.cell;
-          c_pins = pins;
-          c_rise = Array.map (fun (pin, _) -> resolve g.cell pin Arc.Rise) pins;
-          c_fall = Array.map (fun (pin, _) -> resolve g.cell pin Arc.Fall) pins;
-          c_out = g.out;
-          c_load = net_cap t g.out;
-        })
-  in
+  let pin_off = Array.make (n_gates + 1) 0 in
+  for gi = 0 to n_gates - 1 do
+    pin_off.(gi + 1) <- pin_off.(gi) + List.length t.gates.(gi).pins
+  done;
+  let n_pins = pin_off.(n_gates) in
+  let pin_net = Array.make n_pins 0 in
+  let rise = Array.make n_pins None and fall = Array.make n_pins None in
+  (* Rise arcs of a gate before its fall arcs: the order in which arcs
+     are first resolved is the order their ids are interned. *)
+  for gi = 0 to n_gates - 1 do
+    let g = t.gates.(gi) and p0 = pin_off.(gi) in
+    List.iteri
+      (fun i (pin, n) ->
+        pin_net.(p0 + i) <- n;
+        rise.(p0 + i) <- resolve g.cell pin Arc.Rise)
+      g.pins;
+    List.iteri (fun i (pin, _) -> fall.(p0 + i) <- resolve g.cell pin Arc.Fall) g.pins
+  done;
+  let out = Array.init n_gates (fun gi -> t.gates.(gi).out) in
+  let load = Array.map (net_cap t) out in
   (* ASAP levelization: a gate's level is 1 + the deepest level among
      its driver nets (primary inputs sit at level 0).  Construction
      order is topological, so one forward sweep suffices. *)
@@ -227,14 +227,14 @@ let compile t =
   let gate_level = Array.make n_gates 0 in
   let max_level = ref 0 in
   for gi = 0 to n_gates - 1 do
-    let g = gates.(gi) in
     let deepest = ref 0 in
-    Array.iter
-      (fun (_, n) -> if net_level.(n) > !deepest then deepest := net_level.(n))
-      g.c_pins;
+    for p = pin_off.(gi) to pin_off.(gi + 1) - 1 do
+      let n = pin_net.(p) in
+      if net_level.(n) > !deepest then deepest := net_level.(n)
+    done;
     let lvl = !deepest + 1 in
     gate_level.(gi) <- lvl;
-    net_level.(g.c_out) <- lvl;
+    net_level.(out.(gi)) <- lvl;
     if lvl > !max_level then max_level := lvl
   done;
   let widths = Array.make (!max_level + 1) 0 in
@@ -251,12 +251,13 @@ let compile t =
     if Array.length levels > 0 then Array.sub levels 1 (Array.length levels - 1)
     else levels
   in
-  { k_vdd = t.vdd; k_names = names; k_origins = origins; k_gates = gates;
-    k_levels = levels }
+  { k_vdd = t.vdd; k_names = names; k_origins = origins; k_out = out;
+    k_load = load; k_pin_off = pin_off; k_pin_net = pin_net; k_rise = rise;
+    k_fall = fall; k_levels = levels }
 
 let compiled_nets k = Array.length k.k_names
 
-let compiled_gates k = Array.length k.k_gates
+let compiled_gates k = Array.length k.k_out
 
 let level_widths k = Array.map Array.length k.k_levels
 
@@ -264,16 +265,90 @@ let check_compiled_net k n =
   if n < 0 || n >= Array.length k.k_names then
     Slc_obs.Slc_error.invalid_input ~site:"Sdag" "unknown net"
 
-(* Shared forward pass over the compiled graph: arrivals for every net
-   plus, per gate, the candidate (driver, in_edge, out_edge, delay)
-   tuples actually used — needed by the backward required-time pass.
+(* The state of one forward pass, in flat arrays.  Per net: rise and
+   fall arrival time and slew, and a presence byte (bit 0 rise, bit 1
+   fall; a slot whose bit is clear holds no arrival).  Per gate: the
+   candidates it used — those whose driver edge arrived and whose arc
+   exists, the ones the backward required-time pass walks — in its CSR
+   slice of [driver]/[delay], two slots per pin starting at
+   [2 * k_pin_off.(gi)], [used.(gi)] of them filled. *)
+type pass = {
+  rise_at : float array;
+  rise_slew : float array;
+  fall_at : float array;
+  fall_slew : float array;
+  present : Bytes.t;
+  driver : net array;
+  delay : float array;
+  used : int array;
+}
 
-   Gates within a level are evaluated in parallel over the domain pool
-   (each gate writes only its own output-net arrival slot and its own
-   [used] slot, so slots never race).  Oracle queries are pure (and a
-   supplied cache publishes first-wins), so arrivals, [used] contents
-   and every downstream row are bitwise independent of the domain count
-   and identical to a sequential evaluation.
+let rise_bit = 1
+
+let fall_bit = 2
+
+let[@slc.hot] has st n bit = Char.code (Bytes.get st.present n) land bit <> 0
+
+let[@slc.hot] mark st n bit =
+  Bytes.set st.present n
+    (Char.unsafe_chr (Char.code (Bytes.get st.present n) lor bit))
+
+(* The one allocating step of a gate evaluation: the oracle takes a
+   point record and answers a boxed pair.  The slew and load are read
+   from their arrays here, so that no float is boxed to pass them. *)
+let[@slc.alloc_ok "Oracle.query takes a Harness.point and returns a boxed pair"] query
+    (oracle : Oracle.t) arc (slews : float array) driver k gi =
+  oracle.Oracle.query arc
+    { Harness.sin = slews.(driver); cload = k.k_load.(gi); vdd = k.k_vdd }
+
+(* One output edge of gate [gi]: every pin whose driver has the [src]
+   edge and whose arc in [arcs] exists is a candidate, and the latest
+   wins.  A candidate replaces the best so far iff
+   [not (best_at >= at)], so a NaN arrival replaces any best and is
+   replaced by the next candidate. *)
+let[@slc.hot] eval_edge k oracle st gi arcs ~src_at ~src_slew ~src_bit ~dst_at
+    ~dst_slew ~dst_bit =
+  let out = k.k_out.(gi) in
+  let slot = 2 * k.k_pin_off.(gi) in
+  for p = k.k_pin_off.(gi) to k.k_pin_off.(gi + 1) - 1 do
+    let driver = k.k_pin_net.(p) in
+    if has st driver src_bit then
+      match arcs.(p) with
+      | None -> ()
+      | Some arc ->
+        let d, s = query oracle arc src_slew driver k gi in
+        let u = st.used.(gi) in
+        st.driver.(slot + u) <- driver;
+        st.delay.(slot + u) <- d;
+        st.used.(gi) <- u + 1;
+        let at = src_at.(driver) +. d in
+        if not (has st out dst_bit && dst_at.(out) >= at) then begin
+          dst_at.(out) <- at;
+          dst_slew.(out) <- s;
+          mark st out dst_bit
+        end
+  done
+
+(* An input fall launches an output rise and vice versa (every built-in
+   cell is inverting). *)
+let[@slc.hot] eval_gate k oracle st gi =
+  eval_edge k oracle st gi k.k_rise ~src_at:st.fall_at ~src_slew:st.fall_slew
+    ~src_bit:fall_bit ~dst_at:st.rise_at ~dst_slew:st.rise_slew
+    ~dst_bit:rise_bit;
+  eval_edge k oracle st gi k.k_fall ~src_at:st.rise_at ~src_slew:st.rise_slew
+    ~src_bit:rise_bit ~dst_at:st.fall_at ~dst_slew:st.fall_slew
+    ~dst_bit:fall_bit
+
+(* Shared forward pass over the compiled graph: every net's arrivals
+   plus every gate's used candidates, all in one [pass] of flat arrays;
+   nothing is allocated per gate but the oracle's point and answer.
+
+   Gates within a level are evaluated in parallel over the domain pool.
+   Each gate writes only its own output net's slots and presence byte
+   and its own candidate slice, so slots never race.  Oracle queries
+   are pure (and a supplied cache publishes first-wins), so arrivals,
+   used candidates and every downstream row are bitwise independent of
+   the domain count and identical to a sequential evaluation.
 
    Queries go straight to the oracle unless the caller supplies a
    [?cache] that persists across passes.  Within a pass keys barely
@@ -287,53 +362,55 @@ let forward_compiled ?cache ?domains k (oracle : Oracle.t) ~input_arrivals =
     match cache with Some c -> Oracle.cached c oracle | None -> oracle
   in
   let n_nets = Array.length k.k_names in
-  let arrivals = Array.make n_nets none in
-  for n = 0 to n_nets - 1 do
-    if k.k_origins.(n) < 0 then arrivals.(n) <- input_arrivals k.k_names.(n)
-  done;
-  let gates = k.k_gates in
-  let used = Array.make (Array.length gates) [] in
-  let eval gi =
-    let g = gates.(gi) in
-    let cload = g.c_load in
-    let entries = ref [] in
-    let candidate_out arcs out_dir =
-      let input_rises =
-        match out_dir with Arc.Fall -> true | Arc.Rise -> false
-      in
-      let best = ref None in
-      Array.iteri
-        (fun pi (_, driver) ->
-          match at_edge arrivals.(driver) ~rises:input_rises with
-          | None -> ()
-          | Some e -> (
-            match arcs.(pi) with
-            | None -> ()
-            | Some arc ->
-              let point = { Harness.sin = e.slew; cload; vdd = k.k_vdd } in
-              let d, s = oracle.Oracle.query arc point in
-              entries := (driver, input_rises, out_dir, d) :: !entries;
-              best := later !best (Some { at = e.at +. d; slew = s })))
-        g.c_pins;
-      !best
-    in
-    let rise = candidate_out g.c_rise Arc.Rise in
-    let fall = candidate_out g.c_fall Arc.Fall in
-    arrivals.(g.c_out) <- { rise; fall };
-    used.(gi) <- !entries
+  let n_slots = 2 * Array.length k.k_pin_net in
+  let st =
+    {
+      rise_at = Array.make n_nets 0.0;
+      rise_slew = Array.make n_nets 0.0;
+      fall_at = Array.make n_nets 0.0;
+      fall_slew = Array.make n_nets 0.0;
+      present = Bytes.make n_nets '\000';
+      driver = Array.make n_slots 0;
+      delay = Array.make n_slots 0.0;
+      used = Array.make (Array.length k.k_out) 0;
+    }
   in
+  let set_edge n bit at slew = function
+    | None -> ()
+    | Some e ->
+      at.(n) <- e.at;
+      slew.(n) <- e.slew;
+      mark st n bit
+  in
+  for n = 0 to n_nets - 1 do
+    if k.k_origins.(n) < 0 then begin
+      let a = input_arrivals k.k_names.(n) in
+      set_edge n rise_bit st.rise_at st.rise_slew a.rise;
+      set_edge n fall_bit st.fall_at st.fall_slew a.fall
+    end
+  done;
+  let eval gi = eval_gate k oracle st gi in
   Array.iter
     (fun level ->
       if Array.length level < 2 then Array.iter eval level
       else ignore (Parallel.map ?domains eval level))
     k.k_levels;
-  (arrivals, used)
+  st
+
+let arrival_of st n =
+  let edge bit at slew =
+    if has st n bit then Some { at = at.(n); slew = slew.(n) } else None
+  in
+  {
+    rise = edge rise_bit st.rise_at st.rise_slew;
+    fall = edge fall_bit st.fall_at st.fall_slew;
+  }
 
 let arrivals_compiled ?cache ?domains k (oracle : Oracle.t) ~input_arrivals =
-  let arrivals, _ = forward_compiled ?cache ?domains k oracle ~input_arrivals in
+  let st = forward_compiled ?cache ?domains k oracle ~input_arrivals in
   fun target ->
     check_compiled_net k target;
-    arrivals.(target)
+    arrival_of st target
 
 let analyze ?cache ?domains t oracle ~input_arrivals target =
   check_net t target;
@@ -346,17 +423,9 @@ type slack_row = {
   slack : float;
 }
 
-let worst_arrival a =
-  match (a.rise, a.fall) with
-  | None, None -> None
-  | Some e, None | None, Some e -> Some e.at
-  | Some r, Some f -> Some (Float.max r.at f.at)
-
 let slack_report_compiled ?cache ?domains k oracle ~input_arrivals ~outputs =
   List.iter (fun (n, _) -> check_compiled_net k n) outputs;
-  let arrivals, used =
-    forward_compiled ?cache ?domains k oracle ~input_arrivals
-  in
+  let st = forward_compiled ?cache ?domains k oracle ~input_arrivals in
   let n_nets = Array.length k.k_names in
   let required = Array.make n_nets Float.infinity in
   List.iter (fun (n, r) -> required.(n) <- Float.min required.(n) r) outputs;
@@ -365,31 +434,48 @@ let slack_report_compiled ?cache ?domains k oracle ~input_arrivals ~outputs =
      launches.  [Float.min] over a gate's used candidates is
      order-insensitive, so the rows match the sequential reference no
      matter how the forward pass was scheduled. *)
-  let gates = k.k_gates in
-  for gi = Array.length gates - 1 downto 0 do
-    let g = gates.(gi) in
-    let r_out = required.(g.c_out) in
-    if r_out < Float.infinity then
-      List.iter
-        (fun (driver, _input_rises, _out_dir, d) ->
-          required.(driver) <- Float.min required.(driver) (r_out -. d))
-        used.(gi)
+  for gi = Array.length k.k_out - 1 downto 0 do
+    let r_out = required.(k.k_out.(gi)) in
+    if r_out < Float.infinity then begin
+      let slot = 2 * k.k_pin_off.(gi) in
+      for u = slot to slot + st.used.(gi) - 1 do
+        let driver = st.driver.(u) in
+        required.(driver) <- Float.min required.(driver) (r_out -. st.delay.(u))
+      done
+    end
   done;
-  let rows = ref [] in
-  for n = 0 to n_nets - 1 do
-    match worst_arrival arrivals.(n) with
-    | None -> ()
-    | Some at ->
-      rows :=
-        {
-          net_label = k.k_names.(n);
-          arrival_time = at;
-          required_time = required.(n);
-          slack = required.(n) -. at;
-        }
-        :: !rows
+  (* One row per net with an arrival: its worst (latest) edge and the
+     slack against its requirement.  The row indices are listed in
+     descending net order and stably sorted by slack, so equal slacks
+     come out highest net first. *)
+  let arrival = Array.make n_nets 0.0 and slack = Array.make n_nets 0.0 in
+  let order = Array.make n_nets 0 and n_rows = ref 0 in
+  for n = n_nets - 1 downto 0 do
+    let bits = Char.code (Bytes.get st.present n) in
+    if bits <> 0 then begin
+      let at =
+        if bits = rise_bit then st.rise_at.(n)
+        else if bits = fall_bit then st.fall_at.(n)
+        else Float.max st.rise_at.(n) st.fall_at.(n)
+      in
+      arrival.(n) <- at;
+      slack.(n) <- required.(n) -. at;
+      order.(!n_rows) <- n;
+      incr n_rows
+    end
   done;
-  List.sort (fun a b -> compare a.slack b.slack) !rows
+  let order = Array.sub order 0 !n_rows in
+  Array.stable_sort (fun a b -> Float.compare slack.(a) slack.(b)) order;
+  Array.fold_right
+    (fun n rows ->
+      {
+        net_label = k.k_names.(n);
+        arrival_time = arrival.(n);
+        required_time = required.(n);
+        slack = slack.(n);
+      }
+      :: rows)
+    order []
 
 let slack_report ?cache ?domains t oracle ~input_arrivals ~outputs =
   List.iter (fun (n, _) -> check_net t n) outputs;

@@ -746,6 +746,136 @@ let test_wire_cap_draw_finite () =
   Alcotest.(check bool) "clamp bound is finite" true
     (Float.is_finite (-.mean *. log Float.min_float))
 
+(* Slack-row order, pinned as the list-based pass produced it: rows
+   sort by slack, and equal slacks come out highest net index first.
+   Four inverters on x and three on y see identical loads and
+   requirements; y ties with the b* inverters, x does not tie with the
+   a* ones. *)
+let test_slack_tie_order () =
+  let dag = Sdag.create tech ~vdd in
+  let x = Sdag.input dag "x" in
+  let y = Sdag.input dag "y" in
+  let inverters src prefix n =
+    List.init n (fun i ->
+        Sdag.gate dag Cells.inv ~pins:[ ("A", src) ] (Printf.sprintf "%s%d" prefix i))
+  in
+  let a = inverters x "a" 4 in
+  let b = inverters y "b" 3 in
+  List.iter (fun n -> Sdag.set_load dag n 1e-15) (a @ b);
+  let outputs =
+    List.map (fun n -> (n, 1e-10)) a @ List.map (fun n -> (n, 2e-11)) b
+  in
+  let rows =
+    Sdag.slack_report dag synthetic_oracle ~input_arrivals:design_inputs ~outputs
+  in
+  let late = 4438053597939209164L in
+  let b_req = 4446738932783735957L and b_slack = 4445111041632075682L in
+  let a_req = 4457293557087583675L and a_slack = 4456886584299668606L in
+  let expected =
+    [
+      ("b2", late, b_req, b_slack);
+      ("b1", late, b_req, b_slack);
+      ("b0", late, b_req, b_slack);
+      ("y", 0L, b_slack, b_slack);
+      ("a3", late, a_req, a_slack);
+      ("a2", late, a_req, a_slack);
+      ("a1", late, a_req, a_slack);
+      ("a0", late, a_req, a_slack);
+      ("x", 0L, a_slack, a_slack);
+    ]
+  in
+  Alcotest.(check (list (pair string (list int64))))
+    "rows, bitwise, in order"
+    (List.map (fun (l, a, r, s) -> (l, [ a; r; s ])) expected)
+    (List.map (fun (l, a, r, s) -> (l, [ a; r; s ])) (row_bits rows))
+
+(* An oracle answering NaN delay for one arc (NAND2 pin B, rising
+   output).  A NaN candidate replaces any best arrival before it and is
+   replaced by any after it (g1 and g3 take it, g5 lists pin B first
+   and does not); the backward pass spreads NaN requirements to every
+   driver that launched it.  Rows pinned bit for bit as the list-based
+   pass produced them, NaN slacks first in descending net order. *)
+let test_slack_nan_arc () =
+  let nan_arc = Arc.find Cells.nand2 ~pin:"B" ~out_dir:Arc.Rise in
+  let oracle =
+    {
+      synthetic_oracle with
+      Oracle.query =
+        (fun arc p ->
+          let d, s = synthetic_oracle.Oracle.query arc p in
+          if Arc.id arc = Arc.id nan_arc then (Float.nan, s) else (d, s));
+    }
+  in
+  let dag = Sdag.create tech ~vdd in
+  let x = Sdag.input dag "x" in
+  let y = Sdag.input dag "y" in
+  let g1 = Sdag.gate dag Cells.nand2 ~pins:[ ("A", x); ("B", y) ] "g1" in
+  let g2 = Sdag.gate dag Cells.inv ~pins:[ ("A", g1) ] "g2" in
+  let g3 = Sdag.gate dag Cells.nand2 ~pins:[ ("A", g2); ("B", x) ] "g3" in
+  let g4 = Sdag.gate dag Cells.inv ~pins:[ ("A", y) ] "g4" in
+  let g5 = Sdag.gate dag Cells.nand2 ~pins:[ ("B", y); ("A", x) ] "g5" in
+  List.iter (fun n -> Sdag.set_load dag n 1e-15) [ g3; g4; g5 ];
+  let rows =
+    Sdag.slack_report dag oracle ~input_arrivals:design_inputs
+      ~outputs:[ (g3, 1e-10); (g4, 1e-10); (g5, 1e-10) ]
+  in
+  let nan = 9221120237041090561L and req = 4457293557087583675L in
+  let expected =
+    [
+      ("g3", nan, req, nan);
+      ("g2", nan, 4456930066943548505L, nan);
+      ("g1", nan, 4456599691695564219L, nan);
+      ("y", 0L, nan, nan);
+      ("x", 0L, nan, nan);
+      ("g5", 4438202150743923410L, req, 4456877299749373966L);
+      ("g4", 4438053597939209164L, req, 4456886584299668606L);
+    ]
+  in
+  Alcotest.(check (list (pair string (list int64))))
+    "rows, bitwise, in order"
+    (List.map (fun (l, a, r, s) -> (l, [ a; r; s ])) expected)
+    (List.map (fun (l, a, r, s) -> (l, [ a; r; s ])) (row_bits rows))
+
+(* Two candidates that arrive at the same time: the first in pin order
+   is kept (a later one replaces the best only when strictly later or
+   NaN).  Delay depends only on the point, slew also on the arc, so a
+   NAND2 with both pins on one net sees equal arrivals with different
+   slews; swapping its pin order swaps the winner.  Pinned bit for bit
+   as the list-based pass produced them. *)
+let test_equal_arrivals_keep_first () =
+  let oracle =
+    {
+      Oracle.label = "slew-by-arc";
+      query =
+        (fun arc (p : Harness.point) ->
+          let h = float_of_int (Hashtbl.hash (Arc.name arc) land 0xff) in
+          ( 1e-12 +. (0.4 *. p.Harness.sin),
+            2e-12 +. (1e-14 *. h) +. (400.0 *. p.Harness.cload) ));
+    }
+  in
+  let dag = Sdag.create tech ~vdd in
+  let x = Sdag.input dag "x" in
+  let ab = Sdag.gate dag Cells.nand2 ~pins:[ ("A", x); ("B", x) ] "ab" in
+  let ba = Sdag.gate dag Cells.nand2 ~pins:[ ("B", x); ("A", x) ] "ba" in
+  let bits net =
+    let a = Sdag.analyze dag oracle ~input_arrivals:design_inputs net in
+    List.map
+      (fun e ->
+        match e with
+        | None -> []
+        | Some e -> [ Int64.bits_of_float e.Sdag.at; Int64.bits_of_float e.Sdag.slew ])
+      [ a.Sdag.rise; a.Sdag.fall ]
+  in
+  let at = 4434466073940909850L in
+  Alcotest.(check (list (list int64)))
+    "A first"
+    [ [ at; 4435233596765266786L ]; [ at; 4435654496378623814L ] ]
+    (bits ab);
+  Alcotest.(check (list (list int64)))
+    "B first"
+    [ [ at; 4432138746667053335L ]; [ at; 4435109802761338248L ] ]
+    (bits ba)
+
 let test_compiled_structure () =
   let dag = Sdag.create tech ~vdd in
   let x = Sdag.input dag "x" in
@@ -1037,6 +1167,11 @@ let () =
       ( "compiled",
         [
           Alcotest.test_case "structure" `Quick test_compiled_structure;
+          Alcotest.test_case "equal slacks, highest net first" `Quick
+            test_slack_tie_order;
+          Alcotest.test_case "NaN arc rows (bitwise)" `Quick test_slack_nan_arc;
+          Alcotest.test_case "equal arrivals keep the first candidate" `Quick
+            test_equal_arrivals_keep_first;
           Alcotest.test_case "parallel parity (bitwise)" `Quick
             test_compiled_parallel_parity;
           Alcotest.test_case "sharded oracle cache" `Quick
