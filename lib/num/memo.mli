@@ -8,7 +8,7 @@
     ([Slc_ssta.Oracle.cache]), a flat float table whose hits must be
     cheap next to the table lookup they save; it keeps this discipline:
 
-    - look the key up under the shard's mutex and release it;
+    - look the key up under the table's mutex and release it;
     - on a miss, run the build {e outside} any lock (builds may run
       simulations through the worker pool and must not serialize on
       the table);
@@ -31,21 +31,16 @@
 type ('k, 'v) t
 
 val create :
-  ?shards:int ->
   ?counters:Slc_obs.Telemetry.counter * Slc_obs.Telemetry.counter ->
   unit ->
   ('k, 'v) t
-(** An empty table.  Keys are hashed and compared structurally.
-
-    [?shards] (default 1, rounded up to a power of two) splits the
-    table by key hash so concurrent callers contend on independent
-    locks; sharding never changes results.  [?counters] is a
-    [(hits, misses)] pair incremented on every lookup.  Raises
-    {!Slc_obs.Slc_error.Invalid_input} when [shards <= 0]. *)
+(** An empty table behind one mutex.  Keys are hashed and compared
+    structurally.  [?counters] is a [(hits, misses)] pair incremented
+    on every lookup. *)
 
 val find_or_build : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** [find_or_build t key build] is the value published for [key],
     running [build ()] first if there is none. *)
 
 val length : ('k, 'v) t -> int
-(** Number of published keys, summed over shards. *)
+(** Number of published keys. *)

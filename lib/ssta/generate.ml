@@ -51,9 +51,8 @@ let design ?(inputs = 32) ?(cells = default_cells) ?(mean_wire_cap = 0.5e-15)
     let cell = cells.(Rng.int r (Array.length cells)) in
     (* Drivers drawn uniformly over all nets created so far: expected
        depth grows logarithmically in the gate count, so big designs
-       come out wide and shallow — the interesting regime for levelized
-       parallel evaluation — with a skewed fanout distribution (early
-       nets accumulate the most sinks). *)
+       come out wide and shallow, with a skewed fanout distribution
+       (early nets accumulate the most sinks). *)
     let pins =
       List.map
         (fun pin ->

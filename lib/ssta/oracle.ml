@@ -11,9 +11,7 @@ type t = {
   label : string;
 }
 
-(* The per-oracle arc memo is queried concurrently: a levelized
-   parallel timing pass ([Sdag.forward_compiled]) calls [oracle.query]
-   from every pool domain on shard-cache misses, and the long-lived
+(* The per-oracle arc memo is queried concurrently: the long-lived
    characterization server answers many connections against one oracle
    value — hence a domain-safe [Memo], not a plain table. *)
 let of_predictors ~label build =
@@ -68,14 +66,13 @@ let of_simulator ?seed tech =
    query — the same pass re-run on a persistent cache, a served
    request repeated — can reuse the first answer.
 
-   The table is flat: per shard, one float array of 6-float slots
-   (arc id, sin, cload, vdd, td, sout) with linear probing.  A hit
-   hashes the arc id and the coordinates' bits, probes under the
-   shard's lock and reads two floats: it allocates only the returned
-   pair.  Keys compare coordinates by their bits, so the cache is
-   exact ([0.0] and [-0.0] are distinct keys) and answers are bitwise
-   the uncached oracle's.  The 16 shards are selected by key hash, so a
-   levelized parallel pass contends on independent locks.
+   The table is flat: one float array of 6-float slots (arc id, sin,
+   cload, vdd, td, sout) with linear probing, behind one lock.  A hit
+   hashes the arc id and the coordinates' bits, probes under the lock
+   and reads two floats: it allocates only the returned pair.  Keys
+   compare coordinates by their bits, so the cache is exact ([0.0] and
+   [-0.0] are distinct keys) and answers are bitwise the uncached
+   oracle's.
 
    This is the one cache that does not go through [Memo]: a [Memo] key
    is a boxed tuple hashed and compared structurally, and on the
@@ -83,29 +80,24 @@ let of_simulator ?seed tech =
    interpolation it saves.  The discipline is [Memo]'s — look up under
    the lock, build outside it, first publication wins. *)
 
-let n_shards = 16
-
 let slot = 6 (* floats per slot *)
 
 let empty = -1.0 (* arc-id field of a free slot *)
 
-type shard = {
+type cache = {
   lock : Mutex.t;
   mutable slots : float array; (* capacity * [slot]; capacity a power of two *)
   mutable count : int;
 }
 
-type cache = shard array
-
 let initial_capacity = 16
 
 let make_cache () =
-  Array.init n_shards (fun _ ->
-      {
-        lock = Mutex.create ();
-        slots = Array.make (initial_capacity * slot) empty;
-        count = 0;
-      })
+  {
+    lock = Mutex.create ();
+    slots = Array.make (initial_capacity * slot) empty;
+    count = 0;
+  }
 
 let[@slc.hot] [@inline] bits x = Int64.to_int (Int64.bits_of_float x)
 
@@ -113,8 +105,7 @@ let[@slc.hot] [@inline] mix h x =
   let h = (h lxor x) * 0x2545F4914F6CDD1D in
   h lxor (h lsr 29)
 
-(* Over the arc id and the coordinates' bits.  The low bits pick the
-   shard, the rest the home slot. *)
+(* Over the arc id and the coordinates' bits. *)
 let[@slc.hot] hash id (p : Harness.point) =
   mix
     (mix (mix (mix 0 id) (bits p.Harness.sin)) (bits p.Harness.cload))
@@ -142,14 +133,14 @@ let[@slc.hot] rec probe (slots : float array) mask i id
 let[@slc.hot] mask_of (slots : float array) = (Array.length slots / slot) - 1
 
 (* [probe] from the key's home slot in [slots]; the caller holds the
-   shard's lock. *)
+   cache's lock. *)
 let[@slc.hot] locate (slots : float array) h id p =
   let mask = mask_of slots in
-  probe slots mask ((h lsr 4) land mask) id p
+  probe slots mask (h land mask) id p
 
 (* Double the capacity and re-insert every key (under the lock). *)
-let grow s =
-  let old = s.slots in
+let grow c =
+  let old = c.slots in
   let slots = Array.make (2 * Array.length old) empty in
   for i = 0 to mask_of old do
     let b = i * slot in
@@ -161,39 +152,35 @@ let grow s =
       Array.blit old b slots (locate slots (hash id p) id p) slot
     end
   done;
-  s.slots <- slots
+  c.slots <- slots
 
 let cache_size c =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let n = s.count in
-      Mutex.unlock s.lock;
-      acc + n)
-    0 c
+  Mutex.lock c.lock;
+  let n = c.count in
+  Mutex.unlock c.lock;
+  n
 
 let cached c oracle =
   let query arc (p : Harness.point) =
     let id = Arc.id arc in
     let h = hash id p in
-    let s = c.(h land (n_shards - 1)) in
-    Mutex.lock s.lock;
-    let slots = s.slots in
+    Mutex.lock c.lock;
+    let slots = c.slots in
     let b = locate slots h id p in
     if slots.(b) <> empty then begin
       let r = (slots.(b + 4), slots.(b + 5)) in
-      Mutex.unlock s.lock;
+      Mutex.unlock c.lock;
       Telemetry.incr Telemetry.oracle_hits;
       r
     end
     else begin
-      Mutex.unlock s.lock;
+      Mutex.unlock c.lock;
       Telemetry.incr Telemetry.oracle_misses;
       let ((td, sout) as r) = oracle.query arc p in
-      Mutex.lock s.lock;
+      Mutex.lock c.lock;
       (* The table may have grown, or another caller published this key,
          while the lock was released: probe again. *)
-      let slots = s.slots in
+      let slots = c.slots in
       let b = locate slots h id p in
       let r =
         if slots.(b) <> empty then (slots.(b + 4), slots.(b + 5))
@@ -204,12 +191,12 @@ let cached c oracle =
           slots.(b + 3) <- p.Harness.vdd;
           slots.(b + 4) <- td;
           slots.(b + 5) <- sout;
-          s.count <- s.count + 1;
-          if 4 * s.count > 3 * (mask_of slots + 1) then grow s;
+          c.count <- c.count + 1;
+          if 4 * c.count > 3 * (mask_of slots + 1) then grow c;
           r
         end
       in
-      Mutex.unlock s.lock;
+      Mutex.unlock c.lock;
       r
     end
   in

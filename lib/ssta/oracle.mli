@@ -18,10 +18,10 @@ val of_predictors :
     the function is called once per distinct arc and memoized.
 
     The memo is an {!Slc_num.Memo}, so concurrent queries (the
-    levelized parallel timing pass, the characterization server) are
-    safe.  Builds must be deterministic — concurrent misses on the same
-    arc may build more than once, and every caller then sees the single
-    published value. *)
+    characterization server's connections) are safe.  Builds must be
+    deterministic — concurrent misses on the same arc may build more
+    than once, and every caller then sees the single published
+    value. *)
 
 val of_library : Slc_cell.Library.t -> t
 (** Backed by interpolated NLDM tables; raises [Not_found] when queried
@@ -80,12 +80,10 @@ val make_cache : unit -> cache
 (** An empty exact cache: keys are the arc ({!Slc_cell.Arc.id}) and the
     point's coordinates compared by their bits, so results are bitwise
     identical to the uncached oracle and [0.0] and [-0.0] are distinct
-    keys.  The table is flat — 16 shards, each one mutex and one
-    open-addressing [float array] of (arc, sin, cload, vdd, td, sout)
-    slots that starts small and doubles at 3/4 load — so a hit
-    allocates nothing but its returned pair.  Concurrent queries (a
-    levelized parallel timing pass) contend on independent shard locks;
-    sharding never changes results.
+    keys.  The table is flat — one mutex and one open-addressing
+    [float array] of (arc, sin, cload, vdd, td, sout) slots that starts
+    small and doubles at 3/4 load — so a hit allocates nothing but its
+    returned pair.
 
     Unlike the library's other caches this is not an {!Slc_num.Memo}:
     a boxed, structurally hashed key made a hit cost more than the

@@ -4,7 +4,6 @@ module Chain = Slc_cell.Chain
 module Equivalent = Slc_cell.Equivalent
 module Harness = Slc_cell.Harness
 module Tech = Slc_device.Tech
-module Parallel = Slc_num.Parallel
 
 type net = int
 
@@ -159,11 +158,9 @@ let input_edge ~at ~slew ~rises =
    once per analysis batch.  Pins are flat arrays sliced per gate (CSR:
    gate [gi]'s pins are [k_pin_off.(gi) .. k_pin_off.(gi + 1) - 1]),
    timing-arc candidates are resolved up front (one [Arc.find] per
-   distinct (cell, pin, edge) instead of one per gate evaluation), net
-   capacitance is frozen per gate output, and gates are grouped into
-   ASAP levels: every gate in a level depends only on nets produced by
-   strictly earlier levels, so a level's gates can be evaluated in
-   parallel. *)
+   distinct (cell, pin, edge) instead of one per gate evaluation), and
+   net capacitance is frozen per gate output.  Gates keep construction
+   order, which is topological: a pass times them in index order. *)
 
 type compiled = {
   k_vdd : float;
@@ -175,7 +172,6 @@ type compiled = {
   k_pin_net : net array; (* per pin: driver net *)
   k_rise : Arc.t option array; (* per pin: arc producing a rising output *)
   k_fall : Arc.t option array; (* per pin: arc producing a falling output *)
-  k_levels : int array array; (* gate indices grouped by ASAP level *)
 }
 
 let compile t =
@@ -220,46 +216,36 @@ let compile t =
   done;
   let out = Array.init n_gates (fun gi -> t.gates.(gi).out) in
   let load = Array.map (net_cap t) out in
-  (* ASAP levelization: a gate's level is 1 + the deepest level among
-     its driver nets (primary inputs sit at level 0).  Construction
-     order is topological, so one forward sweep suffices. *)
-  let net_level = Array.make n_nets 0 in
-  let gate_level = Array.make n_gates 0 in
-  let max_level = ref 0 in
-  for gi = 0 to n_gates - 1 do
-    let deepest = ref 0 in
-    for p = pin_off.(gi) to pin_off.(gi + 1) - 1 do
-      let n = pin_net.(p) in
-      if net_level.(n) > !deepest then deepest := net_level.(n)
-    done;
-    let lvl = !deepest + 1 in
-    gate_level.(gi) <- lvl;
-    net_level.(out.(gi)) <- lvl;
-    if lvl > !max_level then max_level := lvl
-  done;
-  let widths = Array.make (!max_level + 1) 0 in
-  Array.iter (fun lvl -> widths.(lvl) <- widths.(lvl) + 1) gate_level;
-  let levels = Array.init (!max_level + 1) (fun lvl -> Array.make widths.(lvl) 0) in
-  let filled = Array.make (!max_level + 1) 0 in
-  for gi = 0 to n_gates - 1 do
-    let lvl = gate_level.(gi) in
-    levels.(lvl).(filled.(lvl)) <- gi;
-    filled.(lvl) <- filled.(lvl) + 1
-  done;
-  (* Level 0 holds no gates; drop it so traversal touches gates only. *)
-  let levels =
-    if Array.length levels > 0 then Array.sub levels 1 (Array.length levels - 1)
-    else levels
-  in
   { k_vdd = t.vdd; k_names = names; k_origins = origins; k_out = out;
     k_load = load; k_pin_off = pin_off; k_pin_net = pin_net; k_rise = rise;
-    k_fall = fall; k_levels = levels }
+    k_fall = fall }
 
 let compiled_nets k = Array.length k.k_names
 
 let compiled_gates k = Array.length k.k_out
 
-let level_widths k = Array.map Array.length k.k_levels
+(* ASAP levels: a gate's level is 1 + the deepest level among its
+   driver nets (primary inputs sit at level 0).  Construction order is
+   topological, so one forward sweep suffices. *)
+let level_widths k =
+  let net_level = Array.make (Array.length k.k_names) 0 in
+  let max_level = ref 0 in
+  Array.iteri
+    (fun gi out ->
+      let deepest = ref 0 in
+      for p = k.k_pin_off.(gi) to k.k_pin_off.(gi + 1) - 1 do
+        deepest := max !deepest net_level.(k.k_pin_net.(p))
+      done;
+      net_level.(out) <- !deepest + 1;
+      max_level := max !max_level (!deepest + 1))
+    k.k_out;
+  let widths = Array.make !max_level 0 in
+  Array.iter
+    (fun out ->
+      let l = net_level.(out) - 1 in
+      widths.(l) <- widths.(l) + 1)
+    k.k_out;
+  widths
 
 let check_compiled_net k n =
   if n < 0 || n >= Array.length k.k_names then
@@ -343,12 +329,9 @@ let[@slc.hot] eval_gate k oracle st gi =
    plus every gate's used candidates, all in one [pass] of flat arrays;
    nothing is allocated per gate but the oracle's point and answer.
 
-   Gates within a level are evaluated in parallel over the domain pool.
-   Each gate writes only its own output net's slots and presence byte
-   and its own candidate slice, so slots never race.  Oracle queries
-   are pure (and a supplied cache publishes first-wins), so arrivals,
-   used candidates and every downstream row are bitwise independent of
-   the domain count and identical to a sequential evaluation.
+   One loop over the gates in construction order, on the caller's
+   thread: every driver net is final before the gates it feeds are
+   timed.
 
    Queries go straight to the oracle unless the caller supplies a
    [?cache] that persists across passes.  Within a pass keys barely
@@ -357,7 +340,7 @@ let[@slc.hot] eval_gate k oracle st gi =
    design misses on every query of a cold pass) — so a per-pass cache
    costs more than it saves; a persistent one is what turns a repeated
    pass into hits. *)
-let forward_compiled ?cache ?domains k (oracle : Oracle.t) ~input_arrivals =
+let forward_compiled ?cache k (oracle : Oracle.t) ~input_arrivals =
   let oracle =
     match cache with Some c -> Oracle.cached c oracle | None -> oracle
   in
@@ -389,12 +372,9 @@ let forward_compiled ?cache ?domains k (oracle : Oracle.t) ~input_arrivals =
       set_edge n fall_bit st.fall_at st.fall_slew a.fall
     end
   done;
-  let eval gi = eval_gate k oracle st gi in
-  Array.iter
-    (fun level ->
-      if Array.length level < 2 then Array.iter eval level
-      else ignore (Parallel.map ?domains eval level))
-    k.k_levels;
+  for gi = 0 to Array.length k.k_out - 1 do
+    eval_gate k oracle st gi
+  done;
   st
 
 let arrival_of st n =
@@ -406,15 +386,15 @@ let arrival_of st n =
     fall = edge fall_bit st.fall_at st.fall_slew;
   }
 
-let arrivals_compiled ?cache ?domains k (oracle : Oracle.t) ~input_arrivals =
-  let st = forward_compiled ?cache ?domains k oracle ~input_arrivals in
+let arrivals_compiled ?cache k (oracle : Oracle.t) ~input_arrivals =
+  let st = forward_compiled ?cache k oracle ~input_arrivals in
   fun target ->
     check_compiled_net k target;
     arrival_of st target
 
-let analyze ?cache ?domains t oracle ~input_arrivals target =
+let analyze ?cache t oracle ~input_arrivals target =
   check_net t target;
-  arrivals_compiled ?cache ?domains (compile t) oracle ~input_arrivals target
+  arrivals_compiled ?cache (compile t) oracle ~input_arrivals target
 
 type slack_row = {
   net_label : string;
@@ -423,17 +403,15 @@ type slack_row = {
   slack : float;
 }
 
-let slack_report_compiled ?cache ?domains k oracle ~input_arrivals ~outputs =
+let slack_report_compiled ?cache k oracle ~input_arrivals ~outputs =
   List.iter (fun (n, _) -> check_compiled_net k n) outputs;
-  let st = forward_compiled ?cache ?domains k oracle ~input_arrivals in
+  let st = forward_compiled ?cache k oracle ~input_arrivals in
   let n_nets = Array.length k.k_names in
   let required = Array.make n_nets Float.infinity in
   List.iter (fun (n, r) -> required.(n) <- Float.min required.(n) r) outputs;
   (* Backward over gates in reverse construction (reverse topological)
      order: a driver must arrive early enough for every timing arc it
-     launches.  [Float.min] over a gate's used candidates is
-     order-insensitive, so the rows match the sequential reference no
-     matter how the forward pass was scheduled. *)
+     launches. *)
   for gi = Array.length k.k_out - 1 downto 0 do
     let r_out = required.(k.k_out.(gi)) in
     if r_out < Float.infinity then begin
@@ -477,7 +455,7 @@ let slack_report_compiled ?cache ?domains k oracle ~input_arrivals ~outputs =
       :: rows)
     order []
 
-let slack_report ?cache ?domains t oracle ~input_arrivals ~outputs =
+let slack_report ?cache t oracle ~input_arrivals ~outputs =
   List.iter (fun (n, _) -> check_net t n) outputs;
-  slack_report_compiled ?cache ?domains (compile t) oracle ~input_arrivals
+  slack_report_compiled ?cache (compile t) oracle ~input_arrivals
     ~outputs

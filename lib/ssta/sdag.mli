@@ -15,12 +15,9 @@
 
     For repeated or large analyses, {!compile} snapshots the builder
     into an immutable {!compiled} graph: int-indexed pin arrays,
-    pre-resolved timing-arc candidates, frozen per-output loads, and an
-    ASAP levelization that lets each level's gates be timed in parallel
-    over the {!Slc_num.Parallel} domain pool.  Parallel evaluation is
-    bitwise identical to sequential ([Parallel.sequential]) evaluation:
-    gates write disjoint result slots, oracle queries are pure, and a
-    supplied {!Oracle.cache} publishes first-wins. *)
+    pre-resolved timing-arc candidates and frozen per-output loads.  A
+    pass times the gates in one loop, in construction order, on the
+    caller's thread. *)
 
 type t
 
@@ -60,7 +57,6 @@ type arrival = { rise : edge_arrival option; fall : edge_arrival option }
 
 val analyze :
   ?cache:Oracle.cache ->
-  ?domains:int ->
   t ->
   Oracle.t ->
   input_arrivals:(string -> arrival) ->
@@ -77,13 +73,11 @@ val analyze :
     no oracle queries).  Within one pass a key repeats only where two
     gates of one cell see the same input slew and output load; pass a
     cache when the oracle is expensive per query (e.g.
-    {!Oracle.of_simulator}) or the same graph is timed more than once.  Results are bitwise identical either
-    way.
+    {!Oracle.of_simulator}) or the same graph is timed more than once.
+    Results are bitwise identical either way.
 
-    [?domains] sizes the per-level parallel evaluation (default: the
-    {!Slc_num.Parallel} pool default).  Results are bitwise independent
-    of the domain count.  Compiles the graph internally; hot callers
-    should {!compile} once and use {!arrivals_compiled}. *)
+    Compiles the graph internally; hot callers should {!compile} once
+    and use {!arrivals_compiled}. *)
 
 type slack_row = {
   net_label : string;
@@ -94,7 +88,6 @@ type slack_row = {
 
 val slack_report :
   ?cache:Oracle.cache ->
-  ?domains:int ->
   t ->
   Oracle.t ->
   input_arrivals:(string -> arrival) ->
@@ -127,8 +120,7 @@ val input_edge : at:float -> slew:float -> rises:bool -> arrival
 
     An immutable snapshot of the DAG, built once and reused across
     passes.  Compilation resolves each distinct (cell, pin, edge)
-    timing arc once, freezes every output net's total load, and groups
-    gates into ASAP levels for parallel evaluation. *)
+    timing arc once and freezes every output net's total load. *)
 
 type compiled
 
@@ -142,12 +134,11 @@ val compiled_nets : compiled -> int
 val compiled_gates : compiled -> int
 
 val level_widths : compiled -> int array
-(** Gates per ASAP level, in level order — the available parallelism
-    profile of the design. *)
+(** Gates per ASAP level, in level order: the depth and width profile
+    of the design, computed on each call from the pin arrays. *)
 
 val arrivals_compiled :
   ?cache:Oracle.cache ->
-  ?domains:int ->
   compiled ->
   Oracle.t ->
   input_arrivals:(string -> arrival) ->
@@ -158,7 +149,6 @@ val arrivals_compiled :
 
 val slack_report_compiled :
   ?cache:Oracle.cache ->
-  ?domains:int ->
   compiled ->
   Oracle.t ->
   input_arrivals:(string -> arrival) ->

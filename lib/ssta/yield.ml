@@ -31,6 +31,7 @@ let of_delays ~clock_period delays =
 
 let of_dag ~population ~seeds ~clock_period dag ~input_arrivals ~outputs =
   let module Statistical = Slc_core.Statistical in
+  (* A plain table: each pass runs on the caller's thread. *)
   let table : (string, Statistical.population) Hashtbl.t = Hashtbl.create 8 in
   let pop_of arc =
     let key = Slc_cell.Arc.name arc in

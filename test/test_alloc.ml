@@ -192,8 +192,8 @@ let test_library_query_allocation () =
    cons per net).  The budget is the measured 54.8 words per gate plus
    10%; the list-based pass measured 189.  Per-gate closures, candidate
    lists or option arrival records put back cost tens of words per gate
-   each.  [Parallel.sequential]: [Gc.minor_words] counts only the
-   calling domain. *)
+   each.  The pass runs on the calling domain, the one
+   [Gc.minor_words] counts. *)
 let ssta_budget_words = 60.3
 
 let test_warm_slack_report_allocation () =
@@ -215,9 +215,8 @@ let test_warm_slack_report_allocation () =
   let outputs = Generate.required d 1e-9 in
   let input_arrivals _ = Generate.both_edges ~at:0.0 ~slew:5e-12 in
   let pass () =
-    Slc_num.Parallel.sequential (fun () ->
-        Sdag.slack_report_compiled ~cache d.Generate.compiled oracle
-          ~input_arrivals ~outputs)
+    Sdag.slack_report_compiled ~cache d.Generate.compiled oracle
+      ~input_arrivals ~outputs
   in
   ignore (pass ());
   ignore (pass ());

@@ -644,19 +644,6 @@ let test_memo_failed_build_not_cached () =
     (Memo.find_or_build memo "k" (fun () -> 8));
   Alcotest.(check int) "one entry" 1 (Memo.length memo)
 
-let test_memo_shards () =
-  let memo = Memo.create ~shards:16 () in
-  for i = 1 to 100 do
-    ignore (Memo.find_or_build memo i (fun () -> i * i))
-  done;
-  Alcotest.(check int) "sizes sum across shards" 100 (Memo.length memo);
-  Alcotest.(check int) "hit returns the published value" 49
-    (Memo.find_or_build memo 7 (fun () -> 0));
-  Alcotest.check_raises "bad shards"
-    (Slc_obs.Slc_error.Invalid_input
-       (Slc_obs.Slc_error.invalid ~site:"Memo.create" "shards <= 0"))
-    (fun () -> ignore (Memo.create ~shards:0 ()))
-
 let test_memo_counters () =
   let module T = Slc_obs.Telemetry in
   let was_on = T.on () in
@@ -778,7 +765,6 @@ let () =
             test_memo_concurrent_misses;
           Alcotest.test_case "failed build not cached" `Quick
             test_memo_failed_build_not_cached;
-          Alcotest.test_case "shards sum in length" `Quick test_memo_shards;
           Alcotest.test_case "hit/miss counters" `Quick test_memo_counters;
         ] );
     ]

@@ -174,12 +174,11 @@ let test_oracle_query_cache () =
     && Int64.bits_of_float s0 = Int64.bits_of_float su)
 
 (* Regression for the per-arc memo data race: every predictor-backed
-   oracle memoizes per arc in one table, and a levelized parallel
-   forward pass queries it from every pool domain at once on shard-cache
-   misses (as does the characterization server from its connection
-   threads).  The unguarded Hashtbl this memo used to be is a racing
-   write TSan flags; hammer a cold memo from a deliberately
-   oversubscribed parallel map and check the published answers are the
+   oracle memoizes per arc in one table, and concurrent callers (the
+   characterization server's connection threads) query it at once.
+   The unguarded Hashtbl this memo used to be is a racing write TSan
+   flags; hammer a cold memo from a deliberately oversubscribed
+   parallel map and check the published answers are the
    deterministic build values, that at least one build ran per arc, and
    that the memo really memoizes once warm (concurrent-miss losers are
    allowed — first publication wins — but a warm table must not build
@@ -900,42 +899,76 @@ let test_compiled_structure () =
   Alcotest.(check bool) "explicit load included" true
     (Sdag.net_cap dag out = 2e-15)
 
-let test_compiled_parallel_parity () =
+let test_compiled_paths_agree () =
   let d = Generate.design tech ~vdd ~seed:5 ~gates:600 in
   let outputs = Generate.required d 1e-9 in
-  let report ?cache ?domains () =
-    Sdag.slack_report_compiled ?cache ?domains d.Generate.compiled
-      synthetic_oracle ~input_arrivals:design_inputs ~outputs
+  let report ?cache () =
+    Sdag.slack_report_compiled ?cache d.Generate.compiled synthetic_oracle
+      ~input_arrivals:design_inputs ~outputs
   in
-  (* Reference: the pool disabled outright, not just one domain. *)
-  let reference =
-    Slc_num.Parallel.sequential (fun () -> row_bits (report ()))
-  in
-  List.iter
-    (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%d domains bitwise equals sequential" domains)
-        true
-        (row_bits (report ~domains ()) = reference))
-    [ 1; 2; 4; 8 ];
+  let reference = row_bits (report ()) in
   (* The builder-level entry point compiles internally and agrees. *)
   let legacy =
-    Sdag.slack_report ~domains:2 d.Generate.dag synthetic_oracle
+    Sdag.slack_report d.Generate.dag synthetic_oracle
       ~input_arrivals:design_inputs ~outputs
   in
   Alcotest.(check bool) "builder path agrees" true
     (row_bits legacy = reference);
   (* A shared persistent cache changes nothing across repeated passes. *)
   let c = Oracle.make_cache () in
-  let warm1 = row_bits (report ~cache:c ~domains:4 ()) in
-  let warm2 = row_bits (report ~cache:c ~domains:4 ()) in
+  let warm1 = row_bits (report ~cache:c ()) in
+  let warm2 = row_bits (report ~cache:c ()) in
   Alcotest.(check bool) "cached passes bitwise stable" true
     (warm1 = reference && warm2 = reference)
 
+(* A pass queries a fresh predictor-backed oracle from one thread, so
+   every arc is trained exactly once: the build is widened so that two
+   first queries of one arc from different domains would overlap in
+   it, and a duplicate build shows in the count. *)
+let test_pass_builds_each_arc_once () =
+  List.iter
+    (fun seed ->
+      let d = Generate.design tech ~vdd ~seed ~gates:600 in
+      let builds = Atomic.make 0 in
+      let oracle =
+        Oracle.of_predictors ~label:"counted" (fun arc ->
+            Atomic.incr builds;
+            let spin = ref 0 in
+            for _ = 1 to 50_000 do
+              incr spin
+            done;
+            ignore (Sys.opaque_identity !spin);
+            let answer p = synthetic_oracle.Oracle.query arc p in
+            {
+              Char_flow.label = "synthetic";
+              train_cost = 0;
+              model = Char_flow.Opaque;
+              predict_td = (fun p -> fst (answer p));
+              predict_sout = (fun p -> snd (answer p));
+            })
+      in
+      let arcs = Slc_num.Memo.create () in
+      let counted =
+        {
+          oracle with
+          Oracle.query =
+            (fun arc p ->
+              Slc_num.Memo.find_or_build arcs (Arc.name arc) ignore;
+              oracle.Oracle.query arc p);
+        }
+      in
+      ignore
+        (Sdag.slack_report_compiled d.Generate.compiled counted
+           ~input_arrivals:design_inputs ~outputs:(Generate.required d 1e-9));
+      Alcotest.(check int)
+        (Printf.sprintf "design %d: one build per distinct arc" seed)
+        (Slc_num.Memo.length arcs) (Atomic.get builds))
+    (List.init 20 Fun.id)
+
 let test_large_design_completes () =
   (* 100k gates: forward + backward + report end to end.  Exercises the
-     levelized traversal at scale; the closed-form oracle keeps it at
-     graph-engine cost only. *)
+     flat pass at scale; the closed-form oracle keeps it at graph-engine
+     cost only. *)
   let d = Generate.design tech ~vdd ~seed:3 ~gates:100_000 in
   let k = d.Generate.compiled in
   Alcotest.(check int) "all gates placed" 100_000 (Sdag.compiled_gates k);
@@ -945,7 +978,7 @@ let test_large_design_completes () =
   Alcotest.(check int) "levels partition the gates" 100_000
     (Array.fold_left ( + ) 0 widths);
   let rows =
-    Sdag.slack_report_compiled ~domains:4 k synthetic_oracle
+    Sdag.slack_report_compiled k synthetic_oracle
       ~input_arrivals:design_inputs ~outputs:(Generate.required d 1e-9)
   in
   Alcotest.(check int) "one row per net" (Sdag.compiled_nets k)
@@ -956,7 +989,7 @@ let test_large_design_completes () =
         Alcotest.fail "non-finite arrival")
     rows
 
-let test_oracle_cache_shards () =
+let test_oracle_cache_growth () =
   let calls = ref 0 in
   let counted =
     {
@@ -974,13 +1007,13 @@ let test_oracle_cache_shards () =
   let d0, s0 = w.Oracle.query arc p in
   let d1, s1 = w.Oracle.query arc p in
   Alcotest.(check int) "one underlying query" 1 !calls;
-  Alcotest.(check int) "one entry across shards" 1 (Oracle.cache_size c);
+  Alcotest.(check int) "one entry" 1 (Oracle.cache_size c);
   Alcotest.(check bool) "hit is bitwise" true
     (Int64.bits_of_float d0 = Int64.bits_of_float d1
     && Int64.bits_of_float s0 = Int64.bits_of_float s1);
-  (* Distinct points land in different shards, and each shard's table
-     grows from a small one through several doublings: every point is
-     queried once, the sizes sum, and a second sweep hits bitwise. *)
+  (* The table grows from a small one through several doublings:
+     every point is queried once, each is one entry, and a second sweep
+     hits bitwise. *)
   let arcs = [| arc; Arc.find Cells.nand2 ~pin:"B" ~out_dir:Arc.Rise |] in
   let n = 10_000 in
   let point i =
@@ -990,7 +1023,7 @@ let test_oracle_cache_shards () =
   let query i = w.Oracle.query arcs.((i / 50) mod 2) (point i) in
   let first = Array.init n query in
   Alcotest.(check int) "one underlying query per point" (n + 1) !calls;
-  Alcotest.(check int) "sizes sum across shards" (n + 1) (Oracle.cache_size c);
+  Alcotest.(check int) "one entry per point" (n + 1) (Oracle.cache_size c);
   let bits (d, s) = (Int64.bits_of_float d, Int64.bits_of_float s) in
   for i = 0 to n - 1 do
     if bits (query i) <> bits first.(i) then
@@ -1172,10 +1205,12 @@ let () =
           Alcotest.test_case "NaN arc rows (bitwise)" `Quick test_slack_nan_arc;
           Alcotest.test_case "equal arrivals keep the first candidate" `Quick
             test_equal_arrivals_keep_first;
-          Alcotest.test_case "parallel parity (bitwise)" `Quick
-            test_compiled_parallel_parity;
-          Alcotest.test_case "sharded oracle cache" `Quick
-            test_oracle_cache_shards;
+          Alcotest.test_case "builder and cached passes agree (bitwise)"
+            `Quick test_compiled_paths_agree;
+          Alcotest.test_case "a pass builds each arc once" `Quick
+            test_pass_builds_each_arc_once;
+          Alcotest.test_case "oracle cache growth" `Quick
+            test_oracle_cache_growth;
           Alcotest.test_case "oracle cache keeps -0.0 apart" `Quick
             test_oracle_cache_signed_zero;
           Alcotest.test_case "oracle cache concurrent publication" `Quick
