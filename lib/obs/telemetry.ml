@@ -80,6 +80,8 @@ let store_checkpoints = make_counter "store_checkpoints"
 
 let store_resumed_seeds = make_counter "store_resumed_seeds"
 
+let store_checkpoint_bytes = make_counter "store_checkpoint_bytes"
+
 let degraded_seeds = make_counter "degraded_seeds"
 
 let failed_seeds = make_counter "failed_seeds"

@@ -100,7 +100,12 @@ val store_misses : counter
     and written). *)
 
 val store_checkpoints : counter
-(** Checkpoint files written during statistical extraction. *)
+(** Checkpoint records (one per batch) appended during statistical
+    extraction. *)
+
+val store_checkpoint_bytes : counter
+(** Bytes written to checkpoint logs: each header, each appended batch
+    record, and any intact prefix rewritten on resume. *)
 
 val store_resumed_seeds : counter
 (** Seeds whose fits were recovered from a checkpoint instead of

@@ -1,7 +1,8 @@
 (* Persistent content-addressed characterization store.  See store.mli
    and docs/store.md for the contract; the short version: line-oriented
    text artifacts under <root>/{priors,predictors,libraries,populations},
-   exact hex floats, atomic temp+rename writes, MD5 content keys. *)
+   exact hex floats, atomic temp+rename writes, append-only checkpoint
+   logs, MD5 content keys. *)
 
 module Err = Slc_obs.Slc_error
 module Tel = Slc_obs.Telemetry
@@ -45,7 +46,8 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* The one translation of a malformed final artifact: every reader
    raises [Line_reader.Malformed], which leaves this module as
-   [Store_failed Store_corrupt].  (Checkpoints are discarded instead.) *)
+   [Store_failed Store_corrupt].  (Damaged checkpoint records are
+   dropped instead.) *)
 let read_artifact path parse =
   try parse (read_file path)
   with R.Malformed m -> Err.raise_store_failed ~path ~kind:Err.Store_corrupt m
@@ -481,46 +483,90 @@ let load_population ~key ~method_ ~tech ~arc ~seeds path =
   R.finish c;
   Statistical.assemble ~method_ ~seeds ~predictors ~status ~train_cost
 
-let ckpt_to_string ~key ~nseeds ~cost (entries : (int * pop_entry) list) =
-  let b = Buffer.create 8192 in
-  Printf.bprintf b "slc-pop-ckpt %d\n" format_version;
-  Printf.bprintf b "key %s\n" key;
-  Printf.bprintf b "nseeds %d\n" nseeds;
-  Printf.bprintf b "cost %d\n" cost;
-  Printf.bprintf b "ndone %d\n" (List.length entries);
-  List.iter (fun (i, e) -> entry_to_buffer b i e) entries;
-  Buffer.add_string b "end\n";
-  Buffer.contents b
+(* A checkpoint is an append-only log: a header written once,
+   atomically, then one record per finished batch,
 
-(* A checkpoint that cannot be read, or that belongs to a different key
-   or seed set, only costs recompute — discard it silently. *)
-let load_checkpoint ~key ~tech ~arc ~seeds path =
-  if not (Sys.file_exists path) then None
-  else
-    try
-      let c = R.of_string (read_file path) in
-      (match R.expect c "slc-pop-ckpt" with
-      | [ v ] when R.int v = format_version -> ()
-      | _ -> fail "bad checkpoint header");
-      (match R.expect c "key" with
-      | [ k ] when String.equal k key -> ()
-      | _ -> fail "checkpoint key mismatch");
-      let n = count c "nseeds" in
-      if n <> Array.length seeds then fail "seed count mismatch";
-      let cost = count c "cost" in
-      let ndone = count c "ndone" in
-      let entries = ref [] in
-      for _ = 1 to ndone do
-        let i, st, pred = parse_entry c in
-        if i >= n then fail "entry index out of range";
-        entries :=
-          (i, { e_pred = rebuild_pred ~tech ~arc ~seed:seeds.(i) pred; e_status = st })
-          :: !entries
-      done;
-      (match R.fields (R.next c) with [ "end" ] -> () | _ -> fail "missing end");
-      R.finish c;
-      Some (List.rev !entries, cost)
-    with R.Malformed _ | Sys_error _ -> None
+     record <nbytes> <md5> <cost>
+     <nbytes bytes: the batch's entry blocks, in seed order>
+
+   where <cost> is the batch's simulator runs and <md5> digests the
+   cost, a newline and the body, so a torn or flipped record is caught
+   whichever byte it hits. *)
+
+let log_header ~key ~nseeds =
+  Printf.sprintf "slc-pop-log %d\nkey %s\nnseeds %d\n" format_version key nseeds
+
+let record_digest ~cost body = digest (string_of_int cost ^ "\n" ^ body)
+
+let record_to_string ~cost body =
+  Printf.sprintf "record %d %s %d\n%s" (String.length body)
+    (record_digest ~cost body) cost body
+
+(* The record starting at byte [pos] of [text]: its end offset, cost and
+   entries.  [None] when it is short, fails its digest or fails to
+   parse. *)
+let read_record ~tech ~arc ~seeds text pos =
+  try
+    let eol =
+      match String.index_from_opt text pos '\n' with
+      | Some eol -> eol
+      | None -> fail "short record line"
+    in
+    match R.fields (String.sub text pos (eol - pos)) with
+    | [ "record"; nbytes; md5; cost ] ->
+      let nbytes = R.int nbytes and cost = R.int cost in
+      if nbytes > String.length text - eol - 1 then fail "short record";
+      let body = String.sub text (eol + 1) nbytes in
+      if not (String.equal (record_digest ~cost body) md5) then
+        fail "record digest mismatch";
+      let c = R.of_string body in
+      let rec entries acc =
+        if R.peek c = None then List.rev acc
+        else
+          let i, st, pred = parse_entry c in
+          if i >= Array.length seeds then fail "entry index out of range";
+          entries
+            ((i, { e_pred = rebuild_pred ~tech ~arc ~seed:seeds.(i) pred; e_status = st })
+            :: acc)
+      in
+      Some (eol + 1 + nbytes, cost, entries [])
+    | _ -> fail "bad record line"
+  with R.Malformed _ -> None
+
+(* Resumes the checkpoint at [path]: the entries (by seed index) and
+   total cost of every intact record up to the first damaged one.  A
+   record whose seeds are already resumed is skipped whole (two
+   extractions of one key appended the same batch), so no cost is
+   counted twice.  A missing header — no checkpoint, an older format,
+   another key or seed count — resumes nothing: a checkpoint only ever
+   costs recompute.  On return the file holds exactly the header and
+   the intact records, rewritten once if anything was dropped. *)
+let resume_checkpoint ~key ~tech ~arc ~seeds path =
+  let n = Array.length seeds in
+  let header = log_header ~key ~nseeds:n in
+  let text = try read_file path with Sys_error _ -> "" in
+  let entries = Array.make n None in
+  let cost = ref 0 in
+  let rec records pos =
+    match read_record ~tech ~arc ~seeds text pos with
+    | None -> pos
+    | Some (next, c, es) ->
+      if List.for_all (fun (i, _) -> Option.is_none entries.(i)) es then begin
+        List.iter (fun (i, e) -> entries.(i) <- Some e) es;
+        cost := !cost + c
+      end;
+      records next
+  in
+  let intact =
+    if String.starts_with ~prefix:header text then records (String.length header)
+    else 0
+  in
+  if intact = 0 || intact < String.length text then begin
+    let kept = if intact = 0 then header else String.sub text 0 intact in
+    write_atomic path kept;
+    Tel.add Tel.store_checkpoint_bytes (String.length kept)
+  end;
+  (entries, !cost)
 
 (* ---------------------------------------------------------------- *)
 (* Store-backed statistical extraction                              *)
@@ -539,17 +585,6 @@ let chunk size lst =
       else go acc (x :: cur) (k + 1) rest
   in
   go [] [] 0 lst
-
-(* Checkpoint entries in seed order.  Iterating the index domain
-   directly — rather than folding over the table and sorting — keeps
-   the serialization trivially independent of Hashtbl's iteration
-   order: the checkpoint bytes are part of the resume-equals-fresh
-   contract, and the linter's determinism rule (R7) flags any
-   [Hashtbl.fold] on such a path. *)
-let sorted_entries ~n tbl =
-  List.filter_map
-    (fun i -> Option.map (fun e -> (i, e)) (Hashtbl.find_opt tbl i))
-    (List.init n Fun.id)
 
 let extract_population ?min_points ?(batch_size = 4)
     ?(after_batch = fun (_ : int) -> ()) ~store ~method_ ~design ~tech ~arc
@@ -570,56 +605,67 @@ let extract_population ?min_points ?(batch_size = 4)
   else begin
     Tel.incr Tel.store_misses;
     let ckpt = ckpt_path store key in
-    let tbl = Hashtbl.create 64 in
-    let cost = ref 0 in
-    (match load_checkpoint ~key ~tech ~arc ~seeds ckpt with
-    | Some (entries, c0) ->
-      List.iter (fun (i, e) -> Hashtbl.replace tbl i e) entries;
-      cost := c0;
-      Tel.add Tel.store_resumed_seeds (List.length entries)
-    | None -> ());
-    let resumed = Hashtbl.length tbl in
+    let entries, cost0 = resume_checkpoint ~key ~tech ~arc ~seeds ckpt in
     let n = Array.length seeds in
-    let missing = List.filter (fun i -> not (Hashtbl.mem tbl i)) (List.init n Fun.id) in
-    let nbatches = ref 0 in
-    List.iter
-      (fun batch ->
-        let sub = Array.of_list (List.map (fun i -> seeds.(i)) batch) in
-        let before = Harness.sim_count () in
-        let sm =
-          Statistical.extract_seed_models ~min_points:min_points_v ~design
-            ~method_ ~tech ~arc ~seeds:sub ~budget ()
-        in
-        cost := !cost + (Harness.sim_count () - before);
+    let missing = List.filter (fun i -> Option.is_none entries.(i)) (List.init n Fun.id) in
+    let resumed = n - List.length missing in
+    Tel.add Tel.store_resumed_seeds resumed;
+    let batches = chunk batch_size missing in
+    let cost = ref cost0 in
+    (* One channel for the whole call, one flush per record, so a crash
+       tears at most the last record.  A channel per batch would cost
+       more than the open: a dead channel's buffer is freed only when
+       the GC finalizes it. *)
+    let log =
+      Out_channel.open_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 ckpt
+    in
+    Fun.protect ~finally:(fun () -> Out_channel.close_noerr log) (fun () ->
         List.iteri
-          (fun pos i ->
-            Hashtbl.replace tbl i
-              {
-                e_pred = sm.Statistical.sm_predictors.(pos);
-                e_status = sm.Statistical.sm_status.(pos);
-              })
-          batch;
-        write_atomic ckpt (ckpt_to_string ~key ~nseeds:n ~cost:!cost (sorted_entries ~n tbl));
-        Tel.incr Tel.store_checkpoints;
-        incr nbatches;
-        after_batch !nbatches)
-      (chunk batch_size missing);
-    let predictors = Array.init n (fun i -> (Hashtbl.find tbl i).e_pred) in
-    let status = Array.init n (fun i -> (Hashtbl.find tbl i).e_status) in
+          (fun b batch ->
+            let sub = Array.of_list (List.map (fun i -> seeds.(i)) batch) in
+            let before = Harness.sim_count () in
+            let sm =
+              Statistical.extract_seed_models ~min_points:min_points_v ~design
+                ~method_ ~tech ~arc ~seeds:sub ~budget ()
+            in
+            let batch_cost = Harness.sim_count () - before in
+            cost := !cost + batch_cost;
+            let body = Buffer.create 8192 in
+            List.iteri
+              (fun pos i ->
+                let e =
+                  {
+                    e_pred = sm.Statistical.sm_predictors.(pos);
+                    e_status = sm.Statistical.sm_status.(pos);
+                  }
+                in
+                entries.(i) <- Some e;
+                entry_to_buffer body i e)
+              batch;
+            let record = record_to_string ~cost:batch_cost (Buffer.contents body) in
+            Out_channel.output_string log record;
+            Out_channel.flush log;
+            Tel.add Tel.store_checkpoint_bytes (String.length record);
+            Tel.incr Tel.store_checkpoints;
+            after_batch (b + 1))
+          batches);
+    let entries = Array.map Option.get entries in
     write_atomic final
       (pop_to_string ~key ~method_ ~tech ~arc ~budget ~min_points:min_points_v
-         ~train_cost:!cost
-         (Array.init n (fun i -> Hashtbl.find tbl i)));
+         ~train_cost:!cost entries);
     (try Sys.remove ckpt with Sys_error _ -> ());
     let pop =
-      Statistical.assemble ~method_ ~seeds ~predictors ~status ~train_cost:!cost
+      Statistical.assemble ~method_ ~seeds
+        ~predictors:(Array.map (fun e -> e.e_pred) entries)
+        ~status:(Array.map (fun e -> e.e_status) entries)
+        ~train_cost:!cost
     in
     ( pop,
       Computed
         {
           resumed_seeds = resumed;
           computed_seeds = List.length missing;
-          batches = !nbatches;
+          batches = List.length batches;
         } )
   end
 

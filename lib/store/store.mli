@@ -29,9 +29,13 @@
     artifact is never served — invalidation is automatic and the store
     needs no coherence protocol.
 
-    {b Crash safety.}  Every file is written to a temporary name in
-    the same directory and atomically renamed into place, so a reader
-    can never observe a partially-written artifact or checkpoint.
+    {b Crash safety.}  Every artifact, and every checkpoint header, is
+    written to a temporary name in the same directory and atomically
+    renamed into place, so a reader can never observe a
+    partially-written artifact.  A checkpoint grows by appended batch
+    records, each carrying its length and an MD5 digest: a crash can
+    leave a torn last record, and resuming drops it (and anything after
+    a damaged record) instead of reading it.
     See [docs/store.md] for the on-disk format specification. *)
 
 type t
@@ -178,11 +182,12 @@ val extract_population :
 
     - If the final artifact exists, it is loaded and no simulation
       runs ({!Hit}).
-    - Otherwise seeds missing from the checkpoint (all of them, on a
-      cold store) are processed in batches of [batch_size] (default 4)
-      through {!Slc_core.Statistical.extract_seed_models}; after every
-      batch the checkpoint is atomically rewritten, so a crash costs
-      at most one batch of re-simulation.
+    - Otherwise the intact records of the checkpoint are resumed, and
+      the seeds they miss (all of them, on a cold store) are processed
+      in batches of [batch_size] (default 4) through
+      {!Slc_core.Statistical.extract_seed_models}; after every batch
+      one record is appended to the checkpoint and flushed, so a crash
+      costs at most one batch of re-simulation.
     - On completion the final artifact is written and the checkpoint
       removed.
 
@@ -197,8 +202,8 @@ val extract_population :
 
     [seeds] must be indexed by [Process.index] (as
     [Process.sample_batch] produces).  Raises [Store_failed] on a
-    corrupt final artifact; an unreadable checkpoint is discarded and
-    recomputed. *)
+    corrupt final artifact; an unreadable checkpoint record is
+    dropped, with every record after it, and its seeds recomputed. *)
 
 val find_population :
   store:t ->

@@ -38,6 +38,11 @@ let fresh_dir () =
   Sys.mkdir f 0o755;
   f
 
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 let seeds4 = Process.sample_batch (Rng.create 13) tech 4
 
 let points3 =
@@ -428,6 +433,211 @@ let test_checkpoint_bytes_deterministic () =
     (List.sort compare entry_indices)
     entry_indices
 
+(* ------------------------------------------------------------------ *)
+(* The checkpoint log: torn and corrupt tails, duplicates, old formats.
+   Every damaged checkpoint must resume to the fresh population bitwise,
+   re-simulating exactly the seeds of the records it could not keep. *)
+
+let pop_key =
+  Store.population_key ~method_:Statistical.Lse ~design:Statistical.Curated
+    ~tech ~arc:inv_fall ~seeds:seeds4 ~budget:2 ~min_points:2
+
+let ckpt_file st = Store.artifact_path st `Population pop_key ^ ".ckpt"
+
+let fresh_pop = lazy (extract_fresh ())
+
+(* The checkpoint of a run interrupted after both batches, and each
+   record's simulator runs. *)
+let full_checkpoint =
+  lazy
+    (let st = Store.open_ (fresh_dir ()) in
+     let marks = ref [ Harness.sim_count () ] in
+     (match
+        store_extract st ~after_batch:(fun n ->
+            marks := Harness.sim_count () :: !marks;
+            if n = 2 then raise Injected_crash)
+      with
+     | _ -> Alcotest.fail "crash did not propagate"
+     | exception Injected_crash -> ());
+     match List.rev !marks with
+     | [ m0; m1; m2 ] -> (read_file (ckpt_file st), [| m1 - m0; m2 - m1 |])
+     | _ -> Alcotest.fail "expected two batches")
+
+(* Byte offsets of the record lines of a checkpoint. *)
+let record_starts text =
+  let rec go pos acc =
+    if pos >= String.length text then List.rev acc
+    else
+      let eol =
+        Option.value (String.index_from_opt text pos '\n')
+          ~default:(String.length text)
+      in
+      go (eol + 1)
+        (if String.starts_with ~prefix:"record " (String.sub text pos (eol - pos))
+         then pos :: acc
+         else acc)
+  in
+  go 0 []
+
+let resume_store = lazy (Store.open_ (fresh_dir ()))
+
+(* Resumes from checkpoint [text] and checks it against a fresh run: the
+   population bitwise, and the simulator runs spent equal the fresh cost
+   minus the costs of the records kept (always a prefix of both).
+   Returns the seeds resumed and the checkpoint bytes after each batch
+   the resume ran. *)
+let resume_checked text =
+  let fresh = Lazy.force fresh_pop in
+  let _, costs = Lazy.force full_checkpoint in
+  let st = Lazy.force resume_store in
+  write_file (ckpt_file st) text;
+  let snapshots = ref [] in
+  let before = Harness.sim_count () in
+  let pop, outcome =
+    store_extract st ~after_batch:(fun _ ->
+        snapshots := read_file (ckpt_file st) :: !snapshots)
+  in
+  let spent = Harness.sim_count () - before in
+  Sys.remove (Store.artifact_path st `Population pop_key);
+  check_pop_bitwise_equal fresh pop;
+  let resumed =
+    match outcome with
+    | Store.Computed { resumed_seeds; _ } -> resumed_seeds
+    | Store.Hit -> Alcotest.fail "a checkpoint must not look like a final artifact"
+  in
+  (* Each record holds two seeds. *)
+  let kept_cost = Array.fold_left ( + ) 0 (Array.sub costs 0 (resumed / 2)) in
+  Alcotest.(check int)
+    "sims = fresh cost - kept records" (fresh.Statistical.train_cost - kept_cost)
+    spent;
+  (resumed, List.rev !snapshots)
+
+let test_torn_tail_dropped () =
+  let text, _ = Lazy.force full_checkpoint in
+  let r2 = List.nth (record_starts text) 1 in
+  List.iter
+    (fun cut ->
+      let resumed, snapshots = resume_checked (String.sub text 0 cut) in
+      Alcotest.(check int) "record 1 resumed" 2 resumed;
+      (* The intact prefix is kept and batch 2 appended again: the log
+         reads as if never interrupted. *)
+      Alcotest.(check (list string)) "log after re-running batch 2" [ text ]
+        snapshots)
+    [ r2 + 4; r2 + ((String.length text - r2) / 2); String.length text - 1 ]
+
+let test_corrupt_tail_dropped () =
+  let text, _ = Lazy.force full_checkpoint in
+  let r2 = List.nth (record_starts text) 1 in
+  let eol2 = String.index_from text r2 '\n' in
+  let flip at =
+    String.mapi (fun i c -> if i = at then (if c = '0' then '1' else '0') else c) text
+  in
+  (* A mantissa digit inside record 2's body, so the record still
+     parses, and the last digit of its cost: record 1 is kept, record 2
+     never. *)
+  let body_digit =
+    let rec find i = if String.sub text i 4 = "0x1." then i + 4 else find (i + 1) in
+    find (eol2 + ((String.length text - eol2) / 2))
+  in
+  List.iter
+    (fun at ->
+      let resumed, _ = resume_checked (flip at) in
+      Alcotest.(check int) "only the intact record resumed" 2 resumed)
+    [ body_digit; eol2 - 1 ]
+
+let test_duplicate_record_skipped () =
+  let text, _ = Lazy.force full_checkpoint in
+  let r1, r2 =
+    match record_starts text with [ a; b ] -> (a, b) | _ -> Alcotest.fail "two records"
+  in
+  let rec1 = String.sub text r1 (r2 - r1) in
+  (* Record 1 appended twice, as by two extractions of the same key. *)
+  let dup = String.sub text 0 r2 ^ rec1 ^ String.sub text r2 (String.length text - r2) in
+  let resumed, snapshots = resume_checked dup in
+  Alcotest.(check int) "every seed resumed once" 4 resumed;
+  Alcotest.(check int) "no batch re-run" 0 (List.length snapshots)
+
+let test_old_format_checkpoint_discarded () =
+  let text, costs = Lazy.force full_checkpoint in
+  (* The pre-log format: one block rewritten after every batch. *)
+  let entries =
+    List.filter
+      (fun l -> not (String.starts_with ~prefix:"record " l))
+      (List.filteri (fun j _ -> j >= 3) (String.split_on_char '\n' text))
+  in
+  let old =
+    Printf.sprintf "slc-pop-ckpt 1\nkey %s\nnseeds 4\ncost %d\nndone 4\n%send\n"
+      pop_key (costs.(0) + costs.(1)) (String.concat "\n" entries)
+  in
+  let resumed, snapshots = resume_checked old in
+  Alcotest.(check int) "nothing resumed" 0 resumed;
+  Alcotest.(check string) "replaced by a fresh log" text (List.nth snapshots 1)
+
+let seeds16 = Process.sample_batch (Rng.create 29) tech 16
+
+(* The checkpoint bytes after each batch of a 16-seed run at batch 4,
+   the final artifact, and the store_checkpoint_bytes counter. *)
+let run16 () =
+  let st = Store.open_ (fresh_dir ()) in
+  let key =
+    Store.population_key ~method_:Statistical.Lse ~design:Statistical.Curated
+      ~tech ~arc:inv_fall ~seeds:seeds16 ~budget:2 ~min_points:2
+  in
+  let final = Store.artifact_path st `Population key in
+  let snapshots = ref [] in
+  let was_on = Tel.on () in
+  Tel.enable ();
+  Tel.reset ();
+  let _, outcome =
+    Store.extract_population ~batch_size:4 ~store:st ~method_:Statistical.Lse
+      ~design:Statistical.Curated ~tech ~arc:inv_fall ~seeds:seeds16 ~budget:2
+      ~after_batch:(fun _ -> snapshots := read_file (final ^ ".ckpt") :: !snapshots)
+      ()
+  in
+  let bytes = Tel.read Tel.store_checkpoint_bytes in
+  let records = Tel.read Tel.store_checkpoints in
+  Tel.reset ();
+  if not was_on then Tel.disable ();
+  (match outcome with
+  | Store.Computed { batches = 4; _ } -> ()
+  | _ -> Alcotest.fail "expected four batches");
+  (List.rev !snapshots, read_file final, bytes, records)
+
+let test_checkpoint_append_only () =
+  let snapshots, _, _, _ = run16 () in
+  Alcotest.(check int) "one snapshot per batch" 4 (List.length snapshots);
+  List.iteri
+    (fun k s ->
+      Alcotest.(check int)
+        (Printf.sprintf "records after batch %d" (k + 1))
+        (k + 1)
+        (List.length (record_starts s)))
+    snapshots;
+  let rec prefixes = function
+    | a :: (b :: _ as rest) ->
+      Alcotest.(check bool) "batch k's bytes prefix batch k+1's" true
+        (String.starts_with ~prefix:a b);
+      prefixes rest
+    | _ -> ()
+  in
+  prefixes snapshots
+
+let test_checkpoint_bytes_linear () =
+  let snapshots, final, bytes, records = run16 () in
+  let log = List.nth snapshots 3 in
+  Alcotest.(check int) "one record per batch" 4 records;
+  Alcotest.(check int) "every byte written once" (String.length log) bytes;
+  let record_lines =
+    List.fold_left
+      (fun acc r -> acc + String.index_from log r '\n' + 1 - r)
+      0 (record_starts log)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bytes <= final %d + record lines %d" bytes
+       (String.length final) record_lines)
+    true
+    (bytes <= String.length final + record_lines)
+
 let test_corrupt_final_artifact_raises () =
   let st = Store.open_ (fresh_dir ()) in
   ignore (store_extract st);
@@ -629,11 +839,6 @@ let store_corrupt f =
   | _ -> false
   | exception Err.Store_failed { Err.st_kind = Err.Store_corrupt; _ } -> true
 
-let write_file path text =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 (* [text] with the first line that starts with [prefix] replaced. *)
 let replace_line text ~prefix by =
   let done_ = ref false in
@@ -705,8 +910,9 @@ let count_fields i line =
   match fs.(0) with
   | "slc-prior" | "slc-nldm" | "slc-library" | "slc-pred" | "slc-pop"
   | "provenance" | "cost" | "sim_runs" | "entries" | "train_cost" | "nseeds"
-  | "budget" | "min_points" | "entry" ->
+  | "budget" | "min_points" | "entry" | "slc-pop-log" ->
     at 1
+  | "record" -> at 1 @ at 3
   | "axis" -> if int_of_string_opt fs.(1) <> None then at 1 else at 2
   | "status" -> at 2
   | ("td" | "sout") when Array.length fs = 8 -> at 7
@@ -754,11 +960,6 @@ let mutation_formats =
     find st
   in
   let find_pred st = Store.find_predictor st ~key:"mutant" ~tech ~arc:inv_fall in
-  let pop_key =
-    Store.population_key ~method_:Statistical.Lse ~design:Statistical.Curated
-      ~tech ~arc:inv_fall ~seeds:seeds4 ~budget:2 ~min_points:2
-  in
-  let fresh = lazy (extract_fresh ()) in
   let find_pop st =
     Store.find_population ~store:st ~method_:Statistical.Lse
       ~design:Statistical.Curated ~tech ~arc:inv_fall ~seeds:seeds4 ~budget:2
@@ -830,7 +1031,7 @@ let mutation_formats =
           match via_store `Population pop_key find_pop t with
           | None -> false
           | Some pop ->
-            check_pop_bitwise_equal (Lazy.force fresh) pop;
+            check_pop_bitwise_equal (Lazy.force fresh_pop) pop;
             true);
       rejects =
         (fun t -> store_corrupt (fun () -> via_store `Population pop_key find_pop t));
@@ -852,6 +1053,38 @@ let prop_every_mutant_rejected =
           a.rejects m
           || QCheck.Test.fail_reportf "%s: %s mutant accepted:\n%s" a.name kind m)
         (mutants text (r1, r2)))
+
+(* [text] with one hex digit, picked by [r], replaced by another. *)
+let flip_hex text r =
+  let digits = "0123456789abcdef" in
+  let hex =
+    List.filter
+      (fun i -> String.contains digits text.[i])
+      (List.init (String.length text) Fun.id)
+  in
+  let at = List.nth hex (r mod List.length hex) in
+  let d = String.index digits text.[at] in
+  String.mapi
+    (fun i c -> if i = at then digits.[(d + 1 + (r mod 15)) mod 16] else c)
+    text
+
+(* Checkpoints take the same mutants plus a flipped hex digit, but the
+   property differs: a checkpoint is never an error, so every mutant
+   must resume to the fresh population bitwise, keeping only intact
+   records.  Each case re-simulates, hence the small count. *)
+let prop_every_checkpoint_mutant_resumes =
+  QCheck.Test.make ~name:"every checkpoint mutant resumes to the fresh population"
+    ~count:20
+    QCheck.(triple (int_bound 9999) (int_bound 9999) (int_bound 9999))
+    (fun (r1, r2, r3) ->
+      let text, _ = Lazy.force full_checkpoint in
+      List.for_all
+        (fun (kind, m) ->
+          match resume_checked m with
+          | _ -> true
+          | exception e ->
+            QCheck.Test.fail_reportf "%s mutant: %s\n%s" kind (Printexc.to_string e) m)
+        (("flip", flip_hex text r3) :: mutants text (r1, r2)))
 
 let () =
   Alcotest.run "slc_store"
@@ -897,6 +1130,18 @@ let () =
             test_corrupt_checkpoint_discarded;
           Alcotest.test_case "checkpoint bytes deterministic" `Slow
             test_checkpoint_bytes_deterministic;
+          Alcotest.test_case "torn checkpoint tail dropped" `Slow
+            test_torn_tail_dropped;
+          Alcotest.test_case "corrupt checkpoint record dropped" `Slow
+            test_corrupt_tail_dropped;
+          Alcotest.test_case "duplicate checkpoint record skipped" `Slow
+            test_duplicate_record_skipped;
+          Alcotest.test_case "old-format checkpoint discarded" `Slow
+            test_old_format_checkpoint_discarded;
+          Alcotest.test_case "checkpoint is append-only" `Slow
+            test_checkpoint_append_only;
+          Alcotest.test_case "checkpoint bytes linear (telemetry)" `Slow
+            test_checkpoint_bytes_linear;
           Alcotest.test_case "corrupt final artifact raises" `Slow
             test_corrupt_final_artifact_raises;
           Alcotest.test_case "future-format artifact raises" `Slow
@@ -926,5 +1171,6 @@ let () =
           Alcotest.test_case "trailing lines rejected" `Quick
             test_trailing_lines_rejected;
           QCheck_alcotest.to_alcotest prop_every_mutant_rejected;
+          QCheck_alcotest.to_alcotest prop_every_checkpoint_mutant_resumes;
         ] );
     ]
