@@ -5,110 +5,33 @@ module Mvn = Slc_prob.Mvn
 
 type message = { mu : Vec.t; cov : Mat.t }
 
-let diffuse ?(scale = 10.0) dim =
+let diffuse dim =
   if dim < 1 then Slc_obs.Slc_error.invalid_input ~site:"Belief.diffuse" "dimension must be >= 1";
-  { mu = Vec.create dim; cov = Mat.scale scale (Mat.identity dim) }
+  { mu = Vec.create dim; cov = Mat.scale 10.0 (Mat.identity dim) }
 
-(* ------------------------------------------------------------------ *)
-(* Workspace: every scratch matrix/vector a conjugate update needs,
-   allocated once and reused.  Residual BP recomputes beliefs many
-   times per node, so the three SPD inversions per update run through
-   [Linalg.spd_inverse_into] against these buffers instead of allocating
-   fresh matrices — bitwise identical to the allocating forms. *)
-
-type workspace = {
-  w_dim : int;
-  w_a : Mat.t; (* ridged input to an inversion *)
-  w_l : Mat.t; (* Cholesky factor scratch *)
-  w_e : Vec.t;
-  w_y : Vec.t;
-  w_prior_prec : Mat.t;
-  w_obs_prec : Mat.t;
-  w_post_prec : Mat.t;
-  w_rhs : Vec.t;
-  w_tmp : Vec.t;
-}
-
-let make_workspace dim =
-  if dim < 1 then
-    Slc_obs.Slc_error.invalid_input ~site:"Belief.make_workspace"
-      "dimension must be >= 1";
-  {
-    w_dim = dim;
-    w_a = Mat.create dim dim;
-    w_l = Mat.create dim dim;
-    w_e = Vec.create dim;
-    w_y = Vec.create dim;
-    w_prior_prec = Mat.create dim dim;
-    w_obs_prec = Mat.create dim dim;
-    w_post_prec = Mat.create dim dim;
-    w_rhs = Vec.create dim;
-    w_tmp = Vec.create dim;
-  }
-
-let check_ws ws dim =
-  if ws.w_dim <> dim then
-    Slc_obs.Slc_error.invalid_input ~site:"Belief.observe"
-      "workspace dimension mismatch"
-
-(* [spd_inverse (add_ridge m r)] through the workspace, into [out]. *)
-let inverse_ridged ws m r ~out =
-  Mat.add_ridge_into m r ws.w_a;
-  Linalg.spd_inverse_into ws.w_a ~l:ws.w_l ~e:ws.w_e ~y:ws.w_y ~out
-
-(* Per-node observation statistics.  The observation mean and precision
-   depend only on the node's rows, so they are computed once per node
-   and reused across every belief recomputation of a propagation run. *)
-type stats = { st_mean : Vec.t; st_obs_prec : Mat.t }
-
-let stats_of_rows ws dim rows =
-  let n = Array.length rows in
-  let mean = Slc_prob.Describe.mean_vector rows in
-  let obs_cov =
-    if n >= 2 then
-      Mat.scale (1.0 /. float_of_int n)
-        (Mat.add_ridge (Slc_prob.Describe.covariance_matrix rows) 1e-6)
-    else
-      (* A single observation: assume a typical within-node spread. *)
-      Mat.scale 0.01 (Mat.identity dim)
-  in
-  let obs_prec = Mat.create dim dim in
-  inverse_ridged ws obs_cov 1e-12 ~out:obs_prec;
-  { st_mean = mean; st_obs_prec = obs_prec }
-
-(* Conjugate update against precomputed stats.  Only the returned
-   posterior (mu, cov) is freshly allocated; all intermediates live in
-   the workspace. *)
-let observe_stats ws msg st =
-  let dim = ws.w_dim in
-  (* Posterior precision = prior precision + observation precision. *)
-  inverse_ridged ws msg.cov 1e-12 ~out:ws.w_prior_prec;
-  Mat.add_into ws.w_prior_prec st.st_obs_prec ws.w_post_prec;
-  let post_cov = Mat.create dim dim in
-  Linalg.spd_inverse_into ws.w_post_prec ~l:ws.w_l ~e:ws.w_e ~y:ws.w_y
-    ~out:post_cov;
-  Mat.mul_vec_into ws.w_prior_prec msg.mu ws.w_rhs;
-  Mat.mul_vec_into st.st_obs_prec st.st_mean ws.w_tmp;
-  for i = 0 to dim - 1 do
-    ws.w_rhs.(i) <- ws.w_rhs.(i) +. ws.w_tmp.(i)
-  done;
-  let mu = Vec.create dim in
-  Mat.mul_vec_into post_cov ws.w_rhs mu;
-  { mu; cov = post_cov }
-
-let observe ?ws msg rows =
+let observe msg rows =
   let n = Array.length rows in
   if n = 0 then msg
   else begin
     let dim = Vec.dim msg.mu in
-    let ws =
-      match ws with
-      | Some w ->
-        check_ws w dim;
-        w
-      | None -> make_workspace dim
+    let mean = Slc_prob.Describe.mean_vector rows in
+    let obs_cov =
+      if n >= 2 then
+        Mat.scale (1.0 /. float_of_int n)
+          (Mat.add_ridge (Slc_prob.Describe.covariance_matrix rows) 1e-6)
+      else
+        (* A single observation: assume a typical within-node spread. *)
+        Mat.scale 0.01 (Mat.identity dim)
     in
-    observe_stats ws msg (stats_of_rows ws dim rows)
+    (* Posterior precision = prior precision + observation precision. *)
+    let prior_prec = Linalg.spd_inverse (Mat.add_ridge msg.cov 1e-12) in
+    let obs_prec = Linalg.spd_inverse (Mat.add_ridge obs_cov 1e-12) in
+    let post_prec = Mat.add prior_prec obs_prec in
+    let post_cov = Linalg.spd_inverse post_prec in
+    let rhs =
+      Vec.add (Mat.mul_vec prior_prec msg.mu) (Mat.mul_vec obs_prec mean)
+    in
+    { mu = Mat.mul_vec post_cov rhs; cov = post_cov }
   end
 
 let drift msg q =
@@ -124,7 +47,7 @@ let default_drift dim =
       let s = if i < Array.length sigmas then sigmas.(i) else 0.05 in
       s *. s))
 
-let chain ?drift_cov nodes =
+let chain nodes =
   match nodes with
   | [] -> Slc_obs.Slc_error.invalid_input ~site:"Belief.chain" "empty chain"
   | (_, first) :: _ ->
@@ -132,223 +55,12 @@ let chain ?drift_cov nodes =
       if Array.length first > 0 then Vec.dim first.(0)
       else Timing_model.n_params
     in
-    let q = match drift_cov with Some q -> q | None -> default_drift dim in
-    let ws = make_workspace dim in
+    let q = default_drift dim in
     List.fold_left
-      (fun msg (_, rows) -> observe ~ws (drift msg q) rows)
+      (fun msg (_, rows) -> observe (drift msg q) rows)
       (diffuse dim) nodes
 
 let to_mvn msg = Mvn.make ~mu:msg.mu ~cov:msg.cov
-
-(* ------------------------------------------------------------------ *)
-(* Belief graphs: directed Gaussian message passing over an arbitrary
-   topology, generalizing the linear chain.
-
-   Semantics (a filtering generalization of {!chain}, not sum-product
-   with message exclusion): the belief at a node is the conjugate
-   update of the combination of its applied incoming messages with the
-   node's own rows; the message along an edge is the source belief
-   drifted by the process-evolution covariance.  A node with no applied
-   incoming messages starts from {!diffuse}; a single incoming message
-   passes through the combination untouched, so a chain-shaped graph
-   reproduces the {!chain} fold bit for bit.
-
-   Scheduling is residual-prioritized (residual belief propagation):
-   each edge tracks the distance between its current message and the
-   message it would carry if recomputed now; the edge with the largest
-   residual is applied first.  Never-applied edges carry an infinite
-   residual, so every edge is applied at least once before convergence
-   can be declared.  Selection is a linear argmax with a strictly-
-   greater comparison, so ties break toward the lowest edge index —
-   scheduling is fully deterministic.  On a DAG the schedule terminates
-   with every residual at zero; on a cyclic graph propagation iterates
-   toward a fixed point under the [max_updates] cap. *)
-
-type gnode = { n_name : string; n_stats : stats option }
-
-type graph = {
-  g_dim : int;
-  g_q : Mat.t;
-  g_nodes : gnode array;
-  g_edges : (int * int) array;
-  g_in : int list array; (* per node: incoming edge indices, ascending *)
-  g_out : int list array; (* per node: outgoing edge indices, ascending *)
-}
-
-let graph_make ?drift_cov ~nodes ~edges () =
-  if nodes = [] then
-    Slc_obs.Slc_error.invalid_input ~site:"Belief.graph_make" "empty graph";
-  let dim =
-    match
-      List.find_opt (fun (_, rows) -> Array.length rows > 0) nodes
-    with
-    | Some (_, rows) -> Vec.dim rows.(0)
-    | None -> Timing_model.n_params
-  in
-  List.iter
-    (fun (_, rows) ->
-      Array.iter
-        (fun row ->
-          if Vec.dim row <> dim then
-            Slc_obs.Slc_error.invalid_input ~site:"Belief.graph_make"
-              "row dimension mismatch")
-        rows)
-    nodes;
-  let q = match drift_cov with Some q -> q | None -> default_drift dim in
-  if Mat.rows q <> dim then
-    Slc_obs.Slc_error.invalid_input ~site:"Belief.graph_make"
-      "drift dimension mismatch";
-  let n = List.length nodes in
-  List.iter
-    (fun (s, d) ->
-      if s < 0 || s >= n || d < 0 || d >= n then
-        Slc_obs.Slc_error.invalid_input ~site:"Belief.graph_make"
-          "edge endpoint out of range";
-      if s = d then
-        Slc_obs.Slc_error.invalid_input ~site:"Belief.graph_make" "self edge")
-    edges;
-  let ws = make_workspace dim in
-  let g_nodes =
-    Array.of_list
-      (List.map
-         (fun (name, rows) ->
-           {
-             n_name = name;
-             n_stats =
-               (if Array.length rows = 0 then None
-                else Some (stats_of_rows ws dim rows));
-           })
-         nodes)
-  in
-  let g_edges = Array.of_list edges in
-  let g_in = Array.make n [] and g_out = Array.make n [] in
-  for e = Array.length g_edges - 1 downto 0 do
-    let s, d = g_edges.(e) in
-    g_in.(d) <- e :: g_in.(d);
-    g_out.(s) <- e :: g_out.(s)
-  done;
-  { g_dim = dim; g_q = q; g_nodes; g_edges; g_in; g_out }
-
-(* A chain as a graph: a synthetic origin node with no rows feeds the
-   first real node, so the first real belief is
-   [observe (drift (diffuse dim) q) rows] — exactly the first step of
-   the {!chain} fold (which drifts before its first observation). *)
-let graph_of_chain ?drift_cov nodes =
-  if nodes = [] then
-    Slc_obs.Slc_error.invalid_input ~site:"Belief.graph_of_chain" "empty chain";
-  let n = List.length nodes in
-  graph_make ?drift_cov
-    ~nodes:(("<origin>", [||]) :: nodes)
-    ~edges:(List.init n (fun i -> (i, i + 1)))
-    ()
-
-type propagation = {
-  beliefs : (string * message) list;
-  updates : int;
-  converged : bool;
-}
-
-(* Precision-weighted product of two-or-more Gaussian messages, folded
-   in ascending edge order. *)
-let combine ws msgs =
-  match msgs with
-  | [] -> diffuse ws.w_dim
-  | [ m ] -> m
-  | msgs ->
-    let dim = ws.w_dim in
-    let prec = Mat.create dim dim in
-    let h = Vec.create dim in
-    List.iter
-      (fun m ->
-        inverse_ridged ws m.cov 1e-12 ~out:ws.w_prior_prec;
-        Mat.add_into prec ws.w_prior_prec prec;
-        Mat.mul_vec_into ws.w_prior_prec m.mu ws.w_tmp;
-        for i = 0 to dim - 1 do
-          h.(i) <- h.(i) +. ws.w_tmp.(i)
-        done)
-      msgs;
-    let cov = Mat.create dim dim in
-    inverse_ridged ws prec 1e-12 ~out:cov;
-    let mu = Vec.create dim in
-    Mat.mul_vec_into cov h mu;
-    { mu; cov }
-
-let propagate ?(tol = 1e-9) ?(max_updates = 10_000) g =
-  if max_updates < 0 then
-    Slc_obs.Slc_error.invalid_input ~site:"Belief.propagate"
-      "max_updates must be >= 0";
-  let ws = make_workspace g.g_dim in
-  let n_edges = Array.length g.g_edges in
-  let msgs : message option array = Array.make n_edges None in
-  let pending : message option array = Array.make n_edges None in
-  let residual = Array.make n_edges Float.infinity in
-  let belief v =
-    let incoming =
-      List.filter_map (fun e -> msgs.(e)) g.g_in.(v)
-    in
-    let prior = combine ws incoming in
-    match g.g_nodes.(v).n_stats with
-    | None -> prior
-    | Some st -> observe_stats ws prior st
-  in
-  let compute_msg e =
-    let s, _ = g.g_edges.(e) in
-    drift (belief s) g.g_q
-  in
-  let distance a b =
-    let d = ref 0.0 in
-    for i = 0 to g.g_dim - 1 do
-      d := Float.max !d (Float.abs (a.mu.(i) -. b.mu.(i)))
-    done;
-    for i = 0 to g.g_dim - 1 do
-      for j = 0 to g.g_dim - 1 do
-        d := Float.max !d (Float.abs (Mat.get a.cov i j -. Mat.get b.cov i j))
-      done
-    done;
-    !d
-  in
-  let updates = ref 0 in
-  let converged = ref (n_edges = 0) in
-  let running = ref (n_edges > 0) in
-  while !running do
-    (* Strictly-greater argmax: ties break to the lowest edge index. *)
-    let best = ref 0 in
-    for e = 1 to n_edges - 1 do
-      if residual.(e) > residual.(!best) then best := e
-    done;
-    let e = !best in
-    if residual.(e) <= tol then begin
-      converged := true;
-      running := false
-    end
-    else if !updates >= max_updates then running := false
-    else begin
-      let m =
-        match pending.(e) with Some m -> m | None -> compute_msg e
-      in
-      msgs.(e) <- Some m;
-      pending.(e) <- None;
-      residual.(e) <- 0.0;
-      incr updates;
-      (* The destination's belief changed, so every message it launches
-         would change: recompute them now and queue the differences. *)
-      let _, d = g.g_edges.(e) in
-      List.iter
-        (fun f ->
-          let c = compute_msg f in
-          pending.(f) <- Some c;
-          residual.(f) <-
-            (match msgs.(f) with
-            | None -> Float.infinity
-            | Some old -> distance old c))
-        g.g_out.(d)
-    end
-  done;
-  let beliefs =
-    Array.to_list
-      (Array.mapi (fun v node -> (node.n_name, belief v)) g.g_nodes)
-  in
-  { beliefs; updates = !updates; converged = !converged }
 
 let chain_prior (prior : Prior.t) ~ordered =
   let by_tech name =

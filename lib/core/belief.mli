@@ -9,42 +9,27 @@
     end of the chain can replace the pooled prior — see the
     [ablation_chain] bench.
 
-    {!chain} handles the linear topology; {!graph_make}/{!propagate}
-    generalize it to arbitrary directed graphs (shared ancestor nodes,
-    diamond-shaped derivation histories, even cyclic cross-validation
-    structures) under residual-prioritized message scheduling.  A
-    chain-shaped graph reproduces the chain fold bit for bit. *)
+    The chain is the one propagation topology.  A technology-family DAG
+    (n45 → n40, then n40 feeding both n32 and n28, both feeding n20)
+    was measured against it and lost on the n14 Td error
+    (EXPERIMENTS.md § Ablations). *)
 
 type message = {
   mu : Slc_num.Vec.t;
   cov : Slc_num.Mat.t;
 }
 
-val diffuse : ?scale:float -> int -> message
-(** Near-uninformative starting belief of the given dimension (diagonal
-    covariance [scale], default 10.0 — very wide in the model's
-    natural parameter units). *)
+val diffuse : int -> message
+(** Near-uninformative starting belief of the given dimension (zero
+    mean, diagonal covariance 10.0 — very wide in the model's natural
+    parameter units). *)
 
-type workspace
-(** Preallocated scratch for conjugate updates: the three SPD
-    inversions per update run in-place against it (see
-    {!Slc_num.Linalg.spd_inverse_into}), so repeated updates — the
-    residual-BP inner loop — allocate only their returned posteriors.
-    Not domain-safe: one workspace per thread of control. *)
-
-val make_workspace : int -> workspace
-(** A workspace for messages of the given dimension (>= 1). *)
-
-val observe : ?ws:workspace -> message -> Slc_num.Vec.t array -> message
+val observe : message -> Slc_num.Vec.t array -> message
 (** Conjugate update of the mean-belief with a node's population of
     extracted parameter vectors: the population mean is treated as an
     observation of the underlying mean with covariance [S/n] (sample
-    covariance over population size).  With no rows, the belief is
-    returned unchanged.
-
-    [?ws] supplies the scratch buffers (it must match the message
-    dimension); without it a fresh workspace is allocated for the call.
-    Results are bitwise identical either way. *)
+    covariance over population size; a single row assumes a diagonal
+    spread of 0.01).  With no rows, the belief is returned unchanged. *)
 
 val drift : message -> Slc_num.Mat.t -> message
 (** Adds process-evolution covariance between adjacent nodes
@@ -53,13 +38,10 @@ val drift : message -> Slc_num.Mat.t -> message
 val default_drift : int -> Slc_num.Mat.t
 (** Diagonal drift sized to typical node-to-node parameter movement. *)
 
-val chain :
-  ?drift_cov:Slc_num.Mat.t ->
-  (string * Slc_num.Vec.t array) list ->
-  message
-(** Folds {!observe} and {!drift} over nodes ordered oldest first; each
-    element is (node name, extracted parameter vectors).  One workspace
-    is reused across the whole fold. *)
+val chain : (string * Slc_num.Vec.t array) list -> message
+(** Folds {!drift} by {!default_drift} and then {!observe} over nodes
+    ordered oldest first, starting from {!diffuse}; each element is
+    (node name, extracted parameter vectors).  Rejects an empty list. *)
 
 val chain_prior : Prior.t -> ordered:string list -> Prior.t
 (** Rebuilds a {!Prior.t} whose Gaussian component comes from chain
@@ -68,62 +50,3 @@ val chain_prior : Prior.t -> ordered:string list -> Prior.t
     skipped); β(ξ) is kept.  Costs no additional simulations. *)
 
 val to_mvn : message -> Slc_prob.Mvn.t
-
-(** {2 Belief graphs}
-
-    Directed Gaussian message passing over an arbitrary topology.  The
-    belief at a node is the conjugate update ({!observe}) of the
-    precision-weighted combination of its incoming messages with the
-    node's own rows; the message along an edge is the source belief
-    drifted by the process-evolution covariance.  A node with no
-    incoming messages starts from {!diffuse}; a single incoming message
-    passes through the combination untouched.
-
-    This is a filtering generalization of {!chain}, not sum-product:
-    messages are not excluded from the reverse direction.  On a DAG
-    propagation terminates exactly; on a cyclic graph it iterates
-    toward a fixed point under the update cap. *)
-
-type graph
-
-val graph_make :
-  ?drift_cov:Slc_num.Mat.t ->
-  nodes:(string * Slc_num.Vec.t array) list ->
-  edges:(int * int) list ->
-  unit ->
-  graph
-(** [graph_make ~nodes ~edges ()] builds a belief graph over the given
-    (name, rows) nodes; edges are (source index, destination index)
-    pairs into the node list.  Node observation statistics (mean and
-    precision) are computed once here and reused across every belief
-    recomputation of a propagation run.  Rejects empty node lists,
-    out-of-range or self edges, and row/drift dimension mismatches. *)
-
-val graph_of_chain :
-  ?drift_cov:Slc_num.Mat.t ->
-  (string * Slc_num.Vec.t array) list ->
-  graph
-(** A linear chain as a graph.  A synthetic ["<origin>"] node with no
-    rows feeds the first real node so that the first real belief is
-    [observe (drift (diffuse dim) q) rows] — exactly the first step of
-    the {!chain} fold.  {!propagate} over the result reproduces
-    {!chain} bit for bit at every node. *)
-
-type propagation = {
-  beliefs : (string * message) list;
-      (** per-node posterior beliefs, in node order *)
-  updates : int;  (** messages applied before termination *)
-  converged : bool;
-      (** every edge residual was at or below [tol] on exit *)
-}
-
-val propagate : ?tol:float -> ?max_updates:int -> graph -> propagation
-(** Residual-prioritized propagation: each edge tracks the distance
-    (L∞ over mean and covariance entries) between its current message
-    and the message a recomputation would produce, and the largest
-    residual is applied first — the residual-BP schedule, which on
-    loopy graphs converges faster than round-robin sweeps.  Unapplied
-    edges carry an infinite residual, so every edge is applied at least
-    once; ties break deterministically toward the lowest edge index.
-    Stops when the largest residual is at or below [?tol] (default
-    1e-9) or after [?max_updates] (default 10000) applications. *)

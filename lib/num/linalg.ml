@@ -123,55 +123,6 @@ let spd_inverse a =
   (* Symmetrize to remove round-off asymmetry. *)
   Mat.sym_part inv
 
-(* Workspace variant of [spd_inverse]: factorization into [l], one
-   unit-vector solve per column through [e]/[y], columns written
-   straight into [out], then an in-place symmetrization.  Every
-   floating-point operation matches [spd_inverse] (IEEE addition is
-   commutative, so folding the (i,j)/(j,i) pair once is bitwise the
-   [sym_part] result), so results are bitwise identical. *)
-let[@slc.hot] spd_inverse_into a ~l ~e ~y ~out =
-  let n = Mat.rows a in
-  if
-    Mat.rows l <> n || Mat.cols l <> n || Mat.rows out <> n
-    || Mat.cols out <> n
-    || Array.length e <> n
-    || Array.length y <> n
-  then invalid_arg "Linalg.spd_inverse_into: dimension mismatch";
-  cholesky_into a l;
-  for j = 0 to n - 1 do
-    Array.fill e 0 n 0.0;
-    e.(j) <- 1.0;
-    (* Forward substitution (same element order as [lower_solve]). *)
-    for i = 0 to n - 1 do
-      let s = ref e.(i) in
-      for k = 0 to i - 1 do
-        s := !s -. (Mat.get l i k *. y.(k))
-      done;
-      let d = Mat.get l i i in
-      if d = 0.0 then raise (Singular "lower_solve: zero diagonal");
-      y.(i) <- !s /. d
-    done;
-    (* Back substitution against lᵀ, straight into column j of [out]
-       (same element order as [upper_solve (transpose l)]). *)
-    for i = n - 1 downto 0 do
-      let s = ref y.(i) in
-      for k = i + 1 to n - 1 do
-        s := !s -. (Mat.get l k i *. Mat.get out k j)
-      done;
-      let d = Mat.get l i i in
-      if d = 0.0 then raise (Singular "upper_solve: zero diagonal");
-      Mat.set out i j (!s /. d)
-    done
-  done;
-  (* In-place [sym_part]. *)
-  for i = 0 to n - 1 do
-    for j = 0 to i do
-      let v = 0.5 *. (Mat.get out i j +. Mat.get out j i) in
-      Mat.set out i j v;
-      Mat.set out j i v
-    done
-  done
-
 let spd_log_det a =
   let l = cholesky a in
   let n = Mat.rows a in

@@ -10,10 +10,6 @@ val cholesky : Mat.t -> Mat.t
 (** [cholesky a] returns the lower-triangular [l] with [l * l^T = a] for a
     symmetric positive-definite [a].  Raises {!Singular} otherwise. *)
 
-val cholesky_solve : Mat.t -> Vec.t -> Vec.t
-(** [cholesky_solve l b] solves [l l^T x = b] given the Cholesky factor
-    [l]. *)
-
 val solve_spd : Mat.t -> Vec.t -> Vec.t
 (** [solve_spd a b] solves [a x = b] for symmetric positive-definite [a]. *)
 
@@ -24,30 +20,16 @@ val cholesky_into : Mat.t -> Mat.t -> unit
     Bitwise identical to [cholesky].  Allocation-free. *)
 
 val cholesky_solve_into : Mat.t -> Vec.t -> y:Vec.t -> x:Vec.t -> unit
-(** [cholesky_solve_into l b ~y ~x] is {!cholesky_solve} into the
-    caller-owned intermediate [y] and solution [x] (neither may alias
-    [b]).  Bitwise identical to the allocating form.  Allocation-free. *)
+(** [cholesky_solve_into l b ~y ~x] solves [l l^T x = b] given the
+    Cholesky factor [l], into the caller-owned intermediate [y] and
+    solution [x] (neither may alias [b]).  Bitwise identical to the
+    solve inside {!solve_spd}.  Allocation-free. *)
 
 val spd_inverse : Mat.t -> Mat.t
 (** Inverse of a symmetric positive-definite matrix via Cholesky. *)
 
-val spd_inverse_into : Mat.t -> l:Mat.t -> e:Vec.t -> y:Vec.t -> out:Mat.t -> unit
-(** [spd_inverse_into a ~l ~e ~y ~out] is {!spd_inverse} into the
-    caller-owned factor buffer [l], scratch vectors [e]/[y] (length
-    [rows a]) and result [out] (none may alias [a]).  Bitwise identical
-    to the allocating form.  Allocation-free — the workspace primitive
-    behind the residual-BP inner loop (see {!Slc_core.Belief}). *)
-
 val spd_log_det : Mat.t -> float
 (** Log-determinant of a symmetric positive-definite matrix. *)
-
-type lu
-(** LU factorization with partial pivoting. *)
-
-val lu_decompose : Mat.t -> lu
-(** Raises {!Singular} on singular input. *)
-
-val lu_solve : lu -> Vec.t -> Vec.t
 
 val lu_factor_in_place : Mat.t -> int array -> float
 (** [lu_factor_in_place a perm] overwrites the square matrix [a] with
@@ -62,8 +44,6 @@ val lu_solve_in_place : Mat.t -> int array -> b:Vec.t -> x:Vec.t -> unit
 (** [lu_solve_in_place a perm ~b ~x] solves the system factored by
     {!lu_factor_in_place} into the caller-owned [x] (which must not
     alias [b]); [b] is left untouched.  Allocation-free. *)
-
-val lu_det : lu -> float
 
 val solve : Mat.t -> Vec.t -> Vec.t
 (** General square solve via LU with partial pivoting. *)

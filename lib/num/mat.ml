@@ -104,27 +104,6 @@ let mul_vec m v =
       done;
       !acc)
 
-let[@slc.hot] add_into a b out =
-  check_same "add_into" a b;
-  check_same "add_into" a out;
-  let d = out.data and da = a.data and db = b.data in
-  for i = 0 to Array.length d - 1 do
-    d.(i) <- da.(i) +. db.(i)
-  done
-
-let[@slc.hot] mul_vec_into m v out =
-  if m.c <> Array.length v then
-    invalid_arg "Mat.mul_vec_into: dimension mismatch";
-  if m.r <> Array.length out then
-    invalid_arg "Mat.mul_vec_into: output dimension mismatch";
-  for i = 0 to m.r - 1 do
-    let acc = ref 0.0 in
-    for j = 0 to m.c - 1 do
-      acc := !acc +. (m.data.((i * m.c) + j) *. v.(j))
-    done;
-    out.(i) <- !acc
-  done
-
 let tmul_vec m v =
   if m.r <> Array.length v then
     invalid_arg "Mat.tmul_vec: dimension mismatch";

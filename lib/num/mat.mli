@@ -65,16 +65,6 @@ val gram_into : t -> t -> unit
     the exact order of [mul (transpose j) j], so results are bitwise
     identical to the allocating form. *)
 
-val add_into : t -> t -> t -> unit
-(** [add_into a b out] stores [a + b] into the pre-allocated [out]
-    (same shape; [out == a] or [out == b] is fine).  Bitwise identical
-    to {!add}.  Allocation-free. *)
-
-val mul_vec_into : t -> Vec.t -> Vec.t -> unit
-(** [mul_vec_into m v out] is {!mul_vec} into the pre-allocated [out]
-    (length [rows m]; must not alias [v]).  Bitwise identical to the
-    allocating form.  Allocation-free. *)
-
 val tmul_vec_into : t -> Vec.t -> Vec.t -> unit
 (** [tmul_vec_into m v out] is [tmul_vec] into a pre-allocated [out]
     (length [cols m]), bitwise identical to the allocating form. *)

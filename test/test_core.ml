@@ -304,7 +304,7 @@ let test_belief_observe_shrinks_cov () =
     (Float.abs (post.Belief.mu.(0) -. 0.3045) < 0.05)
 
 let test_belief_drift_grows_cov () =
-  let msg = Belief.diffuse ~scale:1.0 4 in
+  let msg = Belief.diffuse 4 in
   let q = Belief.default_drift 4 in
   let after = Belief.drift msg q in
   Alcotest.(check bool) "cov grows" true
@@ -323,7 +323,7 @@ let test_belief_empty_chain_rejected () =
     (Slc_obs.Slc_error.Invalid_input (Slc_obs.Slc_error.invalid ~site:"Belief.chain" "empty chain")) (fun () ->
       ignore (Belief.chain []))
 
-(* Deterministic synthetic node populations for graph tests. *)
+(* Deterministic synthetic node populations. *)
 let belief_rows ~shift n =
   Array.init n (fun i ->
       Timing_model.to_vec
@@ -353,98 +353,60 @@ let same_message msg a b =
     done
   done
 
-let test_belief_observe_workspace_parity () =
-  let rows = belief_rows ~shift:0.0 8 in
-  let msg = Belief.drift (Belief.diffuse 4) (Belief.default_drift 4) in
-  let plain = Belief.observe msg rows in
-  let ws = Belief.make_workspace 4 in
-  (* Reuse one workspace twice: stale scratch must not leak. *)
-  let with_ws1 = Belief.observe ~ws msg rows in
-  let with_ws2 = Belief.observe ~ws msg rows in
-  same_message "fresh vs workspace" plain with_ws1;
-  same_message "workspace reuse" plain with_ws2;
-  Alcotest.check_raises "dimension mismatch"
-    (Slc_obs.Slc_error.Invalid_input
-       (Slc_obs.Slc_error.invalid ~site:"Belief.observe"
-          "workspace dimension mismatch")) (fun () ->
-      ignore (Belief.observe ~ws:(Belief.make_workspace 3) msg rows))
-
-let test_belief_graph_matches_chain () =
+(* [Belief.chain] pinned bit for bit: a six-row node, a single-row node
+   (the fixed-spread branch of [observe]), an empty node (returned
+   unchanged) and a seven-row node.  The expected values are recorded
+   bits, so any change to the operation order of [observe] or [drift]
+   shows here. *)
+let test_belief_chain_golden_bits () =
   let nodes =
     [
-      ("n28", belief_rows ~shift:0.00 6);
-      ("n20", belief_rows ~shift:0.03 5);
-      ("n14", belief_rows ~shift:0.05 7);
+      ("a", belief_rows ~shift:0.00 6);
+      ("b", belief_rows ~shift:0.03 1);
+      ("c", [||]);
+      ("d", belief_rows ~shift:0.05 7);
     ]
   in
-  let g = Belief.graph_of_chain nodes in
-  let r = Belief.propagate g in
-  Alcotest.(check bool) "converged" true r.Belief.converged;
-  Alcotest.(check int) "one update per edge" (List.length nodes)
-    r.Belief.updates;
-  (* Every per-node belief along the graph reproduces the corresponding
-     prefix of the chain fold, bit for bit. *)
-  List.iteri
-    (fun i (name, _) ->
-      let prefix = List.filteri (fun j _ -> j <= i) nodes in
-      let expect = Belief.chain prefix in
-      let got = List.assoc name r.Belief.beliefs in
-      same_message name expect got)
-    nodes
-
-let test_belief_graph_diamond () =
-  let nodes =
-    [
-      ("root", belief_rows ~shift:0.00 6);
-      ("left", belief_rows ~shift:0.02 5);
-      ("right", belief_rows ~shift:0.04 5);
-      ("sink", belief_rows ~shift:0.03 6);
-    ]
+  let expect =
+    {
+      Belief.mu =
+        [|
+          0x1.6c69f55659e48p-2;
+          0x1.078669106cd9p+0;
+          -0x1.6667f19b72e75p-3;
+          0x1.9999999996337p-4;
+        |];
+      cov =
+        Mat.of_rows
+          [|
+            [|
+              0x1.7740a81e6104ap-19;
+              0x1.bd26e5da5fc22p-17;
+              -0x1.a2be8e85a626cp-136;
+              -0x1.72519309cdebep-122;
+            |];
+            [|
+              0x1.bd26e5da5fc22p-17;
+              0x1.16d9dc0ff0782p-14;
+              -0x1.06648a481e68dp-133;
+              0x1.5462cfd873768p-111;
+            |];
+            [|
+              -0x1.a2be8e85a626cp-136;
+              -0x1.06648a481e68dp-133;
+              0x1.32bfa03622704p-23;
+              -0x1.71666040808bfp-140;
+            |];
+            [|
+              -0x1.72519309cdebep-122;
+              0x1.5462cfd873768p-111;
+              -0x1.71666040808bfp-140;
+              0x1.32bfa03622704p-23;
+            |];
+          |];
+    }
   in
-  let g =
-    Belief.graph_make ~nodes ~edges:[ (0, 1); (0, 2); (1, 3); (2, 3) ] ()
-  in
-  let r = Belief.propagate g in
-  Alcotest.(check bool) "converged" true r.Belief.converged;
-  Alcotest.(check int) "one update per edge" 4 r.Belief.updates;
-  let sink = List.assoc "sink" r.Belief.beliefs in
-  Alcotest.(check bool) "finite sink mean" true
-    (Array.for_all Float.is_finite sink.Belief.mu);
-  (* Two informative parents: the sink belief is at least as tight as
-     what either single parent would give through a plain chain. *)
-  let single = Belief.chain [ List.nth nodes 0; List.nth nodes 1; List.nth nodes 3 ] in
-  Alcotest.(check bool) "two parents tighten the sink" true
-    (Mat.get sink.Belief.cov 0 0 <= Mat.get single.Belief.cov 0 0 +. 1e-12)
-
-let test_belief_graph_cycle_terminates () =
-  let nodes =
-    [ ("a", belief_rows ~shift:0.00 6); ("b", belief_rows ~shift:0.05 6) ]
-  in
-  let g = Belief.graph_make ~nodes ~edges:[ (0, 1); (1, 0) ] () in
-  let r = Belief.propagate ~tol:1e-12 ~max_updates:200 g in
-  Alcotest.(check bool) "bounded" true (r.Belief.updates <= 200);
-  Alcotest.(check bool) "cap reached iff not converged" true
-    (r.Belief.converged || r.Belief.updates = 200);
-  List.iter
-    (fun (_, b) ->
-      Alcotest.(check bool) "finite" true
-        (Array.for_all Float.is_finite b.Belief.mu))
-    r.Belief.beliefs
-
-let test_belief_graph_validation () =
-  let rows = belief_rows ~shift:0.0 4 in
-  let raises msg err f =
-    Alcotest.check_raises msg
-      (Slc_obs.Slc_error.Invalid_input
-         (Slc_obs.Slc_error.invalid ~site:"Belief.graph_make" err))
-      (fun () -> ignore (f ()))
-  in
-  raises "empty" "empty graph" (fun () ->
-      Belief.graph_make ~nodes:[] ~edges:[] ());
-  raises "range" "edge endpoint out of range" (fun () ->
-      Belief.graph_make ~nodes:[ ("a", rows) ] ~edges:[ (0, 1) ] ());
-  raises "self" "self edge" (fun () ->
-      Belief.graph_make ~nodes:[ ("a", rows) ] ~edges:[ (0, 0) ] ())
+  same_message "chain" expect (Belief.chain nodes)
 
 (* ------------------------------------------------------------------ *)
 (* Char_flow helpers *)
@@ -1000,7 +962,7 @@ let test_prior_summary_renders () =
   Alcotest.(check bool) "mentions provenance" true (String.length s > 200)
 
 let test_belief_to_mvn () =
-  let msg = Belief.diffuse ~scale:2.0 4 in
+  let msg = Belief.diffuse 4 in
   let m = Belief.to_mvn msg in
   Alcotest.(check int) "dim" 4 (Slc_prob.Mvn.dim m)
 
@@ -1225,15 +1187,8 @@ let () =
             test_belief_drift_grows_cov;
           Alcotest.test_case "chain prior" `Slow test_belief_chain_and_prior;
           Alcotest.test_case "empty chain" `Quick test_belief_empty_chain_rejected;
-          Alcotest.test_case "observe workspace parity" `Quick
-            test_belief_observe_workspace_parity;
-          Alcotest.test_case "graph matches chain (bitwise)" `Quick
-            test_belief_graph_matches_chain;
-          Alcotest.test_case "graph diamond" `Quick test_belief_graph_diamond;
-          Alcotest.test_case "graph cycle terminates" `Quick
-            test_belief_graph_cycle_terminates;
-          Alcotest.test_case "graph validation" `Quick
-            test_belief_graph_validation;
+          Alcotest.test_case "chain golden bits" `Quick
+            test_belief_chain_golden_bits;
         ] );
       ( "gpr",
         [

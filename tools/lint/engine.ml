@@ -1468,7 +1468,7 @@ let check_r6 univ =
    equality. *)
 
 let r7_builtin_roots =
-  [ "Statistical.extract_population"; "Sdag.forward_compiled"; "Belief.propagate" ]
+  [ "Statistical.extract_population"; "Sdag.forward_compiled"; "Belief.chain_prior" ]
 
 let r7_is_root d =
   name_is r7_builtin_roots d.d_name
