@@ -260,7 +260,7 @@ let supply_energy res ~vdd =
   (* E = Vdd * integral of (leakage-corrected) supply current. *)
   let w_src = Transient.waveform res node_vdd in
   let w_rail = Transient.waveform res node_rail in
-  let times = w_src.Waveform.times in
+  let times = (w_src.Waveform.times :> float array) in
   let current i =
     (w_src.Waveform.values.(i) -. w_rail.Waveform.values.(i)) /. r_sense
   in

@@ -7,7 +7,8 @@ let fF = 1e-15
 (* ------------------------------------------------------------------ *)
 (* Writer *)
 
-let nearest_index axis x =
+let nearest_index (axis : Slc_num.Interp.axis) x =
+  let axis = (axis :> float array) in
   let best = ref 0 in
   Array.iteri
     (fun i v -> if Float.abs (v -. x) < Float.abs (axis.(!best) -. x) then best := i)
@@ -22,11 +23,12 @@ let write_axis ppf name values scale =
 let fJ = 1e-15
 
 let write_table ?(scale = ps) ppf kind (t : Nldm.t) values vdd_idx =
+  let sin_axis = (t.Nldm.sin_axis :> float array)
+  and cload_axis = (t.Nldm.cload_axis :> float array) in
   Format.fprintf ppf "@[<v 2>%s (tmpl_%dx%d) {@," kind
-    (Array.length t.Nldm.sin_axis)
-    (Array.length t.Nldm.cload_axis);
-  write_axis ppf "index_1" t.Nldm.sin_axis ps;
-  write_axis ppf "index_2" t.Nldm.cload_axis fF;
+    (Array.length sin_axis) (Array.length cload_axis);
+  write_axis ppf "index_1" sin_axis ps;
+  write_axis ppf "index_2" cload_axis fF;
   Format.fprintf ppf "@[<v 2>values (@,";
   Array.iteri
     (fun i _ ->
@@ -36,11 +38,11 @@ let write_table ?(scale = ps) ppf kind (t : Nldm.t) values vdd_idx =
              (Array.mapi
                 (fun j _ ->
                   Printf.sprintf "%.4f" (values.(i).(j).(vdd_idx) /. scale))
-                t.Nldm.cload_axis))
+                cload_axis))
       in
       Format.fprintf ppf "\"%s\"%s@," row
-        (if i < Array.length t.Nldm.sin_axis - 1 then "," else ""))
-    t.Nldm.sin_axis;
+        (if i < Array.length sin_axis - 1 then "," else ""))
+    sin_axis;
   Format.fprintf ppf "@]);@]@,}@,"
 
 let write ppf ~vdd (lib : Library.t) =
@@ -262,8 +264,8 @@ let parse_top src =
 (* Extraction of the emitted subset. *)
 
 type table = {
-  index_1 : float array;
-  index_2 : float array;
+  index_1 : Slc_num.Interp.axis;
+  index_2 : Slc_num.Interp.axis;
   values : float array array;
 }
 
@@ -310,7 +312,12 @@ let extract_table g =
   let idx name =
     List.find_map
       (function
-        | Complex (n, [ Vstr s ]) when n = name -> Some (floats_of_string s)
+        | Complex (n, [ Vstr s ]) when n = name -> (
+          match Slc_num.Interp.axis (floats_of_string s) with
+          | Some a -> Some a
+          | None ->
+            raise
+              (Parse_error (name ^ " is empty or not strictly increasing")))
         | _ -> None)
       g.items
   in
@@ -454,21 +461,16 @@ let parse src =
 let bilinear (tbl : table) x1 x2 =
   (* x1 on index_1 (slew, ps), x2 on index_2 (load, fF). *)
   let cell axis x =
-    let n = Array.length axis in
-    if n = 1 then (0, 0.0)
-    else begin
-      let i = Slc_num.Interp.locate axis x in
-      (i, (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i)))
-    end
+    let i = Slc_num.Interp.locate axis x in
+    let axis = (axis :> float array) in
+    if Array.length axis = 1 then (0, 0.0)
+    else (i, (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i)))
   in
   let i, tx = cell tbl.index_1 x1 in
   let j, ty = cell tbl.index_2 x2 in
-  let at a b =
-    tbl.values.(min a (Array.length tbl.index_1 - 1)).(min b
-                                                         (Array.length
-                                                            tbl.index_2
-                                                          - 1))
-  in
+  let n1 = Array.length (tbl.index_1 :> float array)
+  and n2 = Array.length (tbl.index_2 :> float array) in
+  let at a b = tbl.values.(min a (n1 - 1)).(min b (n2 - 1)) in
   let lerp t a b = ((1.0 -. t) *. a) +. (t *. b) in
   lerp ty
     (lerp tx (at i j) (at (i + 1) j))

@@ -22,8 +22,8 @@ val to_string : vdd:float -> Library.t -> string
 (** {1 Reading} *)
 
 type table = {
-  index_1 : float array;  (** input slew axis, ps *)
-  index_2 : float array;  (** load axis, fF *)
+  index_1 : Slc_num.Interp.axis;  (** input slew axis, ps *)
+  index_2 : Slc_num.Interp.axis;  (** load axis, fF *)
   values : float array array;  (** [slew][load], ps *)
 }
 

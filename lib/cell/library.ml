@@ -132,9 +132,9 @@ let summary ppf t =
   List.iter
     (fun e ->
       let tb = e.table in
-      let n_s = Array.length tb.Nldm.sin_axis
-      and n_c = Array.length tb.Nldm.cload_axis
-      and n_v = Array.length tb.Nldm.vdd_axis in
+      let n_s = Array.length (tb.Nldm.sin_axis :> float array)
+      and n_c = Array.length (tb.Nldm.cload_axis :> float array)
+      and n_v = Array.length (tb.Nldm.vdd_axis :> float array) in
       let td_min = tb.Nldm.td.(0).(0).(n_v - 1) in
       let td_max = tb.Nldm.td.(n_s - 1).(n_c - 1).(0) in
       Format.fprintf ppf "  arc %-16s table %dx%dx%d  td [%6.2f .. %6.2f] ps@."

@@ -1,15 +1,18 @@
+module Interp = Slc_num.Interp
+
 type t = {
   arc_name : string;
-  sin_axis : float array;
-  cload_axis : float array;
-  vdd_axis : float array;
+  sin_axis : Interp.axis;
+  cload_axis : Interp.axis;
+  vdd_axis : Interp.axis;
   td : float array array array;
   sout : float array array array;
   energy : float array array array;
 }
 
-let size t =
-  Array.length t.sin_axis * Array.length t.cload_axis * Array.length t.vdd_axis
+let dim (axis : Interp.axis) = Array.length (axis :> float array)
+
+let size t = dim t.sin_axis * dim t.cload_axis * dim t.vdd_axis
 
 let design_levels ~budget ~box =
   if Array.length box <> 3 then Slc_obs.Slc_error.invalid_input ~site:"Nldm.design_levels" "need 3-D box";
@@ -67,13 +70,20 @@ let build_on_axes ?seed tech arc ~axes =
       point = None;
     }
   @@ fun () ->
-  let sin_axis = axes.(0) and cload_axis = axes.(1) and vdd_axis = axes.(2) in
+  let axis a =
+    match Interp.axis a with
+    | Some a -> a
+    | None ->
+      Slc_obs.Slc_error.invalid_input ~site:"Nldm.build_on_axes"
+        "axis empty or not strictly increasing"
+  in
+  let sin_axis = axis axes.(0)
+  and cload_axis = axis axes.(1)
+  and vdd_axis = axis axes.(2) in
   let measure s c v =
     Harness.simulate ?seed tech arc { Harness.sin = s; cload = c; vdd = v }
   in
-  let n_s = Array.length sin_axis
-  and n_c = Array.length cload_axis
-  and n_v = Array.length vdd_axis in
+  let n_s = dim sin_axis and n_c = dim cload_axis and n_v = dim vdd_axis in
   let td = Array.init n_s (fun _ -> Array.init n_c (fun _ -> Array.make n_v 0.0)) in
   let sout = Array.init n_s (fun _ -> Array.init n_c (fun _ -> Array.make n_v 0.0)) in
   let energy =
@@ -82,7 +92,7 @@ let build_on_axes ?seed tech arc ~axes =
   for i = 0 to n_s - 1 do
     for j = 0 to n_c - 1 do
       for k = 0 to n_v - 1 do
-        let m = measure sin_axis.(i) cload_axis.(j) vdd_axis.(k) in
+        let m = measure axes.(0).(i) axes.(1).(j) axes.(2).(k) in
         td.(i).(j).(k) <- m.Harness.td;
         sout.(i).(j).(k) <- m.Harness.sout;
         energy.(i).(j).(k) <- m.Harness.energy
@@ -100,21 +110,23 @@ let build ?seed tech arc ~levels =
    blends the eight corners.  A point is located once and every value
    grid reuses that location, so [lookup_td_sout] is bitwise
    [(lookup_td t p, lookup_sout t p)] at half the locating work.
+   The axes were validated when the table was made, so [Interp.locate]
+   (which puts a singleton axis's one cell at 0) scans nothing.
    [weight] and [interpolate] are inlined, so their float arguments and
    results stay unboxed: besides its result, a lookup allocates only the
    coordinate each [Interp.locate] call boxes. *)
-let index axis x =
-  if Array.length axis = 1 then 0 else Slc_num.Interp.locate axis x
+let index = Interp.locate
 
-let[@inline] weight axis i x =
+let[@inline] weight (axis : Interp.axis) i x =
+  let axis = (axis :> float array) in
   if Array.length axis = 1 then 0.0
   else (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i))
 
 let[@inline] interpolate (values : float array array array) t i j k tx ty tz =
   (* Clamp the upper corner onto singleton axes. *)
-  let i1 = if i + 1 < Array.length t.sin_axis then i + 1 else i in
-  let j1 = if j + 1 < Array.length t.cload_axis then j + 1 else j in
-  let k1 = if k + 1 < Array.length t.vdd_axis then k + 1 else k in
+  let i1 = if i + 1 < dim t.sin_axis then i + 1 else i in
+  let j1 = if j + 1 < dim t.cload_axis then j + 1 else j in
+  let k1 = if k + 1 < dim t.vdd_axis then k + 1 else k in
   let v0 = values.(i) and v1 = values.(i1) in
   let c00 = ((1.0 -. tx) *. v0.(j).(k)) +. (tx *. v1.(j).(k)) in
   let c10 = ((1.0 -. tx) *. v0.(j1).(k)) +. (tx *. v1.(j1).(k)) in
@@ -158,16 +170,17 @@ module R = Slc_num.Line_reader
 let hex = Slc_num.Hexfloat.to_string
 
 let to_buffer b t =
-  let axis name a =
+  let axis name (a : Interp.axis) =
+    let a = (a :> float array) in
     Buffer.add_string b
       (Printf.sprintf "axis %s %d %s\n" name (Array.length a)
          (String.concat " " (Array.to_list (Array.map hex a))))
   in
   let grid name (values : float array array array) =
     let flat = ref [] in
-    for i = Array.length t.sin_axis - 1 downto 0 do
-      for j = Array.length t.cload_axis - 1 downto 0 do
-        for k = Array.length t.vdd_axis - 1 downto 0 do
+    for i = dim t.sin_axis - 1 downto 0 do
+      for j = dim t.cload_axis - 1 downto 0 do
+        for k = dim t.vdd_axis - 1 downto 0 do
           flat := hex values.(i).(j).(k) :: !flat
         done
       done
@@ -207,9 +220,7 @@ let parse c =
   let sin_axis = axis "sin" in
   let cload_axis = axis "cload" in
   let vdd_axis = axis "vdd" in
-  let n_s = Array.length sin_axis
-  and n_c = Array.length cload_axis
-  and n_v = Array.length vdd_axis in
+  let n_s = dim sin_axis and n_c = dim cload_axis and n_v = dim vdd_axis in
   let grid name =
     let vals = R.floats (R.expect c name) in
     if Array.length vals <> n_s * n_c * n_v then

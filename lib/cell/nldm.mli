@@ -9,9 +9,10 @@
 
 type t = {
   arc_name : string;
-  sin_axis : float array;
-  cload_axis : float array;
-  vdd_axis : float array;
+  sin_axis : Slc_num.Interp.axis;
+      (** axes are validated once, where a table is built or parsed *)
+  cload_axis : Slc_num.Interp.axis;
+  vdd_axis : Slc_num.Interp.axis;
   td : float array array array;    (** indexed [sin][cload][vdd] *)
   sout : float array array array;
   energy : float array array array;  (** switching energy, J *)
@@ -44,6 +45,9 @@ val build_on_axes :
   Arc.t ->
   axes:float array array ->
   t
+(** Simulates every point of the given axes; raises
+    {!Slc_obs.Slc_error.Invalid_input} for an axis that is empty or not
+    strictly increasing. *)
 
 val lookup_td : t -> Harness.point -> float
 (** Trilinearly interpolated delay at an arbitrary ξ (linear

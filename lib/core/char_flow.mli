@@ -28,6 +28,19 @@ val simulate_dataset :
   Input_space.point array ->
   dataset
 
+val ieff_at :
+  ?seed:Slc_device.Process.seed ->
+  Slc_device.Tech.t ->
+  Slc_cell.Arc.t ->
+  Input_space.point ->
+  float
+(** The arc's equivalent-inverter drive current at the point's supply,
+    with the seed's global shifts (default nominal): the [Ieff] a
+    compact-model predictor divides by.  A model predictor answers
+    bitwise [Timing_model.eval params ~ieff:(ieff_at ?seed tech arc pt)
+    pt] — it keeps the last [Ieff] per supply, and the tests pin that
+    this memo changes no bit. *)
+
 val observations_of_dataset :
   ?seed:Slc_device.Process.seed ->
   Slc_device.Tech.t ->

@@ -163,8 +163,14 @@ let build ~metric ~grid_levels ~beta_rel_floor ~learn_cost raws =
         Array.init n_c (fun j ->
             Array.init n_v (fun k -> beta_flat.((((i * n_c) + j) * n_v) + k))))
   in
+  let axis a =
+    match Interp.axis a with
+    | Some a -> a
+    | None ->
+      Slc_obs.Slc_error.invalid_input ~site:"Prior.build" "empty grid axis"
+  in
   let beta =
-    { Interp.axes = (axes.(0), axes.(1), axes.(2)); values3 }
+    { Interp.axes = (axis axes.(0), axis axes.(1), axis axes.(2)); values3 }
   in
   { metric; mvn; beta; provenance; learn_cost }
 
@@ -195,7 +201,8 @@ let beta_at t tech point =
   let xs, ys, zs = t.beta.Interp.axes in
   (* Clamp to the grid span: precision is never extrapolated beyond the
      historically observed conditions. *)
-  let clamp axis x =
+  let clamp (axis : Interp.axis) x =
+    let axis = (axis :> float array) in
     Float.max axis.(0) (Float.min axis.(Array.length axis - 1) x)
   in
   Interp.trilinear t.beta (clamp xs u.(0)) (clamp ys u.(1)) (clamp zs u.(2))

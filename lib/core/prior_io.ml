@@ -18,7 +18,8 @@ let write_one ppf (p : Prior.t) =
   done;
   Format.fprintf ppf "cov %s@." (String.concat " " !flat);
   let xs, ys, zs = p.Prior.beta.Interp.axes in
-  let axis a =
+  let axis (a : Interp.axis) =
+    let a = (a :> float array) in
     Printf.sprintf "%d %s" (Array.length a)
       (String.concat " " (Array.to_list (Array.map fl a)))
   in
@@ -76,7 +77,8 @@ let parse_one c =
   let ys = R.axis "cload" (R.expect c "axis") in
   let zs = R.axis "vdd" (R.expect c "axis") in
   let betas = R.floats (R.expect c "beta") in
-  let n_s = Array.length xs and n_c = Array.length ys and n_v = Array.length zs in
+  let dim (a : Interp.axis) = Array.length (a :> float array) in
+  let n_s = dim xs and n_c = dim ys and n_v = dim zs in
   if Array.length betas <> n_s * n_c * n_v then fail "beta size mismatch";
   let values3 =
     Array.init n_s (fun i ->

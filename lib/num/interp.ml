@@ -1,21 +1,29 @@
+(* An axis is validated once, when it is made; [locate] trusts it. *)
+type axis = float array
+
+(* [<] is false against a NaN, so a NaN point fails the check. *)
 let is_strictly_increasing (axis : float array) =
   let n = Array.length axis in
-  let ok = ref (n >= 1) in
+  let ok = ref (n >= 1 && axis.(0) = axis.(0)) in
   for i = 0 to n - 2 do
-    if axis.(i) >= axis.(i + 1) then ok := false
+    if not (axis.(i) < axis.(i + 1)) then ok := false
   done;
   !ok
 
-let check_axis name axis =
-  if Array.length axis < 2 then
+let axis a = if is_strictly_increasing a then Some a else None
+
+(* A grid axis needs a cell: at least two points. *)
+let grid_axis name a =
+  if Array.length a < 2 then
     invalid_arg (Printf.sprintf "Interp.%s: axis needs >= 2 points" name);
-  if not (is_strictly_increasing axis) then
+  match axis a with
+  | Some a -> a
+  | None ->
     invalid_arg (Printf.sprintf "Interp.%s: axis not strictly increasing" name)
 
-let locate (axis : float array) (x : float) =
-  check_axis "locate" axis;
+let locate (axis : axis) (x : float) =
   let n = Array.length axis in
-  if x <= axis.(0) then 0
+  if n < 2 || x <= axis.(0) then 0
   else if x >= axis.(n - 1) then n - 2
   else begin
     (* Binary search for the cell containing x. *)
@@ -35,15 +43,16 @@ let weight axis i x =
 let linear1d xs ys x =
   if Array.length xs <> Array.length ys then
     invalid_arg "Interp.linear1d: xs/ys length mismatch";
+  if Array.length xs < 2 then
+    invalid_arg "Interp.linear1d: axis needs >= 2 points";
   let i = locate xs x in
   let t = weight xs i x in
   ((1.0 -. t) *. ys.(i)) +. (t *. ys.(i + 1))
 
-type grid2 = { xs : Vec.t; ys : Vec.t; values : Mat.t }
+type grid2 = { xs : axis; ys : axis; values : Mat.t }
 
 let make_grid2 ~xs ~ys ~f =
-  check_axis "make_grid2" xs;
-  check_axis "make_grid2" ys;
+  let xs = grid_axis "make_grid2" xs and ys = grid_axis "make_grid2" ys in
   { xs; ys; values = Mat.init (Array.length xs) (Array.length ys) (fun i j -> f xs.(i) ys.(j)) }
 
 let bilinear g x y =
@@ -62,12 +71,12 @@ let bilinear g x y =
   +. ((1.0 -. tx) *. ty *. v01)
   +. (tx *. ty *. v11)
 
-type grid3 = { axes : Vec.t * Vec.t * Vec.t; values3 : float array array array }
+type grid3 = { axes : axis * axis * axis; values3 : float array array array }
 
 let make_grid3 ~xs ~ys ~zs ~f =
-  check_axis "make_grid3" xs;
-  check_axis "make_grid3" ys;
-  check_axis "make_grid3" zs;
+  let xs = grid_axis "make_grid3" xs
+  and ys = grid_axis "make_grid3" ys
+  and zs = grid_axis "make_grid3" zs in
   let values3 =
     Array.init (Array.length xs) (fun i ->
         Array.init (Array.length ys) (fun j ->

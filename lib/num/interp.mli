@@ -2,30 +2,45 @@
     trilinear, with linear extrapolation outside the grid.  These are the
     interpolation schemes used by NLDM-style timing look-up tables. *)
 
-val locate : Vec.t -> float -> int
+type axis = private float array
+(** A grid axis: at least one point, strictly increasing.  It is
+    validated once, by {!axis} (or the grid and reader functions built
+    on it), so {!locate} does no per-call scan.  The array is shared,
+    not copied: it must not be written after validation. *)
+
+val axis : float array -> axis option
+(** [Some] the array as an axis when it has at least one point and is
+    strictly increasing (so holds no NaN), [None] otherwise; callers
+    turn [None] into their own typed error. *)
+
+val locate : axis -> float -> int
 (** [locate axis x] returns the index [i] of the cell such that
     [axis.(i) <= x <= axis.(i+1)], clamped to [0 .. dim axis - 2] (this
-    clamping yields linear extrapolation at the ends).  The axis must be
-    strictly increasing with at least two points. *)
+    clamping yields linear extrapolation at the ends).  A one-point
+    axis has the one cell [0]; callers hold values constant along it.
+    O(log n), allocation-free. *)
 
-val is_strictly_increasing : Vec.t -> bool
-
-val linear1d : Vec.t -> Vec.t -> float -> float
+val linear1d : axis -> Vec.t -> float -> float
 (** [linear1d xs ys x]: piecewise-linear interpolation of the samples
-    [(xs, ys)] at [x], linearly extrapolating outside [xs]. *)
+    [(xs, ys)] at [x], linearly extrapolating outside [xs].  Raises
+    [Invalid_argument] unless [xs] has at least two points and [ys] its
+    length. *)
 
-type grid2 = { xs : Vec.t; ys : Vec.t; values : Mat.t }
+type grid2 = { xs : axis; ys : axis; values : Mat.t }
 (** [values] has [dim xs] rows and [dim ys] columns. *)
 
 val make_grid2 : xs:Vec.t -> ys:Vec.t -> f:(float -> float -> float) -> grid2
+(** Validates each axis once: raises [Invalid_argument] unless it has
+    at least two points and is strictly increasing. *)
 
 val bilinear : grid2 -> float -> float -> float
 
-type grid3 = { axes : Vec.t * Vec.t * Vec.t; values3 : float array array array }
+type grid3 = { axes : axis * axis * axis; values3 : float array array array }
 (** [values3.(i).(j).(k)] corresponds to [(xs.(i), ys.(j), zs.(k))]. *)
 
 val make_grid3 :
   xs:Vec.t -> ys:Vec.t -> zs:Vec.t -> f:(float -> float -> float -> float) ->
   grid3
+(** Validates each axis once, as {!make_grid2}. *)
 
 val trilinear : grid3 -> float -> float -> float -> float

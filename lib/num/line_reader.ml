@@ -66,6 +66,6 @@ let axis name = function
     if n < 1 then fail ("bad axis count for " ^ name);
     let a = floats vals in
     if Array.length a <> n then fail ("axis length mismatch for " ^ name);
-    if not (Interp.is_strictly_increasing a) then
-      fail ("axis not strictly increasing for " ^ name);
-    a
+    match Interp.axis a with
+    | Some a -> a
+    | None -> fail ("axis not strictly increasing for " ^ name)

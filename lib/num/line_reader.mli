@@ -48,6 +48,7 @@ val quoted : key:string -> string -> string
 (** [quoted ~key line]: the OCaml string literal ([%S]) that is the
     whole of [line] after [key] and whitespace. *)
 
-val axis : string -> string list -> float array
+val axis : string -> string list -> Interp.axis
 (** [axis name (count :: values)]: a grid axis of [count >= 1] strictly
-    increasing values (NLDM axes and the prior's β grid). *)
+    increasing values (NLDM axes and the prior's β grid), validated
+    here once for every later {!Interp.locate}. *)

@@ -1,20 +1,24 @@
-type t = { times : Slc_num.Vec.t; values : Slc_num.Vec.t }
+type t = { times : Slc_num.Interp.axis; values : Slc_num.Vec.t }
 
 let make ~times ~values =
   if Array.length times <> Array.length values then
     Slc_obs.Slc_error.invalid_input ~site:"Waveform.make" "length mismatch";
   if Array.length times < 2 then
     Slc_obs.Slc_error.invalid_input ~site:"Waveform.make" "need at least 2 samples";
-  if not (Slc_num.Interp.is_strictly_increasing times) then
-    Slc_obs.Slc_error.invalid_input ~site:"Waveform.make" "times must be strictly increasing";
-  { times; values }
+  match Slc_num.Interp.axis times with
+  | Some times -> { times; values }
+  | None ->
+    Slc_obs.Slc_error.invalid_input ~site:"Waveform.make" "times must be strictly increasing"
 
-let length w = Array.length w.times
+let times w = (w.times :> Slc_num.Vec.t)
+
+let length w = Array.length (times w)
 
 let value_at w t =
-  let n = Array.length w.times in
-  if t <= w.times.(0) then w.values.(0)
-  else if t >= w.times.(n - 1) then w.values.(n - 1)
+  let times = times w in
+  let n = Array.length times in
+  if t <= times.(0) then w.values.(0)
+  else if t >= times.(n - 1) then w.values.(n - 1)
   else Slc_num.Interp.linear1d w.times w.values t
 
 let final_value w = w.values.(Array.length w.values - 1)
@@ -22,12 +26,13 @@ let final_value w = w.values.(Array.length w.values - 1)
 type direction = Rising | Falling
 
 let cross_time w ?after dir level =
-  let start = match after with Some t -> t | None -> w.times.(0) in
-  let n = Array.length w.times in
+  let times = times w in
+  let start = match after with Some t -> t | None -> times.(0) in
+  let n = Array.length times in
   let rec go i =
     if i >= n - 1 then None
     else begin
-      let t1 = w.times.(i) and t2 = w.times.(i + 1) in
+      let t1 = times.(i) and t2 = times.(i + 1) in
       if t2 < start then go (i + 1)
       else begin
         let v1 = w.values.(i) and v2 = w.values.(i + 1) in
@@ -99,4 +104,4 @@ let to_csv ppf named =
           (fun (_, w) -> Format.fprintf ppf ",%.6e" (value_at w t))
           named;
         Format.fprintf ppf "@.")
-      first.times
+      (times first)

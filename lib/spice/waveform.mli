@@ -1,8 +1,8 @@
 (** Simulated waveforms and timing measurements. *)
 
-type t = { times : Slc_num.Vec.t; values : Slc_num.Vec.t }
-(** Sampled voltage-vs-time trace; [times] strictly increasing, equal
-    lengths. *)
+type t = { times : Slc_num.Interp.axis; values : Slc_num.Vec.t }
+(** Sampled voltage-vs-time trace; [times] strictly increasing (checked
+    once, by {!make}), equal lengths. *)
 
 val make : times:Slc_num.Vec.t -> values:Slc_num.Vec.t -> t
 

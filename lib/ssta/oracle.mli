@@ -8,6 +8,10 @@ type t = {
   query : Slc_cell.Arc.t -> Slc_cell.Harness.point -> float * float;
       (** [(delay, output slew)] *)
   label : string;
+  memoize : bool;
+      (** Whether a query costs more than a probe of an exact
+          {!cache}: {!cached} wraps only oracles that set it (see
+          Query-result caching below). *)
 }
 
 val of_predictors :
@@ -15,7 +19,8 @@ val of_predictors :
   (Slc_cell.Arc.t -> Slc_core.Char_flow.predictor) ->
   t
 (** Backed by per-arc predictors (e.g. {!Slc_core.Char_flow.train_bayes});
-    the function is called once per distinct arc and memoized.
+    the function is called once per distinct arc and memoized.  A query
+    evaluates a compact model: [memoize] is false.
 
     The memo is an {!Slc_num.Memo}, so concurrent queries (the
     characterization server's connections) are safe.  Builds must be
@@ -25,11 +30,13 @@ val of_predictors :
 
 val of_library : Slc_cell.Library.t -> t
 (** Backed by interpolated NLDM tables; raises [Not_found] when queried
-    for an arc the library does not contain. *)
+    for an arc the library does not contain.  A query is one table
+    interpolation: [memoize] is false. *)
 
 val of_simulator :
   ?seed:Slc_device.Process.seed -> Slc_device.Tech.t -> t
-(** Ground truth: every query is one transient simulation. *)
+(** Ground truth: every query is one transient simulation, so [memoize]
+    is true. *)
 
 val bayes_bank :
   ?seed:Slc_device.Process.seed ->
@@ -66,7 +73,26 @@ val bayes_bank :
     zero simulations, and the rebuilt predictors answer bitwise
     identically to freshly trained ones. *)
 
-(** {2 Query-result caching} *)
+(** {2 Query-result caching}
+
+    An exact cache pays only where a query costs more than a probe of
+    it.  Per query, over 332 910 distinct queries against the n28
+    INV/NAND2/NOR2 2x2x2 library (one core of a 2-vCPU container):
+
+    - a direct {!of_library} query: 50–95 ns;
+    - a direct {!bayes_bank} query: 0.144 µs (0.78–1.07 µs while each
+      query recomputed the arc's equivalent-inverter [Ieff] twice);
+    - a warm {!cached} hit: 240–310 ns;
+    - a cold {!cached} miss with its insert: 610–775 ns on top of the
+      query;
+    - an {!of_simulator} query: one transient simulation, tens of
+      microseconds or more.
+
+    So only {!of_simulator} (and test doubles standing in for a dear
+    oracle) set [memoize]; {!of_library}, {!of_predictors},
+    {!bayes_bank} and {!Yield}'s per-seed oracle do not, and
+    {!cached} hands them back unwrapped.  Their passes leave a cache
+    empty and answer bitwise as before. *)
 
 type cache
 (** A mutable, domain-safe map from (arc, point) to query results.
@@ -92,8 +118,9 @@ val make_cache : unit -> cache
     answer wins — and counts [oracle_hits]/[oracle_misses]. *)
 
 val cached : cache -> t -> t
-(** [cached c oracle] wraps [oracle] so queries go through [c].  A
-    cache may outlive the wrapper and be shared across analyses (only
+(** [cached c oracle] wraps [oracle] so queries go through [c] when
+    [oracle.memoize] holds, and is [oracle] itself otherwise.  A cache
+    may outlive the wrapper and be shared across analyses (only
     meaningful while the underlying oracle answers consistently). *)
 
 val cache_size : cache -> int

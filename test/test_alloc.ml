@@ -93,6 +93,7 @@ let test_warm_oracle_hit_allocation () =
     {
       Oracle.label = "synthetic";
       query = (fun _ (p : Harness.point) -> (p.Harness.sin, p.Harness.cload));
+      memoize = true;
     }
   in
   let w = Oracle.cached (Oracle.make_cache ()) base in
@@ -116,7 +117,7 @@ let test_warm_oracle_hit_allocation () =
    coordinate allocates nothing.  The coordinates are boxed once, up
    front, so the calls themselves box nothing. *)
 let test_locate_allocation () =
-  let axis = [| 0.0; 1.0; 2.0; 4.0; 8.0 |] in
+  let axis = Option.get (Slc_num.Interp.axis [| 0.0; 1.0; 2.0; 4.0; 8.0 |]) in
   let below = Sys.opaque_identity (-1.0)
   and inside = Sys.opaque_identity 3.0
   and above = Sys.opaque_identity 9.0 in
@@ -151,12 +152,13 @@ let test_library_query_allocation () =
         Array.init 3 (fun j ->
             Array.init 2 (fun k -> f (float_of_int ((4 * i) + (2 * j) + k)))))
   in
+  let axis a = Option.get (Slc_num.Interp.axis a) in
   let table =
     {
       Slc_cell.Nldm.arc_name = Arc.name arc;
-      sin_axis = [| 1e-12; 2e-11 |];
-      cload_axis = [| 1e-16; 1e-15; 4e-15 |];
-      vdd_axis = [| 0.6; 0.9 |];
+      sin_axis = axis [| 1e-12; 2e-11 |];
+      cload_axis = axis [| 1e-16; 1e-15; 4e-15 |];
+      vdd_axis = axis [| 0.6; 0.9 |];
       td = grid (fun v -> 1e-12 *. (1.0 +. v));
       sout = grid (fun v -> 2e-12 *. (1.0 +. v));
       energy = grid (fun v -> 1e-15 *. v);
@@ -196,22 +198,13 @@ let test_library_query_allocation () =
    [Gc.minor_words] counts. *)
 let ssta_budget_words = 60.3
 
-let test_warm_slack_report_allocation () =
+(* Minor words per gate of a warm slack report: two passes on [cache]
+   prime it, the third is measured. *)
+let warm_pass_words_per_gate oracle =
   let module Sdag = Slc_ssta.Sdag in
-  let module Oracle = Slc_ssta.Oracle in
   let module Generate = Slc_ssta.Generate in
-  let tech = Tech.n14 in
-  let d = Generate.design tech ~vdd:0.8 ~seed:7 ~gates:2000 in
-  let oracle =
-    {
-      Oracle.label = "closed-form";
-      query =
-        (fun _ (p : Harness.point) ->
-          ( 1e-12 +. (0.4 *. p.Harness.sin) +. (900.0 *. p.Harness.cload),
-            2e-12 +. (0.3 *. p.Harness.sin) +. (400.0 *. p.Harness.cload) ));
-    }
-  in
-  let cache = Oracle.make_cache () in
+  let d = Generate.design Tech.n14 ~vdd:0.8 ~seed:7 ~gates:2000 in
+  let cache = Slc_ssta.Oracle.make_cache () in
   let outputs = Generate.required d 1e-9 in
   let input_arrivals _ = Generate.both_edges ~at:0.0 ~slew:5e-12 in
   let pass () =
@@ -222,15 +215,49 @@ let test_warm_slack_report_allocation () =
   ignore (pass ());
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (pass ()));
-  let per_gate =
-    (Gc.minor_words () -. before)
-    /. float_of_int (Sdag.compiled_gates d.Generate.compiled)
+  (Gc.minor_words () -. before)
+  /. float_of_int (Sdag.compiled_gates d.Generate.compiled)
+
+let test_warm_slack_report_allocation () =
+  let oracle =
+    {
+      Slc_ssta.Oracle.label = "closed-form";
+      query =
+        (fun _ (p : Harness.point) ->
+          ( 1e-12 +. (0.4 *. p.Harness.sin) +. (900.0 *. p.Harness.cload),
+            2e-12 +. (0.3 *. p.Harness.sin) +. (400.0 *. p.Harness.cload) ));
+      memoize = true;
+    }
   in
+  let per_gate = warm_pass_words_per_gate oracle in
   if per_gate > ssta_budget_words then
     Alcotest.failf
       "warm Sdag.slack_report_compiled allocated %.1f minor words per gate \
        (budget %.1f): per-gate boxing crept back into the SSTA pass"
       per_gate ssta_budget_words
+
+(* The same warm pass over an NLDM library oracle, the path of the
+   100k-gate benchmark pass.  The oracle does not memoize, so the
+   cache stays empty and every used candidate is a direct table query:
+   a 4-word point and a 13-word answer (see
+   [library_query_budget_words]) instead of a 7-word hit, plus the
+   same rows.  The budget is the measured 73.5 words per gate plus
+   10%. *)
+let ssta_library_budget_words = 80.8
+
+let test_warm_library_slack_report_allocation () =
+  let lib =
+    Slc_cell.Library.characterize
+      ~cells:[ Cells.inv; Cells.nand2; Cells.nor2 ]
+      Tech.n14 ~levels:[| 2; 2; 2 |]
+  in
+  let per_gate = warm_pass_words_per_gate (Slc_ssta.Oracle.of_library lib) in
+  if per_gate > ssta_library_budget_words then
+    Alcotest.failf
+      "warm Sdag.slack_report_compiled over Oracle.of_library allocated \
+       %.1f minor words per gate (budget %.1f): per-gate boxing crept \
+       back into the SSTA pass or the table lookup"
+      per_gate ssta_library_budget_words
 
 let () =
   Alcotest.run "alloc"
@@ -260,5 +287,7 @@ let () =
         [
           Alcotest.test_case "warm slack report fits per-gate budget" `Quick
             test_warm_slack_report_allocation;
+          Alcotest.test_case "warm library slack report fits per-gate budget"
+            `Quick test_warm_library_slack_report_allocation;
         ] );
     ]

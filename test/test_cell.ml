@@ -326,7 +326,7 @@ let reference_simulate ?seed t arc (point : Harness.point) =
   let current i = (w_src.Wf.values.(i) -. w_rail.Wf.values.(i)) /. 1.0 in
   let i_leak = current 0 in
   let q = ref 0.0 in
-  let times = w_src.Wf.times in
+  let times = (w_src.Wf.times :> float array) in
   for i = 0 to Array.length times - 2 do
     let dt = times.(i + 1) -. times.(i) in
     q :=
@@ -443,9 +443,9 @@ let test_lut_exact_at_grid_points () =
   (* At a grid corner the interpolation must reproduce the simulation. *)
   let p =
     {
-      Harness.sin = t.Nldm.sin_axis.(0);
-      cload = t.Nldm.cload_axis.(1);
-      vdd = t.Nldm.vdd_axis.(0);
+      Harness.sin = (t.Nldm.sin_axis :> float array).(0);
+      cload = (t.Nldm.cload_axis :> float array).(1);
+      vdd = (t.Nldm.vdd_axis :> float array).(0);
     }
   in
   check_close ~tol:1e-18 "exact at node" t.Nldm.td.(0).(1).(0)
@@ -458,9 +458,9 @@ let test_lut_interpolates_between () =
   let t = Nldm.build tech arc ~levels:[| 2; 2; 2 |] in
   let p =
     {
-      Harness.sin = 0.5 *. (t.Nldm.sin_axis.(0) +. t.Nldm.sin_axis.(1));
-      cload = t.Nldm.cload_axis.(0);
-      vdd = t.Nldm.vdd_axis.(0);
+      Harness.sin = 0.5 *. ((t.Nldm.sin_axis :> float array).(0) +. (t.Nldm.sin_axis :> float array).(1));
+      cload = (t.Nldm.cload_axis :> float array).(0);
+      vdd = (t.Nldm.vdd_axis :> float array).(0);
     }
   in
   let v = Nldm.lookup_td t p in
@@ -473,9 +473,9 @@ let test_lut_energy_lookup () =
   let t = Nldm.build tech arc ~levels:[| 2; 2; 2 |] in
   let p =
     {
-      Harness.sin = t.Nldm.sin_axis.(1);
-      cload = t.Nldm.cload_axis.(0);
-      vdd = t.Nldm.vdd_axis.(1);
+      Harness.sin = (t.Nldm.sin_axis :> float array).(1);
+      cload = (t.Nldm.cload_axis :> float array).(0);
+      vdd = (t.Nldm.vdd_axis :> float array).(1);
     }
   in
   check_close ~tol:1e-22 "energy exact at node" t.Nldm.energy.(1).(0).(1)
@@ -511,19 +511,18 @@ let test_lut_singleton_axis () =
 let test_lut_shared_location () =
   let reference values (t : Nldm.t) (p : Harness.point) =
     let cell axis x =
-      let n = Array.length axis in
-      if n = 1 then (0, 0.0)
-      else
-        let i = Slc_num.Interp.locate axis x in
-        (i, (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i)))
+      let i = Slc_num.Interp.locate axis x in
+      let axis = (axis :> float array) in
+      if Array.length axis = 1 then (0, 0.0)
+      else (i, (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i)))
     in
     let i, tx = cell t.Nldm.sin_axis p.Harness.sin in
     let j, ty = cell t.Nldm.cload_axis p.Harness.cload in
     let k, tz = cell t.Nldm.vdd_axis p.Harness.vdd in
     let at a b c =
-      (values : float array array array).(min a (Array.length t.Nldm.sin_axis - 1))
-        .(min b (Array.length t.Nldm.cload_axis - 1))
-        .(min c (Array.length t.Nldm.vdd_axis - 1))
+      (values : float array array array).(min a (Array.length (t.Nldm.sin_axis :> float array) - 1))
+        .(min b (Array.length (t.Nldm.cload_axis :> float array) - 1))
+        .(min c (Array.length (t.Nldm.vdd_axis :> float array) - 1))
     in
     let lerp w a b = ((1.0 -. w) *. a) +. (w *. b) in
     let c00 = lerp tx (at i j k) (at (i + 1) j k) in
@@ -547,7 +546,9 @@ let test_lut_shared_location () =
             cload_axis)
         sin_axis
     in
-    { Nldm.arc_name = "INV/A/fall"; sin_axis; cload_axis; vdd_axis;
+    let axis a = Option.get (Slc_num.Interp.axis a) in
+    { Nldm.arc_name = "INV/A/fall"; sin_axis = axis sin_axis;
+      cload_axis = axis cload_axis; vdd_axis = axis vdd_axis;
       td = grid 1.3e-11; sout = grid 2.1e-11; energy = grid 1e-15 }
   in
   let tables =

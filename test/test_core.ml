@@ -443,6 +443,53 @@ let test_predictor_positive () =
   Alcotest.(check bool) "td positive" true (p.Char_flow.predict_td pt > 0.0);
   Alcotest.(check bool) "sout positive" true (p.Char_flow.predict_sout pt > 0.0)
 
+(* A model predictor keeps the last [Ieff] it computed, per supply
+   voltage.  Over a sweep that alternates two supplies (a miss on every
+   change, hits between) and from two pool domains at once, every
+   answer is bitwise the model evaluated at a freshly computed [Ieff]. *)
+let test_model_predictor_ieff_memo () =
+  let seed = Slc_device.Process.sample (Slc_prob.Rng.create 9) tech 0 in
+  let p_sout = { p_true with Timing_model.kd = 0.5; alpha = 0.12 } in
+  let predictor () =
+    Char_flow.predictor_of_model ~seed ~label:"model+bayes" ~train_cost:0 tech
+      inv_fall
+      (Char_flow.Timing_pair { td = p_true; sout = p_sout })
+  in
+  let points =
+    Array.init 64 (fun i ->
+        {
+          Harness.sin = 2e-12 *. float_of_int (1 + (i mod 7));
+          cload = 1e-15 *. float_of_int (1 + (i mod 5));
+          vdd = (if i / 3 mod 2 = 0 then 0.7 else 0.9);
+        })
+  in
+  let bits pt =
+    let ieff = Char_flow.ieff_at ~seed tech inv_fall pt in
+    ( Int64.bits_of_float (Timing_model.eval p_true ~ieff pt),
+      Int64.bits_of_float (Timing_model.eval p_sout ~ieff pt) )
+  in
+  let expected = Array.map bits points in
+  let answer (p : Char_flow.predictor) pt =
+    ( Int64.bits_of_float (p.Char_flow.predict_td pt),
+      Int64.bits_of_float (p.Char_flow.predict_sout pt) )
+  in
+  let p = predictor () in
+  Array.iteri
+    (fun i pt ->
+      if answer p pt <> expected.(i) then
+        Alcotest.failf "point %d: memoized answer differs" i)
+    points;
+  let shared = predictor () in
+  let got =
+    Slc_num.Parallel.map ~domains:2 ~chunk:1 (answer shared)
+      (Array.concat [ points; points; points ])
+  in
+  Array.iteri
+    (fun i b ->
+      if b <> expected.(i mod Array.length points) then
+        Alcotest.failf "parallel query %d: memoized answer differs" i)
+    got
+
 (* ------------------------------------------------------------------ *)
 (* Model_ext *)
 
@@ -1203,6 +1250,8 @@ let () =
           Alcotest.test_case "lut cost within budget" `Quick
             test_train_lut_cost_within_budget;
           Alcotest.test_case "predictor positive" `Slow test_predictor_positive;
+          Alcotest.test_case "model predictor Ieff memo (bitwise)" `Quick
+            test_model_predictor_ieff_memo;
         ] );
       ( "model_ext",
         [

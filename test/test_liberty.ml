@@ -54,10 +54,10 @@ let test_roundtrip_values_exact () =
      nearest-vdd slice for vdd=0.8 is whatever index the writer chose,
      so compare on the sliced data by querying the Liberty side and the
      table side at the same slice. *)
-  let vdd_axis = e.Library.table.Nldm.vdd_axis in
+  let vdd_axis = (e.Library.table.Nldm.vdd_axis :> float array) in
   let vi = if Array.length vdd_axis = 1 then 0 else if Float.abs (vdd_axis.(0) -. 0.8) <= Float.abs (vdd_axis.(1) -. 0.8) then 0 else 1 in
-  let sin = e.Library.table.Nldm.sin_axis.(1) in
-  let cload = e.Library.table.Nldm.cload_axis.(2) in
+  let sin = (e.Library.table.Nldm.sin_axis :> float array).(1) in
+  let cload = (e.Library.table.Nldm.cload_axis :> float array).(2) in
   let expected = e.Library.table.Nldm.td.(1).(2).(vi) in
   match
     Liberty.lookup parsed ~cell:"NAND2" ~related_pin:"A" ~rising:false ~sin
@@ -85,15 +85,15 @@ let test_energy_roundtrip () =
   let e =
     Option.get (Library.find lib ~cell:"INV" ~pin:"A" ~out_dir:Arc.Rise)
   in
-  let vdd_axis = e.Library.table.Nldm.vdd_axis in
+  let vdd_axis = (e.Library.table.Nldm.vdd_axis :> float array) in
   let vi =
     if Array.length vdd_axis = 1 then 0
     else if Float.abs (vdd_axis.(0) -. 0.8) <= Float.abs (vdd_axis.(1) -. 0.8)
     then 0
     else 1
   in
-  let sin = e.Library.table.Nldm.sin_axis.(0) in
-  let cload = e.Library.table.Nldm.cload_axis.(1) in
+  let sin = (e.Library.table.Nldm.sin_axis :> float array).(0) in
+  let cload = (e.Library.table.Nldm.cload_axis :> float array).(1) in
   let expected = e.Library.table.Nldm.energy.(0).(1).(vi) in
   match
     Liberty.lookup_energy parsed ~cell:"INV" ~related_pin:"A" ~rising:true

@@ -223,8 +223,10 @@ let test_singular_raises () =
 (* ------------------------------------------------------------------ *)
 (* Interp *)
 
+let axis a = Option.get (Interp.axis a)
+
 let test_linear1d () =
-  let xs = Vec.of_list [ 0.0; 1.0; 3.0 ] in
+  let xs = axis (Vec.of_list [ 0.0; 1.0; 3.0 ]) in
   let ys = Vec.of_list [ 0.0; 2.0; 4.0 ] in
   check_float "at node" 2.0 (Interp.linear1d xs ys 1.0);
   check_float "mid" 1.0 (Interp.linear1d xs ys 0.5);
@@ -252,15 +254,32 @@ let test_trilinear_exact_affine () =
   check_close ~tol:1e-12 "interior" (f 0.3 0.7 0.9)
     (Interp.trilinear g 0.3 0.7 0.9)
 
+(* An axis is validated once, when it is made: a flat, descending or
+   empty array is refused there, so [locate] itself never scans. *)
 let test_locate () =
-  let axis = Vec.of_list [ 0.0; 1.0; 2.0; 3.0 ] in
-  Alcotest.(check int) "below" 0 (Interp.locate axis (-5.0));
-  Alcotest.(check int) "above" 2 (Interp.locate axis 10.0);
-  Alcotest.(check int) "inside" 1 (Interp.locate axis 1.5);
-  Alcotest.(check int) "at node" 1 (Interp.locate axis 1.0);
-  Alcotest.check_raises "non-increasing"
-    (Invalid_argument "Interp.locate: axis not strictly increasing")
-    (fun () -> ignore (Interp.locate (Vec.of_list [ 1.0; 1.0 ]) 0.5))
+  let four = axis (Vec.of_list [ 0.0; 1.0; 2.0; 3.0 ]) in
+  Alcotest.(check int) "below" 0 (Interp.locate four (-5.0));
+  Alcotest.(check int) "above" 2 (Interp.locate four 10.0);
+  Alcotest.(check int) "inside" 1 (Interp.locate four 1.5);
+  Alcotest.(check int) "at node" 1 (Interp.locate four 1.0);
+  let one = axis [| 0.5 |] in
+  Alcotest.(check int) "singleton below" 0 (Interp.locate one 0.0);
+  Alcotest.(check int) "singleton above" 0 (Interp.locate one 1.0);
+  List.iter
+    (fun (what, a) ->
+      Alcotest.(check bool) what true (Interp.axis a = None))
+    [ ("non-increasing", [| 1.0; 1.0 |]); ("descending", [| 2.0; 1.0 |]);
+      ("empty", [||]); ("NaN", [| 0.0; Float.nan |]) ];
+  Alcotest.check_raises "grid needs two points"
+    (Invalid_argument "Interp.make_grid2: axis needs >= 2 points")
+    (fun () ->
+      ignore (Interp.make_grid2 ~xs:[| 0.0 |] ~ys:[| 0.0; 1.0 |] ~f:( +. )));
+  Alcotest.check_raises "grid axis increasing"
+    (Invalid_argument "Interp.make_grid3: axis not strictly increasing")
+    (fun () ->
+      ignore
+        (Interp.make_grid3 ~xs:[| 0.0; 1.0 |] ~ys:[| 1.0; 1.0 |]
+           ~zs:[| 0.0; 1.0 |] ~f:(fun x y z -> x +. y +. z)))
 
 (* ------------------------------------------------------------------ *)
 (* Optimize *)
@@ -577,8 +596,8 @@ let prop_interp_between_nodes =
   QCheck.Test.make ~name:"linear1d inside hull of neighbours" ~count:100
     QCheck.(pair (float_bound_exclusive 1.0) (float_bound_exclusive 1.0))
     (fun (a, b) ->
-      let xs = Vec.linspace 0.0 1.0 5 in
-      let ys = Array.map (fun x -> sin (6.0 *. (x +. a))) xs in
+      let xs = axis (Vec.linspace 0.0 1.0 5) in
+      let ys = Array.map (fun x -> sin (6.0 *. (x +. a))) (xs :> float array) in
       let x = Float.max 0.0 (Float.min 1.0 b) in
       let v = Interp.linear1d xs ys x in
       let lo = Vec.min_elt ys and hi = Vec.max_elt ys in

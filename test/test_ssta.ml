@@ -173,6 +173,54 @@ let test_oracle_query_cache () =
     (Int64.bits_of_float d0 = Int64.bits_of_float du
     && Int64.bits_of_float s0 = Int64.bits_of_float su)
 
+(* A table or a trained compact model answers faster than a probe of
+   the exact cache, so [Oracle.cached] hands such an oracle back
+   unwrapped: bit for bit the bare answers, signed zeros included, and
+   nothing stored.  The simulator, dear per query, still memoizes. *)
+let test_cheap_oracles_bypass_cache () =
+  let lib =
+    Library.characterize ~cells:[ Cells.inv ] tech ~levels:[| 2; 2; 2 |]
+  in
+  let bank = Oracle.bayes_bank ~prior:(Lazy.force tiny_prior) tech ~k:2 in
+  let arc = Arc.find Cells.inv ~pin:"A" ~out_dir:Arc.Fall in
+  let points =
+    List.concat_map
+      (fun sin ->
+        List.concat_map
+          (fun cload ->
+            List.map
+              (fun vdd -> { Harness.sin; cload; vdd })
+              [ vdd; 0.6; vdd ])
+          [ -0.0; 0.0; 2e-15; 9e-15 ])
+      [ -0.0; 0.0; sin; 3.0 *. sin ]
+  in
+  let bits (d, s) = (Int64.bits_of_float d, Int64.bits_of_float s) in
+  List.iter
+    (fun (oracle : Oracle.t) ->
+      Alcotest.(check bool) (oracle.Oracle.label ^ ": no memoize") false
+        oracle.Oracle.memoize;
+      let c = Oracle.make_cache () in
+      let wrapped = Oracle.cached c oracle in
+      List.iter
+        (fun p ->
+          if bits (wrapped.Oracle.query arc p) <> bits (oracle.Oracle.query arc p)
+          then
+            Alcotest.failf "%s: wrapped answer differs at (%h, %h, %h)"
+              oracle.Oracle.label p.Harness.sin p.Harness.cload p.Harness.vdd)
+        (points @ points);
+      Alcotest.(check int) (oracle.Oracle.label ^ ": cache left empty") 0
+        (Oracle.cache_size c))
+    [ Oracle.of_library lib; bank ];
+  let sim = Oracle.of_simulator tech in
+  Alcotest.(check bool) "simulator memoizes" true sim.Oracle.memoize;
+  let c = Oracle.make_cache () in
+  let wrapped = Oracle.cached c sim in
+  let p = { Harness.sin; cload = 2e-15; vdd } in
+  let first = wrapped.Oracle.query arc p in
+  Alcotest.(check bool) "simulator hit is bitwise" true
+    (bits (wrapped.Oracle.query arc p) = bits first);
+  Alcotest.(check int) "simulator answer stored" 1 (Oracle.cache_size c)
+
 (* Regression for the per-arc memo data race: every predictor-backed
    oracle memoizes per arc in one table, and concurrent callers (the
    characterization server's connection threads) query it at once.
@@ -468,6 +516,7 @@ let test_dag_chain_equals_path () =
           let a = float_of_int (String.length (Arc.name arc)) in
           ( (a *. 1e-12) +. (0.3 *. p.Harness.sin) +. (4e3 *. p.Harness.cload),
             (0.5 *. p.Harness.sin) +. (7e3 *. p.Harness.cload) ));
+      memoize = false;
     }
   in
   let ch = five_chain () in
@@ -684,6 +733,8 @@ let synthetic_oracle =
         ( 1.0e-12 +. (1.0e-14 *. h) +. (0.4 *. p.Harness.sin)
           +. (900.0 *. p.Harness.cload),
           2.0e-12 +. (0.3 *. p.Harness.sin) +. (400.0 *. p.Harness.cload) ));
+    (* Stands in for a dear oracle in the cache tests. *)
+    memoize = true;
   }
 
 let design_inputs _ = Generate.both_edges ~at:0.0 ~slew:sin
@@ -850,6 +901,7 @@ let test_equal_arrivals_keep_first () =
           let h = float_of_int (Hashtbl.hash (Arc.name arc) land 0xff) in
           ( 1e-12 +. (0.4 *. p.Harness.sin),
             2e-12 +. (1e-14 *. h) +. (400.0 *. p.Harness.cload) ));
+      memoize = false;
     }
   in
   let dag = Sdag.create tech ~vdd in
@@ -1041,6 +1093,7 @@ let test_oracle_cache_signed_zero () =
         (fun _ _ ->
           incr calls;
           (float_of_int !calls, 0.0));
+      memoize = true;
     }
   in
   let c = Oracle.make_cache () in
@@ -1073,6 +1126,7 @@ let test_oracle_cache_concurrent_publish () =
           done;
           ignore (Sys.opaque_identity !spin);
           (float_of_int (Atomic.fetch_and_add builds 1), 0.0));
+      memoize = true;
     }
   in
   let c = Oracle.make_cache () in
@@ -1162,6 +1216,8 @@ let () =
           Alcotest.test_case "cross-instance trained cache" `Slow
             test_oracle_bank_cross_instance_cache;
           Alcotest.test_case "query cache" `Slow test_oracle_query_cache;
+          Alcotest.test_case "cheap oracles bypass the cache (bitwise)" `Slow
+            test_cheap_oracles_bypass_cache;
         ] );
       ( "path",
         [

@@ -137,8 +137,10 @@ let test_open_non_store_dir () =
 
 let random_table rng =
   let axis n lo hi =
-    Array.init n (fun i ->
-        lo +. ((hi -. lo) *. float_of_int i /. float_of_int (max 1 (n - 1))))
+    Option.get
+      (Slc_num.Interp.axis
+         (Array.init n (fun i ->
+              lo +. ((hi -. lo) *. float_of_int i /. float_of_int (max 1 (n - 1))))))
   in
   let n_s = 1 + Rng.int rng 3
   and n_c = 1 + Rng.int rng 3
