@@ -58,7 +58,8 @@ exception Parse_error of string
 
 val parse : string -> t
 (** Parses the writer's subset of Liberty; raises {!Parse_error} with a
-    location hint otherwise. *)
+    location hint otherwise, and for a table whose [index_1] or
+    [index_2] is empty or not strictly increasing. *)
 
 val lookup :
   t -> cell:string -> related_pin:string -> rising:bool ->

@@ -106,17 +106,15 @@ let build ?seed tech arc ~levels =
   build_on_axes ?seed tech arc ~axes:(axes_of_levels ~box levels)
 
 (* Interpolation over up to three axes, constant along singletons.
-   [index]/[weight] locate a coordinate on one axis; [interpolate]
-   blends the eight corners.  A point is located once and every value
-   grid reuses that location, so [lookup_td_sout] is bitwise
-   [(lookup_td t p, lookup_sout t p)] at half the locating work.
-   The axes were validated when the table was made, so [Interp.locate]
+   [Interp.locate]/[weight] locate a coordinate on one axis;
+   [interpolate] blends the eight corners.  A point is located once and
+   every value grid reuses that location, so [lookup_td_sout] is bitwise
+   [(lookup_td t p, lookup_sout t p)] at half the locating work.  The
+   axes were validated when the table was made, so [Interp.locate]
    (which puts a singleton axis's one cell at 0) scans nothing.
    [weight] and [interpolate] are inlined, so their float arguments and
    results stay unboxed: besides its result, a lookup allocates only the
    coordinate each [Interp.locate] call boxes. *)
-let index = Interp.locate
-
 let[@inline] weight (axis : Interp.axis) i x =
   let axis = (axis :> float array) in
   if Array.length axis = 1 then 0.0
@@ -137,9 +135,9 @@ let[@inline] interpolate (values : float array array array) t i j k tx ty tz =
   ((1.0 -. tz) *. c0) +. (tz *. c1)
 
 let lookup values t (p : Harness.point) =
-  let i = index t.sin_axis p.Harness.sin in
-  let j = index t.cload_axis p.Harness.cload in
-  let k = index t.vdd_axis p.Harness.vdd in
+  let i = Interp.locate t.sin_axis p.Harness.sin in
+  let j = Interp.locate t.cload_axis p.Harness.cload in
+  let k = Interp.locate t.vdd_axis p.Harness.vdd in
   interpolate values t i j k
     (weight t.sin_axis i p.Harness.sin)
     (weight t.cload_axis j p.Harness.cload)
@@ -150,9 +148,9 @@ let lookup_td t p = lookup t.td t p
 let lookup_sout t p = lookup t.sout t p
 
 let lookup_td_sout t (p : Harness.point) =
-  let i = index t.sin_axis p.Harness.sin in
-  let j = index t.cload_axis p.Harness.cload in
-  let k = index t.vdd_axis p.Harness.vdd in
+  let i = Interp.locate t.sin_axis p.Harness.sin in
+  let j = Interp.locate t.cload_axis p.Harness.cload in
+  let k = Interp.locate t.vdd_axis p.Harness.vdd in
   let tx = weight t.sin_axis i p.Harness.sin in
   let ty = weight t.cload_axis j p.Harness.cload in
   let tz = weight t.vdd_axis k p.Harness.vdd in

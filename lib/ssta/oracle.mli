@@ -76,23 +76,25 @@ val bayes_bank :
 (** {2 Query-result caching}
 
     An exact cache pays only where a query costs more than a probe of
-    it.  Per query, over 332 910 distinct queries against the n28
-    INV/NAND2/NOR2 2x2x2 library (one core of a 2-vCPU container):
+    it.  Per query, over the 332 910 distinct queries of the 100k-gate
+    benchmark design against the n28 INV/NAND2/NOR2 2x2x2 library (one
+    core of a 2-vCPU container, four runs, each the best of five
+    sweeps):
 
-    - a direct {!of_library} query: 50–95 ns;
-    - a direct {!bayes_bank} query: 0.144 µs (0.78–1.07 µs while each
-      query recomputed the arc's equivalent-inverter [Ieff] twice);
-    - a warm {!cached} hit: 240–310 ns;
-    - a cold {!cached} miss with its insert: 610–775 ns on top of the
-      query;
-    - an {!of_simulator} query: one transient simulation, tens of
-      microseconds or more.
+    - a direct {!of_library} query: 31–60 ns;
+    - a direct {!bayes_bank} query: 73–119 ns (0.70–1.07 µs while each
+      query rebuilt the arc's equivalent inverter twice for its
+      [Ieff]);
+    - a warm {!cached} hit: 124–226 ns;
+    - a cold {!cached} miss, the query and its insert included:
+      398–577 ns;
+    - an {!of_simulator} query: one transient simulation, about 160 µs.
 
     So only {!of_simulator} (and test doubles standing in for a dear
     oracle) set [memoize]; {!of_library}, {!of_predictors},
-    {!bayes_bank} and {!Yield}'s per-seed oracle do not, and
-    {!cached} hands them back unwrapped.  Their passes leave a cache
-    empty and answer bitwise as before. *)
+    {!bayes_bank} and [Yield]'s per-seed oracle do not, and {!cached}
+    hands them back unwrapped: their passes leave a cache empty and
+    answer bitwise as before. *)
 
 type cache
 (** A mutable, domain-safe map from (arc, point) to query results.

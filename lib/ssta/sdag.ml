@@ -334,12 +334,13 @@ let[@slc.hot] eval_gate k oracle st gi =
    timed.
 
    Queries go straight to the oracle unless the caller supplies a
-   [?cache] that persists across passes.  Within a pass keys barely
-   repeat — the load is the driving gate's own output net, so siblings
-   on a fanout net query different points (the 100k-gate generated
-   design misses on every query of a cold pass) — so a per-pass cache
-   costs more than it saves; a persistent one is what turns a repeated
-   pass into hits. *)
+   [?cache] that persists across passes and the oracle is dear enough
+   to memoize ([Oracle.cached] leaves a table or a trained model
+   unwrapped).  Within a pass keys barely repeat — the load is the
+   driving gate's own output net, so siblings on a fanout net query
+   different points (the 100k-gate generated design misses on every
+   query of a cold pass) — so a per-pass cache costs more than it
+   saves; a persistent one is what turns a repeated pass into hits. *)
 let forward_compiled ?cache k (oracle : Oracle.t) ~input_arrivals =
   let oracle =
     match cache with Some c -> Oracle.cached c oracle | None -> oracle

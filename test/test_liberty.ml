@@ -125,7 +125,22 @@ let test_parser_errors () =
   in
   Alcotest.(check bool) "garbage" true (bad "not a library");
   Alcotest.(check bool) "unterminated" true (bad "library (x) { cell (A) {");
-  Alcotest.(check bool) "bad string" true (bad "library (x) { a : \"unterminated; }")
+  Alcotest.(check bool) "bad string" true (bad "library (x) { a : \"unterminated; }");
+  (* A table axis is validated when the library is parsed: the first
+     slew index of a written library, reversed, is refused there. *)
+  let text = Lazy.force liberty_text in
+  let key = "index_1 (\"" in
+  let rec find i =
+    if String.sub text i (String.length key) = key then i else find (i + 1)
+  in
+  let start = find 0 + String.length key in
+  let stop = String.index_from text start '"' in
+  let axis = String.split_on_char ',' (String.sub text start (stop - start)) in
+  let reversed = String.concat "," (List.rev axis) in
+  Alcotest.(check bool) "descending index" true
+    (bad
+       (String.sub text 0 start ^ reversed
+       ^ String.sub text stop (String.length text - stop)))
 
 let test_parser_accepts_comments_and_whitespace () =
   let src =
