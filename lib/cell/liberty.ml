@@ -314,7 +314,7 @@ let extract_table g =
       (function
         | Complex (n, [ Vstr s ]) when n = name -> (
           match Slc_num.Interp.axis (floats_of_string s) with
-          | Some a -> Some a
+          | Some _ as axis -> axis
           | None ->
             raise
               (Parse_error (name ^ " is empty or not strictly increasing")))
