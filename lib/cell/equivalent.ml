@@ -41,14 +41,16 @@ let of_arc_cached (tech : Tech.t) (arc : Arc.t) =
 
 let ieff t ~vdd = Mosfet.ieff t.device ~vdd
 
-let ieff_with_seed tech seed arc ~vdd =
+let device_with_seed tech seed arc =
   let eq = of_arc tech arc in
   (* Only global shifts: the equivalent device is an abstraction, not a
      physical instance, so local mismatch stays in the extraction
      residual. *)
   let global_only = { seed with Slc_device.Process.local_seed = 0; index = -1 } in
-  let dev = Process.apply global_only tech ~device_index:0 eq.device in
-  Mosfet.ieff dev ~vdd
+  Process.apply global_only tech ~device_index:0 eq.device
+
+let ieff_with_seed tech seed arc ~vdd =
+  Mosfet.ieff (device_with_seed tech seed arc) ~vdd
 
 let input_cap (tech : Tech.t) (cell : Cells.t) ~pin =
   let rec width_of template = function

@@ -26,11 +26,16 @@ val ieff : t -> vdd:float -> float
 (** Effective switching current of the equivalent device (paper
     Eq. 4): [(Id(Vdd, Vdd/2) + Id(Vdd/2, Vdd)) / 2]. *)
 
+val device_with_seed :
+  Slc_device.Tech.t -> Slc_device.Process.seed -> Arc.t -> Slc_device.Mosfet.params
+(** The equivalent device with the seed's global process shifts
+    applied (local mismatch is left out). *)
+
 val ieff_with_seed :
   Slc_device.Tech.t -> Slc_device.Process.seed -> Arc.t -> vdd:float -> float
-(** [Ieff] with the seed's global process shifts applied to the
-    equivalent device — how the statistical flow ties process variation
-    into the timing model. *)
+(** [Mosfet.ieff (device_with_seed tech seed arc) ~vdd]: [Ieff] with
+    the seed's global process shifts — how the statistical flow ties
+    process variation into the timing model. *)
 
 val input_cap : Slc_device.Tech.t -> Cells.t -> pin:string -> float
 (** Gate capacitance presented by one input pin: the summed gate caps

@@ -92,7 +92,12 @@ let build_on_axes ?seed tech arc ~axes =
   for i = 0 to n_s - 1 do
     for j = 0 to n_c - 1 do
       for k = 0 to n_v - 1 do
-        let m = measure axes.(0).(i) axes.(1).(j) axes.(2).(k) in
+        let m =
+          measure
+            (sin_axis :> float array).(i)
+            (cload_axis :> float array).(j)
+            (vdd_axis :> float array).(k)
+        in
         td.(i).(j).(k) <- m.Harness.td;
         sout.(i).(j).(k) <- m.Harness.sout;
         energy.(i).(j).(k) <- m.Harness.energy

@@ -73,16 +73,22 @@ type predictor = {
    supply voltage, the one coordinate [ieff_at] reads. *)
 type ieff_memo = Empty | Last of { vdd : float; ieff : float }
 
-(* [Ieff] builds the arc's equivalent inverter and applies the seed's
-   global shifts — several times the cost of the model evaluation
-   itself — and an oracle query asks for it twice (delay, then slew)
-   at one supply, as does every query of a pass at a fixed [Vdd].  So
+(* [ieff_at] is [Mosfet.ieff dev ~vdd], where [dev] — the arc's
+   equivalent inverter with the seed's global shifts — does not depend
+   on the point.  A predictor builds [dev] once, here.  [Mosfet.ieff]
+   itself (two drain-current evaluations) still costs more than the
+   model evaluation, and a query asks for it twice (delay, then slew)
+   at one supply, as does every query of a pass at a fixed [Vdd]; so
    both closures share a one-entry memo of it.  The entry is immutable
    and published through an [Atomic.t]: a predictor shared across
    domains reads a consistent (vdd, ieff) pair, and a race only
-   recomputes.  A miss calls [ieff_at] itself, so answers are bitwise
-   and an error is raised at the query that raised it before. *)
+   recomputes.  Answers are bitwise [ieff_at]'s. *)
 let model_predictor ~label ~seed ~tech ~arc ~cost p_td p_sout =
+  let dev =
+    Equivalent.device_with_seed tech
+      (Option.value seed ~default:Process.nominal)
+      arc
+  in
   let last = Atomic.make Empty in
   let ieff (pt : Input_space.point) =
     match Atomic.get last with
@@ -92,7 +98,7 @@ let model_predictor ~label ~seed ~tech ~arc ~cost p_td p_sout =
              (Int64.bits_of_float pt.Harness.vdd) ->
       m.ieff
     | Empty | Last _ ->
-      let ieff = ieff_at ?seed tech arc pt in
+      let ieff = Slc_device.Mosfet.ieff dev ~vdd:pt.Harness.vdd in
       Atomic.set last (Last { vdd = pt.Harness.vdd; ieff });
       ieff
   in

@@ -38,8 +38,9 @@ val ieff_at :
     with the seed's global shifts (default nominal): the [Ieff] a
     compact-model predictor divides by.  A model predictor answers
     bitwise [Timing_model.eval params ~ieff:(ieff_at ?seed tech arc pt)
-    pt] — it keeps the last [Ieff] per supply, and the tests pin that
-    this memo changes no bit. *)
+    pt]; it builds the seeded equivalent device once, when it is
+    built (so an arc whose network cannot conduct raises there), and
+    the tests pin that this changes no bit. *)
 
 val observations_of_dataset :
   ?seed:Slc_device.Process.seed ->

@@ -10,7 +10,11 @@ let is_strictly_increasing (axis : float array) =
   done;
   !ok
 
-let axis a = if is_strictly_increasing a then Some a else None
+(* The copy is validated, so no later write by the caller can break
+   the ordering [locate] relies on. *)
+let axis a =
+  let a = Array.copy a in
+  if is_strictly_increasing a then Some a else None
 
 (* A grid axis needs a cell: at least two points. *)
 let grid_axis name a =

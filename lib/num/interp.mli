@@ -5,13 +5,13 @@
 type axis = private float array
 (** A grid axis: at least one point, strictly increasing.  It is
     validated once, by {!axis} (or the grid and reader functions built
-    on it), so {!locate} does no per-call scan.  The array is shared,
-    not copied: it must not be written after validation. *)
+    on it), so {!locate} does no per-call scan.  {!axis} validates a
+    copy of its argument, so the caller's array stays its own. *)
 
 val axis : float array -> axis option
-(** [Some] the array as an axis when it has at least one point and is
-    strictly increasing (so holds no NaN), [None] otherwise; callers
-    turn [None] into their own typed error. *)
+(** [Some] a copy of the array as an axis when it has at least one
+    point and is strictly increasing (so holds no NaN), [None]
+    otherwise; callers turn [None] into their own typed error. *)
 
 val locate : axis -> float -> int
 (** [locate axis x] returns the index [i] of the cell such that

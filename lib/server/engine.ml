@@ -38,7 +38,7 @@ type t = {
   prior_for : Tech.t -> Prior.pair;
   bank : Tech.t -> k:int -> Oracle.t;
   oracles : (string * int, Oracle.t) Memo.t;
-      (* (tech name, k) -> bank *)
+      (* (tech name, k) -> query-cached bank *)
   pops : (pop_key, Statistical.population) Memo.t;
 }
 
@@ -95,13 +95,13 @@ let arc_of cell ~pin ~dir =
 (* ----------------------------------------------------------------- *)
 (* Query paths *)
 
-(* The per-(tech, k) bank, kept so its per-arc predictor memo (and the
-   store fingerprint of its prior) lives as long as the engine.  A
-   query evaluates a trained compact model, cheaper than a probe of an
-   exact query cache ([Oracle.cached]), so none sits in front of it;
-   training happens lazily per arc inside the bank's own memo. *)
+(* The per-(tech, k) bank, wrapped in an exact query cache so repeated
+   conditions are answered without re-entering the predictor.  Bank
+   construction is cheap; training happens lazily per arc inside the
+   bank's own memo. *)
 let oracle_for t tech ~k =
-  Memo.find_or_build t.oracles (tech.Tech.name, k) (fun () -> t.bank tech ~k)
+  Memo.find_or_build t.oracles (tech.Tech.name, k) (fun () ->
+      Oracle.cached (Oracle.make_cache ()) (t.bank tech ~k))
 
 let run_query t (q : Protocol.query) =
   if q.q_k < 1 then domain_fail "k must be >= 1, got %d" q.q_k;

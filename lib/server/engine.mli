@@ -1,8 +1,9 @@
 (** The resident query engine behind [slc serve] (and the [slc query]
     local mode): every expensive artifact a request needs — the learned
-    prior, trained Bayesian banks, extracted statistical populations —
-    is built on first use and kept for the life of the engine, so a
-    warm repeat of any request costs zero simulator runs.
+    prior, trained Bayesian banks, Oracle query caches, extracted
+    statistical populations — is built on first use and kept for the
+    life of the engine, so a warm repeat of any request costs zero
+    simulator runs.
 
     Thread-safety: every memo table is an {!Slc_num.Memo}, which
     publishes first-build-wins with the build running {e outside} the

@@ -9,7 +9,6 @@ module Memo = Slc_num.Memo
 type t = {
   query : Arc.t -> Harness.point -> float * float;
   label : string;
-  memoize : bool;
 }
 
 (* The per-oracle arc memo is queried concurrently: the long-lived
@@ -23,7 +22,6 @@ let of_predictors ~label build =
       (fun arc point ->
         let p = Memo.find_or_build memo (Arc.name arc) (fun () -> build arc) in
         (p.Char_flow.predict_td point, p.Char_flow.predict_sout point));
-    memoize = false;
   }
 
 (* Each arc's table is resolved once, here: a query indexes an array
@@ -49,7 +47,6 @@ let of_library lib =
         match if id < n then tables.(id) else None with
         | Some table -> Nldm.lookup_td_sout table point
         | None -> raise Not_found);
-    memoize = false;
   }
 
 let of_simulator ?seed tech =
@@ -59,7 +56,6 @@ let of_simulator ?seed tech =
       (fun arc point ->
         let m = Harness.simulate ?seed tech arc point in
         (m.Harness.td, m.Harness.sout));
-    memoize = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -68,10 +64,7 @@ let of_simulator ?seed tech =
    Oracle queries are pure (training happens once per arc; predictors
    and tables are deterministic functions of the point), so a repeated
    query — the same pass re-run on a persistent cache, a served
-   request repeated — can reuse the first answer.  That pays only for
-   an oracle dearer than a probe: a warm hit costs several NLDM
-   interpolations or compact-model evaluations, so [cached] leaves an
-   oracle without [memoize] unwrapped.
+   request repeated — can reuse the first answer.
 
    The table is flat: one float array of 6-float slots (arc id, sin,
    cload, vdd, td, sout) with linear probing, behind one lock.  A hit
@@ -167,7 +160,7 @@ let cache_size c =
   Mutex.unlock c.lock;
   n
 
-let memoized c oracle =
+let cached c oracle =
   let query arc (p : Harness.point) =
     let id = Arc.id arc in
     let h = hash id p in
@@ -208,8 +201,6 @@ let memoized c oracle =
     end
   in
   { oracle with query }
-
-let cached c oracle = if oracle.memoize then memoized c oracle else oracle
 
 (* ------------------------------------------------------------------ *)
 (* Process-wide trained-predictor cache for [bayes_bank].

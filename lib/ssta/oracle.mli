@@ -8,10 +8,6 @@ type t = {
   query : Slc_cell.Arc.t -> Slc_cell.Harness.point -> float * float;
       (** [(delay, output slew)] *)
   label : string;
-  memoize : bool;
-      (** Whether a query costs more than a probe of an exact
-          {!cache}: {!cached} wraps only oracles that set it (see
-          Query-result caching below). *)
 }
 
 val of_predictors :
@@ -19,8 +15,7 @@ val of_predictors :
   (Slc_cell.Arc.t -> Slc_core.Char_flow.predictor) ->
   t
 (** Backed by per-arc predictors (e.g. {!Slc_core.Char_flow.train_bayes});
-    the function is called once per distinct arc and memoized.  A query
-    evaluates a compact model: [memoize] is false.
+    the function is called once per distinct arc and memoized.
 
     The memo is an {!Slc_num.Memo}, so concurrent queries (the
     characterization server's connections) are safe.  Builds must be
@@ -30,13 +25,11 @@ val of_predictors :
 
 val of_library : Slc_cell.Library.t -> t
 (** Backed by interpolated NLDM tables; raises [Not_found] when queried
-    for an arc the library does not contain.  A query is one table
-    interpolation: [memoize] is false. *)
+    for an arc the library does not contain. *)
 
 val of_simulator :
   ?seed:Slc_device.Process.seed -> Slc_device.Tech.t -> t
-(** Ground truth: every query is one transient simulation, so [memoize]
-    is true. *)
+(** Ground truth: every query is one transient simulation. *)
 
 val bayes_bank :
   ?seed:Slc_device.Process.seed ->
@@ -76,25 +69,27 @@ val bayes_bank :
 (** {2 Query-result caching}
 
     An exact cache pays only where a query costs more than a probe of
-    it.  Per query, over the 332 910 distinct queries of the 100k-gate
-    benchmark design against the n28 INV/NAND2/NOR2 2x2x2 library (one
-    core of a 2-vCPU container, four runs, each the best of five
-    sweeps):
+    it.  Per query, on one core of a 2-vCPU container (best of five
+    sweeps; n28, INV/NAND2/NOR2):
 
-    - a direct {!of_library} query: 31–60 ns;
-    - a direct {!bayes_bank} query: 73–119 ns (0.70–1.07 µs while each
+    - a direct {!of_library} query against the 2x2x2 library: 31–60 ns
+      (over the 332 910 queries of the 100k-gate benchmark design);
+    - a direct {!bayes_bank} query ([k = 3]): 85–130 ns at one supply,
+      0.30–0.42 µs with a supply per query (0.63–0.91 µs while each
       query rebuilt the arc's equivalent inverter twice for its
       [Ieff]);
-    - a warm {!cached} hit: 124–226 ns;
-    - a cold {!cached} miss, the query and its insert included:
-      398–577 ns;
-    - an {!of_simulator} query: one transient simulation, about 160 µs.
+    - a warm {!cached} hit: 124–245 ns; a cold miss, the query and its
+      insert included: 0.4–0.6 µs over a table, 1.1–1.7 µs over the
+      old [bayes_bank];
+    - an {!of_simulator} query: one transient simulation, about
+      160 µs.
 
-    So only {!of_simulator} (and test doubles standing in for a dear
-    oracle) set [memoize]; {!of_library}, {!of_predictors},
-    {!bayes_bank} and [Yield]'s per-seed oracle do not, and {!cached}
-    hands them back unwrapped: their passes leave a cache empty and
-    answer bitwise as before. *)
+    So an [Sdag] pass, whose queries run at one supply and barely
+    repeat, queries its oracle directly.  The characterization
+    server's engine keeps a cache in front of each bank: its requests
+    repeat exact keys at many supplies, where a hit is the cheaper
+    answer.  A caller timing {!of_simulator} more than once wraps it
+    too. *)
 
 type cache
 (** A mutable, domain-safe map from (arc, point) to query results.
@@ -120,9 +115,8 @@ val make_cache : unit -> cache
     answer wins — and counts [oracle_hits]/[oracle_misses]. *)
 
 val cached : cache -> t -> t
-(** [cached c oracle] wraps [oracle] so queries go through [c] when
-    [oracle.memoize] holds, and is [oracle] itself otherwise.  A cache
-    may outlive the wrapper and be shared across analyses (only
+(** [cached c oracle] wraps [oracle] so queries go through [c].  A
+    cache may outlive the wrapper and be shared across analyses (only
     meaningful while the underlying oracle answers consistently). *)
 
 val cache_size : cache -> int

@@ -333,18 +333,14 @@ let[@slc.hot] eval_gate k oracle st gi =
    thread: every driver net is final before the gates it feeds are
    timed.
 
-   Queries go straight to the oracle unless the caller supplies a
-   [?cache] that persists across passes and the oracle is dear enough
-   to memoize ([Oracle.cached] leaves a table or a trained model
-   unwrapped).  Within a pass keys barely repeat — the load is the
-   driving gate's own output net, so siblings on a fanout net query
-   different points (the 100k-gate generated design misses on every
-   query of a cold pass) — so a per-pass cache costs more than it
-   saves; a persistent one is what turns a repeated pass into hits. *)
-let forward_compiled ?cache k (oracle : Oracle.t) ~input_arrivals =
-  let oracle =
-    match cache with Some c -> Oracle.cached c oracle | None -> oracle
-  in
+   Every timing arc is one direct oracle query.  Within a pass keys
+   barely repeat — the load is the driving gate's own output net, so
+   siblings on a fanout net query different points (the 100k-gate
+   generated design misses on every query of a cold pass) — and a
+   direct query of a table or a trained model costs less than a warm
+   hit of an exact cache.  A caller timing a dear oracle more than once
+   wraps it in [Oracle.cached] itself. *)
+let forward_compiled k (oracle : Oracle.t) ~input_arrivals =
   let n_nets = Array.length k.k_names in
   let n_slots = 2 * Array.length k.k_pin_net in
   let st =
@@ -387,15 +383,15 @@ let arrival_of st n =
     fall = edge fall_bit st.fall_at st.fall_slew;
   }
 
-let arrivals_compiled ?cache k (oracle : Oracle.t) ~input_arrivals =
-  let st = forward_compiled ?cache k oracle ~input_arrivals in
+let arrivals_compiled ?cache:_ k (oracle : Oracle.t) ~input_arrivals =
+  let st = forward_compiled k oracle ~input_arrivals in
   fun target ->
     check_compiled_net k target;
     arrival_of st target
 
-let analyze ?cache t oracle ~input_arrivals target =
+let analyze ?cache:_ t oracle ~input_arrivals target =
   check_net t target;
-  arrivals_compiled ?cache (compile t) oracle ~input_arrivals target
+  arrivals_compiled (compile t) oracle ~input_arrivals target
 
 type slack_row = {
   net_label : string;
@@ -404,9 +400,9 @@ type slack_row = {
   slack : float;
 }
 
-let slack_report_compiled ?cache k oracle ~input_arrivals ~outputs =
+let slack_report_compiled ?cache:_ k oracle ~input_arrivals ~outputs =
   List.iter (fun (n, _) -> check_compiled_net k n) outputs;
-  let st = forward_compiled ?cache k oracle ~input_arrivals in
+  let st = forward_compiled k oracle ~input_arrivals in
   let n_nets = Array.length k.k_names in
   let required = Array.make n_nets Float.infinity in
   List.iter (fun (n, r) -> required.(n) <- Float.min required.(n) r) outputs;
@@ -456,7 +452,7 @@ let slack_report_compiled ?cache k oracle ~input_arrivals ~outputs =
       :: rows)
     order []
 
-let slack_report ?cache t oracle ~input_arrivals ~outputs =
+let slack_report ?cache:_ t oracle ~input_arrivals ~outputs =
   List.iter (fun (n, _) -> check_net t n) outputs;
-  slack_report_compiled ?cache (compile t) oracle ~input_arrivals
+  slack_report_compiled (compile t) oracle ~input_arrivals
     ~outputs

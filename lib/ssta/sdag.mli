@@ -67,16 +67,15 @@ val analyze :
     propagate [None] (e.g. a one-sided input transition yields
     alternating one-sided arrivals down an inverter chain).
 
-    Without [?cache] every timing arc is one direct oracle query.  With
-    [?cache], queries of an oracle that sets [memoize] (such as
-    {!Oracle.of_simulator}, one simulation per query) go through that
-    exact {!Oracle.cache}, which keeps answers across calls (a
-    repeated pass on a kept cache makes no oracle queries).  An oracle
-    that does not — {!Oracle.of_library} or {!Oracle.bayes_bank}, whose
-    direct query (30–120 ns) costs less than a warm hit (120–230 ns) —
-    is queried directly and leaves the cache empty.  Within one pass a
-    key repeats only where two gates of one cell see the same input
-    slew and output load.  Results are bitwise identical either way.
+    Every timing arc is one direct oracle query.  [?cache] is
+    accepted and ignored: queries of a pass barely repeat, and a direct
+    {!Oracle.of_library} query (30–60 ns) or {!Oracle.bayes_bank}
+    query at one supply (85–130 ns) costs less than a warm hit of an
+    exact {!Oracle.cache} (124–245 ns).  To keep the answers of a dear
+    oracle (e.g. {!Oracle.of_simulator}, one simulation per query)
+    across passes, pass [Oracle.cached c oracle] as the oracle: a
+    repeated pass on a kept cache then makes no oracle queries, and
+    results are bitwise identical either way.
 
     Compiles the graph internally; hot callers should {!compile} once
     and use {!arrivals_compiled}. *)
@@ -99,8 +98,8 @@ val slack_report :
     the given (output net, required time) constraints.  Returns one row
     per net that has a finite arrival, sorted most-critical first.
     Nets with no requirement reachable from them get infinite slack.
-    Oracle queries go through [?cache] when given and the oracle sets
-    [memoize], directly otherwise, as in {!analyze}. *)
+    Oracle queries are direct and [?cache] is ignored, as in
+    {!analyze}. *)
 
 val net_name : t -> net -> string
 (** The label the net was created under.  O(1). *)

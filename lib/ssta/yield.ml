@@ -54,7 +54,6 @@ let of_dag ~population ~seeds ~clock_period dag ~input_arrivals ~outputs =
                 let pop = pop_of arc in
                 ( pop.Statistical.predict_td seed point,
                   pop.Statistical.predict_sout seed point ));
-            memoize = false;
           }
         in
         (* One forward pass per seed; every output reads from it. *)

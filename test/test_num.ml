@@ -262,6 +262,13 @@ let test_locate () =
   Alcotest.(check int) "above" 2 (Interp.locate four 10.0);
   Alcotest.(check int) "inside" 1 (Interp.locate four 1.5);
   Alcotest.(check int) "at node" 1 (Interp.locate four 1.0);
+  (* The axis is a validated copy: writing the caller's array later
+     cannot unsort it under [locate]. *)
+  let src = [| 0.0; 1.0; 2.0; 3.0 |] in
+  let copied = axis src in
+  src.(1) <- 9.0;
+  Alcotest.(check int) "caller's write does not reach the axis" 1
+    (Interp.locate copied 1.5);
   let one = axis [| 0.5 |] in
   Alcotest.(check int) "singleton below" 0 (Interp.locate one 0.0);
   Alcotest.(check int) "singleton above" 0 (Interp.locate one 1.0);

@@ -173,11 +173,11 @@ let test_oracle_query_cache () =
     (Int64.bits_of_float d0 = Int64.bits_of_float du
     && Int64.bits_of_float s0 = Int64.bits_of_float su)
 
-(* A table or a trained compact model answers faster than a probe of
-   the exact cache, so [Oracle.cached] hands such an oracle back
-   unwrapped: bit for bit the bare answers, signed zeros included, and
-   nothing stored.  The simulator, dear per query, still memoizes. *)
-let test_cheap_oracles_bypass_cache () =
+(* The exact cache is bitwise for the production oracles too: an NLDM
+   table and a trained bank, over a sweep with signed zeros and two
+   supplies, answer through [Oracle.cached] bit for bit as bare, and
+   every distinct key (by bits) is stored once. *)
+let test_cached_production_oracles_bitwise () =
   let lib =
     Library.characterize ~cells:[ Cells.inv ] tech ~levels:[| 2; 2; 2 |]
   in
@@ -197,29 +197,18 @@ let test_cheap_oracles_bypass_cache () =
   let bits (d, s) = (Int64.bits_of_float d, Int64.bits_of_float s) in
   List.iter
     (fun (oracle : Oracle.t) ->
-      Alcotest.(check bool) (oracle.Oracle.label ^ ": no memoize") false
-        oracle.Oracle.memoize;
       let c = Oracle.make_cache () in
       let wrapped = Oracle.cached c oracle in
       List.iter
         (fun p ->
           if bits (wrapped.Oracle.query arc p) <> bits (oracle.Oracle.query arc p)
           then
-            Alcotest.failf "%s: wrapped answer differs at (%h, %h, %h)"
+            Alcotest.failf "%s: cached answer differs at (%h, %h, %h)"
               oracle.Oracle.label p.Harness.sin p.Harness.cload p.Harness.vdd)
         (points @ points);
-      Alcotest.(check int) (oracle.Oracle.label ^ ": cache left empty") 0
+      Alcotest.(check int) (oracle.Oracle.label ^ ": one entry per key") 32
         (Oracle.cache_size c))
-    [ Oracle.of_library lib; bank ];
-  let sim = Oracle.of_simulator tech in
-  Alcotest.(check bool) "simulator memoizes" true sim.Oracle.memoize;
-  let c = Oracle.make_cache () in
-  let wrapped = Oracle.cached c sim in
-  let p = { Harness.sin; cload = 2e-15; vdd } in
-  let first = wrapped.Oracle.query arc p in
-  Alcotest.(check bool) "simulator hit is bitwise" true
-    (bits (wrapped.Oracle.query arc p) = bits first);
-  Alcotest.(check int) "simulator answer stored" 1 (Oracle.cache_size c)
+    [ Oracle.of_library lib; bank ]
 
 (* Regression for the per-arc memo data race: every predictor-backed
    oracle memoizes per arc in one table, and concurrent callers (the
@@ -516,7 +505,6 @@ let test_dag_chain_equals_path () =
           let a = float_of_int (String.length (Arc.name arc)) in
           ( (a *. 1e-12) +. (0.3 *. p.Harness.sin) +. (4e3 *. p.Harness.cload),
             (0.5 *. p.Harness.sin) +. (7e3 *. p.Harness.cload) ));
-      memoize = false;
     }
   in
   let ch = five_chain () in
@@ -635,19 +623,30 @@ let test_dag_fanout_adds_load () =
     (loaded > bare +. 1e-13)
 
 let test_dag_persistent_cache () =
-  (* A caller-owned exact cache changes no results and makes a repeated
-     analysis free of oracle queries. *)
+  (* A caller-owned exact cache around the oracle changes no results
+     and makes a repeated analysis free of oracle queries.  A cache
+     handed to the pass itself is ignored: the pass queries directly
+     and leaves it empty. *)
   let oracle, count = counting_oracle () in
   let dag, _, _, out = simple_dag () in
   let input_arrivals _ = Sdag.input_edge ~at:0.0 ~slew:sin ~rises:true in
   let plain = Sdag.analyze dag oracle ~input_arrivals out in
   let after_plain = !count in
+  let ignored = Oracle.make_cache () in
+  let direct = Sdag.analyze ~cache:ignored dag oracle ~input_arrivals out in
+  Alcotest.(check int) "a pass given ~cache queries directly" after_plain
+    (!count - after_plain);
+  Alcotest.(check int) "and leaves it empty" 0 (Oracle.cache_size ignored);
   let c = Oracle.make_cache () in
-  let cached1 = Sdag.analyze ~cache:c dag oracle ~input_arrivals out in
-  let after_first_cached = !count - after_plain in
-  let cached2 = Sdag.analyze ~cache:c dag oracle ~input_arrivals out in
-  Alcotest.(check int) "second cached pass queries nothing" after_plain
-    (!count - after_first_cached);
+  let cached = Oracle.cached c oracle in
+  let before_cached = !count in
+  let cached1 = Sdag.analyze dag cached ~input_arrivals out in
+  let after_first_cached = !count in
+  let cached2 = Sdag.analyze dag cached ~input_arrivals out in
+  Alcotest.(check int) "second cached pass queries nothing" after_first_cached
+    !count;
+  Alcotest.(check bool) "first cached pass queried" true
+    (after_first_cached > before_cached);
   Alcotest.(check bool) "cache populated" true (Oracle.cache_size c > 0);
   let edge a =
     match Sdag.at_edge a ~rises:true with
@@ -661,13 +660,13 @@ let test_dag_persistent_cache () =
     (Int64.bits_of_float pt = Int64.bits_of_float t1
     && Int64.bits_of_float ps = Int64.bits_of_float s1);
   Alcotest.(check bool) "repeat pass identical" true (t1 = t2 && s1 = s2);
+  Alcotest.(check bool) "ignored cache, identical" true (edge direct = (pt, ps));
   (* Same cache drives slack_report to identical rows. *)
   let rows_plain =
     Sdag.slack_report dag oracle ~input_arrivals ~outputs:[ (out, 1e-10) ]
   in
   let rows_cached =
-    Sdag.slack_report ~cache:c dag oracle ~input_arrivals
-      ~outputs:[ (out, 1e-10) ]
+    Sdag.slack_report dag cached ~input_arrivals ~outputs:[ (out, 1e-10) ]
   in
   Alcotest.(check bool) "slack rows identical" true (rows_plain = rows_cached)
 
@@ -733,8 +732,6 @@ let synthetic_oracle =
         ( 1.0e-12 +. (1.0e-14 *. h) +. (0.4 *. p.Harness.sin)
           +. (900.0 *. p.Harness.cload),
           2.0e-12 +. (0.3 *. p.Harness.sin) +. (400.0 *. p.Harness.cload) ));
-    (* Stands in for a dear oracle in the cache tests. *)
-    memoize = true;
   }
 
 let design_inputs _ = Generate.both_edges ~at:0.0 ~slew:sin
@@ -901,7 +898,6 @@ let test_equal_arrivals_keep_first () =
           let h = float_of_int (Hashtbl.hash (Arc.name arc) land 0xff) in
           ( 1e-12 +. (0.4 *. p.Harness.sin),
             2e-12 +. (1e-14 *. h) +. (400.0 *. p.Harness.cload) ));
-      memoize = false;
     }
   in
   let dag = Sdag.create tech ~vdd in
@@ -954,11 +950,11 @@ let test_compiled_structure () =
 let test_compiled_paths_agree () =
   let d = Generate.design tech ~vdd ~seed:5 ~gates:600 in
   let outputs = Generate.required d 1e-9 in
-  let report ?cache () =
-    Sdag.slack_report_compiled ?cache d.Generate.compiled synthetic_oracle
+  let report oracle =
+    Sdag.slack_report_compiled d.Generate.compiled oracle
       ~input_arrivals:design_inputs ~outputs
   in
-  let reference = row_bits (report ()) in
+  let reference = row_bits (report synthetic_oracle) in
   (* The builder-level entry point compiles internally and agrees. *)
   let legacy =
     Sdag.slack_report d.Generate.dag synthetic_oracle
@@ -967,9 +963,9 @@ let test_compiled_paths_agree () =
   Alcotest.(check bool) "builder path agrees" true
     (row_bits legacy = reference);
   (* A shared persistent cache changes nothing across repeated passes. *)
-  let c = Oracle.make_cache () in
-  let warm1 = row_bits (report ~cache:c ()) in
-  let warm2 = row_bits (report ~cache:c ()) in
+  let cached = Oracle.cached (Oracle.make_cache ()) synthetic_oracle in
+  let warm1 = row_bits (report cached) in
+  let warm2 = row_bits (report cached) in
   Alcotest.(check bool) "cached passes bitwise stable" true
     (warm1 = reference && warm2 = reference)
 
@@ -1093,7 +1089,6 @@ let test_oracle_cache_signed_zero () =
         (fun _ _ ->
           incr calls;
           (float_of_int !calls, 0.0));
-      memoize = true;
     }
   in
   let c = Oracle.make_cache () in
@@ -1126,7 +1121,6 @@ let test_oracle_cache_concurrent_publish () =
           done;
           ignore (Sys.opaque_identity !spin);
           (float_of_int (Atomic.fetch_and_add builds 1), 0.0));
-      memoize = true;
     }
   in
   let c = Oracle.make_cache () in
@@ -1216,8 +1210,8 @@ let () =
           Alcotest.test_case "cross-instance trained cache" `Slow
             test_oracle_bank_cross_instance_cache;
           Alcotest.test_case "query cache" `Slow test_oracle_query_cache;
-          Alcotest.test_case "cheap oracles bypass the cache (bitwise)" `Slow
-            test_cheap_oracles_bypass_cache;
+          Alcotest.test_case "cached production oracles (bitwise)" `Slow
+            test_cached_production_oracles_bitwise;
         ] );
       ( "path",
         [
