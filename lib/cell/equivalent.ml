@@ -63,20 +63,6 @@ let input_cap (tech : Tech.t) (cell : Cells.t) ~pin =
   let wp = width_of tech.Tech.pmos cell.Cells.pull_up *. cell.Cells.wp_mult in
   (wn *. Mosfet.cgate tech.Tech.nmos) +. (wp *. Mosfet.cgate tech.Tech.pmos)
 
-(* Pin-capacitance memo: SSTA graph building asks for the same
-   (tech, cell, pin) capacitance once per fanout pin of every gate, so
-   a 100k-gate netlist over a dozen cell kinds would otherwise re-walk
-   the same pull-up/pull-down topologies ~200k times.  Keys are the
-   technology and cell names (both unique per definition); values are
-   the pure [input_cap] result, so caching never changes bits. *)
-let input_cap_memo : (string * string * string, float) Slc_num.Memo.t =
-  Slc_num.Memo.create ()
-
-let input_cap_cached (tech : Tech.t) (cell : Cells.t) ~pin =
-  Slc_num.Memo.find_or_build input_cap_memo
-    (tech.Tech.name, cell.Cells.name, pin)
-    (fun () -> input_cap tech cell ~pin)
-
 let parasitic_cap (tech : Tech.t) (arc : Arc.t) =
   let cell = arc.Arc.cell in
   (* Devices whose drain touches the output: the top level of both

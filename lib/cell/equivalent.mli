@@ -43,13 +43,6 @@ val input_cap : Slc_device.Tech.t -> Cells.t -> pin:string -> float
     the load a driving stage sees, used by chain simulation windows
     and by SSTA load computation. *)
 
-val input_cap_cached :
-  Slc_device.Tech.t -> Cells.t -> pin:string -> float
-(** {!input_cap} memoized process-wide per (technology name, cell name,
-    pin).  Domain-safe; bitwise identical to the uncached form.  Used
-    by SSTA net-capacitance accumulation, where the same pin cap is
-    summed once per fanout connection of a large netlist. *)
-
 val parasitic_cap : Slc_device.Tech.t -> Arc.t -> float
 (** Rough physical estimate of the output-node parasitic capacitance of
     the cell (junction caps of devices touching the output) — used only

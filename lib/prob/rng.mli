@@ -2,7 +2,14 @@
 
     xoshiro256++ seeded through splitmix64.  Every stochastic routine in
     this project takes an explicit [Rng.t] so that all experiments are
-    reproducible from a single integer seed. *)
+    reproducible from a single integer seed.
+
+    The state is kept unboxed: the four 64-bit limbs live in one
+    32-byte buffer, so a draw ({!uint64} aside, which returns a boxed
+    [int64]) allocates nothing but its boxed float result, {!int}
+    allocates nothing, and {!split}/{!split_ix} allocate only the
+    child's buffer.  The streams, and the {!save} text, are those of
+    the earlier record-of-[int64] representation, bit for bit. *)
 
 type t
 

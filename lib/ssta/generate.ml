@@ -22,6 +22,16 @@ let wire_cap_draw r ~mean =
   let u = if u > 0.0 then u else Float.min_float in
   -.mean *. log u
 
+(* Connects each of [pins], in order, to a driver drawn uniformly over
+   the first [avail] nets, counting the fanout it adds. *)
+let rec draw_pins r nets fanout avail = function
+  | [] -> []
+  | pin :: pins ->
+    let d = Rng.int r avail in
+    fanout.(d) <- fanout.(d) + 1;
+    let p = (pin, nets.(d)) in
+    p :: draw_pins r nets fanout avail pins
+
 let design ?(inputs = 32) ?(cells = default_cells) ?(mean_wire_cap = 0.5e-15)
     ?(out_load = 2.0e-15) tech ~vdd ~seed ~gates =
   if inputs <= 0 then
@@ -53,16 +63,9 @@ let design ?(inputs = 32) ?(cells = default_cells) ?(mean_wire_cap = 0.5e-15)
        depth grows logarithmically in the gate count, so big designs
        come out wide and shallow, with a skewed fanout distribution
        (early nets accumulate the most sinks). *)
-    let pins =
-      List.map
-        (fun pin ->
-          let d = Rng.int r !avail in
-          fanout.(d) <- fanout.(d) + 1;
-          (pin, nets.(d)))
-        cell.Cells.inputs
-    in
+    let pins = draw_pins r nets fanout !avail cell.Cells.inputs in
     let wire_cap = wire_cap_draw r ~mean:mean_wire_cap in
-    let out = Sdag.gate dag cell ~pins ~wire_cap (Printf.sprintf "g%d" gi) in
+    let out = Sdag.gate dag cell ~pins ~wire_cap ("g" ^ string_of_int gi) in
     nets.(!avail) <- out;
     incr avail
   done;

@@ -13,6 +13,11 @@ type gate_inst = {
   out : net;
 }
 
+(* The input capacitance of one (cell, pin), computed once per builder:
+   a netlist instantiates few distinct cells, so the list stays short
+   and a hit is a scan that allocates nothing. *)
+type pin_cap = { pc_cell : Cells.t; pc_pin : string; pc_cap : float }
+
 (* Builder: growable arrays instead of reversed lists, so net-name
    lookup is O(1) and nothing is re-materialized per query.  Net
    capacitance is accumulated incrementally as gates are added — each
@@ -25,10 +30,11 @@ type t = {
   mutable names : string array; (* per net; n_nets entries live *)
   mutable origins : int array; (* per net: -1 = input, else gate index *)
   mutable caps : float array; (* per net: summed fanout pin gate caps *)
+  mutable loads : float array; (* per net: explicit loads, 0.0 if none *)
   mutable n_nets : int;
   mutable gates : gate_inst array; (* n_gates entries live *)
   mutable n_gates : int;
-  loads : (net, float) Hashtbl.t;
+  mutable pin_caps : pin_cap list;
 }
 
 let dummy_gate = { cell = Cells.inv; pins = []; out = -1 }
@@ -41,11 +47,17 @@ let create tech ~vdd =
     names = Array.make 16 "";
     origins = Array.make 16 (-1);
     caps = Array.make 16 0.0;
+    loads = Array.make 16 0.0;
     n_nets = 0;
     gates = Array.make 16 dummy_gate;
     n_gates = 0;
-    loads = Hashtbl.create 8;
+    pin_caps = [];
   }
+
+let grow_floats a n =
+  let b = Array.make (2 * Array.length a) 0.0 in
+  Array.blit a 0 b 0 n;
+  b
 
 let grow_net t =
   if t.n_nets = Array.length t.names then begin
@@ -56,9 +68,8 @@ let grow_net t =
     let origins = Array.make cap (-1) in
     Array.blit t.origins 0 origins 0 t.n_nets;
     t.origins <- origins;
-    let caps = Array.make cap 0.0 in
-    Array.blit t.caps 0 caps 0 t.n_nets;
-    t.caps <- caps
+    t.caps <- grow_floats t.caps t.n_nets;
+    t.loads <- grow_floats t.loads t.n_nets
   end
 
 let fresh_net t name origin =
@@ -67,6 +78,7 @@ let fresh_net t name origin =
   t.names.(id) <- name;
   t.origins.(id) <- origin;
   t.caps.(id) <- 0.0;
+  t.loads.(id) <- 0.0;
   t.n_nets <- t.n_nets + 1;
   id
 
@@ -75,15 +87,60 @@ let input t name = fresh_net t name (-1)
 let check_net t n =
   if n < 0 || n >= t.n_nets then Slc_obs.Slc_error.invalid_input ~site:"Sdag" "unknown net"
 
+let rec check_pin_nets t = function
+  | [] -> ()
+  | (_, n) :: pins ->
+    check_net t n;
+    check_pin_nets t pins
+
+let rec count_name x = function
+  | [] -> 0
+  | y :: l -> Bool.to_int (String.equal x y) + count_name x l
+
+let rec count_pin x = function
+  | [] -> 0
+  | (y, _) :: l -> Bool.to_int (String.equal x y) + count_pin x l
+
+(* [pins] names every pin of [expected] exactly as often as [expected]
+   does, checked for each of [names] (a suffix of [expected]).  With
+   equal lengths, that makes the two lists equal as multisets. *)
+let rec pins_match expected pins = function
+  | [] -> true
+  | x :: names ->
+    count_name x expected = count_pin x pins && pins_match expected pins names
+
+(* The input cap of [cell]'s [pin] from the builder's table, computed
+   and added on the first connection of that pin. *)
+let rec pin_cap t cell pin = function
+  | [] ->
+    let pc_cap = Equivalent.input_cap t.tech cell ~pin in
+    t.pin_caps <- { pc_cell = cell; pc_pin = pin; pc_cap } :: t.pin_caps;
+    pc_cap
+  | e :: l ->
+    if e.pc_cell == cell && String.equal e.pc_pin pin then e.pc_cap
+    else pin_cap t cell pin l
+
+(* Accumulate fanout pin caps onto the driver nets, in pin-list order
+   — the same order (and therefore the same floating-point sum) as the
+   historical whole-graph rescan. *)
+let rec add_pin_caps t cell = function
+  | [] -> ()
+  | (pin, n) :: pins ->
+    t.caps.(n) <- t.caps.(n) +. pin_cap t cell pin t.pin_caps;
+    add_pin_caps t cell pins
+
 let gate t cell ~pins ?(wire_cap = 0.0) name =
-  let expected = List.sort compare cell.Cells.inputs in
-  let given = List.sort compare (List.map fst pins) in
-  if expected <> given then
+  let expected = cell.Cells.inputs in
+  if
+    not
+      (List.compare_lengths expected pins = 0
+      && pins_match expected pins expected)
+  then
     Slc_obs.Slc_error.invalid_input ~site:"Sdag.gate"
       (Printf.sprintf "%s needs pins {%s}, got {%s}" cell.Cells.name
-         (String.concat "," expected)
-         (String.concat "," given));
-  List.iter (fun (_, n) -> check_net t n) pins;
+         (String.concat "," (List.sort compare expected))
+         (String.concat "," (List.sort compare (List.map fst pins))));
+  check_pin_nets t pins;
   let idx = t.n_gates in
   let out = fresh_net t name idx in
   if t.n_gates = Array.length t.gates then begin
@@ -93,21 +150,14 @@ let gate t cell ~pins ?(wire_cap = 0.0) name =
   end;
   t.gates.(idx) <- { cell; pins; out };
   t.n_gates <- t.n_gates + 1;
-  (* Accumulate fanout pin caps onto the driver nets, in pin-list order
-     — the same order (and therefore the same floating-point sum) as
-     the historical whole-graph rescan. *)
-  List.iter
-    (fun (pin, n) ->
-      t.caps.(n) <- t.caps.(n) +. Equivalent.input_cap_cached t.tech cell ~pin)
-    pins;
-  if wire_cap > 0.0 then Hashtbl.replace t.loads out wire_cap;
+  add_pin_caps t cell pins;
+  if wire_cap > 0.0 then t.loads.(out) <- wire_cap;
   out
 
 let set_load t net load =
   check_net t net;
   if load < 0.0 then Slc_obs.Slc_error.invalid_input ~site:"Sdag.set_load" "negative load";
-  Hashtbl.replace t.loads net
-    (load +. Option.value ~default:0.0 (Hashtbl.find_opt t.loads net))
+  t.loads.(net) <- load +. t.loads.(net)
 
 (* Stage i's output net is "s<i>"; each of its side pins gets its own
    primary input "s<i>.<pin>", which callers leave without arrival. *)
@@ -137,9 +187,7 @@ let net_name t n =
 
 (* Total capacitance on a net: explicit loads plus the accumulated gate
    caps of all fanout pins. *)
-let net_cap t net =
-  let explicit = Option.value ~default:0.0 (Hashtbl.find_opt t.loads net) in
-  explicit +. t.caps.(net)
+let[@inline] net_cap t net = t.loads.(net) +. t.caps.(net)
 
 type edge_arrival = { at : float; slew : float }
 
@@ -174,28 +222,46 @@ type compiled = {
   k_fall : Arc.t option array; (* per pin: arc producing a falling output *)
 }
 
+(* One resolved timing arc of [compile]'s memo, keyed by (cell name,
+   pin, direction): a netlist instantiates few distinct cells, so a
+   scan of the list finds the key without hashing or allocating. *)
+type resolved = {
+  r_cell : string;
+  r_pin : string;
+  r_dir : Arc.direction;
+  r_arc : Arc.t option;
+}
+
+let rec resolve memo (cell : Cells.t) pin dir = function
+  | [] ->
+    let r_arc =
+      match Arc.find cell ~pin ~out_dir:dir with
+      | exception Not_found -> None
+      | arc -> Some arc
+    in
+    memo :=
+      { r_cell = cell.Cells.name; r_pin = pin; r_dir = dir; r_arc } :: !memo;
+    r_arc
+  | r :: l ->
+    if
+      r.r_dir = dir && String.equal r.r_pin pin
+      && String.equal r.r_cell cell.Cells.name
+    then r.r_arc
+    else resolve memo cell pin dir l
+
+(* Fills pin slots [p ..] of one gate with their driver nets and their
+   arcs of direction [dir]. *)
+let rec fill_pins memo cell dir pin_net arcs p = function
+  | [] -> ()
+  | (pin, n) :: pins ->
+    pin_net.(p) <- n;
+    arcs.(p) <- resolve memo cell pin dir !memo;
+    fill_pins memo cell dir pin_net arcs (p + 1) pins
+
 let compile t =
   let n_nets = t.n_nets and n_gates = t.n_gates in
   let names = Array.sub t.names 0 n_nets in
   let origins = Array.sub t.origins 0 n_nets in
-  (* Arc resolution memo: a netlist instantiates few distinct cells, so
-     resolve each (cell, pin, direction) once. *)
-  let arcs : (string * string * Arc.direction, Arc.t option) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let resolve (cell : Cells.t) pin out_dir =
-    let key = (cell.Cells.name, pin, out_dir) in
-    match Hashtbl.find_opt arcs key with
-    | Some r -> r
-    | None ->
-      let r =
-        match Arc.find cell ~pin ~out_dir with
-        | exception Not_found -> None
-        | arc -> Some arc
-      in
-      Hashtbl.add arcs key r;
-      r
-  in
   let pin_off = Array.make (n_gates + 1) 0 in
   for gi = 0 to n_gates - 1 do
     pin_off.(gi + 1) <- pin_off.(gi) + List.length t.gates.(gi).pins
@@ -203,19 +269,17 @@ let compile t =
   let n_pins = pin_off.(n_gates) in
   let pin_net = Array.make n_pins 0 in
   let rise = Array.make n_pins None and fall = Array.make n_pins None in
+  let out = Array.make n_gates 0 and load = Array.make n_gates 0.0 in
   (* Rise arcs of a gate before its fall arcs: the order in which arcs
      are first resolved is the order their ids are interned. *)
+  let memo = ref [] in
   for gi = 0 to n_gates - 1 do
     let g = t.gates.(gi) and p0 = pin_off.(gi) in
-    List.iteri
-      (fun i (pin, n) ->
-        pin_net.(p0 + i) <- n;
-        rise.(p0 + i) <- resolve g.cell pin Arc.Rise)
-      g.pins;
-    List.iteri (fun i (pin, _) -> fall.(p0 + i) <- resolve g.cell pin Arc.Fall) g.pins
+    fill_pins memo g.cell Arc.Rise pin_net rise p0 g.pins;
+    fill_pins memo g.cell Arc.Fall pin_net fall p0 g.pins;
+    out.(gi) <- g.out;
+    load.(gi) <- net_cap t g.out
   done;
-  let out = Array.init n_gates (fun gi -> t.gates.(gi).out) in
-  let load = Array.map (net_cap t) out in
   { k_vdd = t.vdd; k_names = names; k_origins = origins; k_out = out;
     k_load = load; k_pin_off = pin_off; k_pin_net = pin_net; k_rise = rise;
     k_fall = fall }

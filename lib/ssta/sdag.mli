@@ -34,11 +34,14 @@ val gate :
   t -> Slc_cell.Cells.t -> pins:(string * net) list -> ?wire_cap:float ->
   string -> net
 (** [gate dag cell ~pins name] instantiates [cell] with every input pin
-    connected per [pins] and returns its output net.  Raises
-    [Invalid_argument] on missing/extra pins. *)
+    connected per [pins], listed in any order, and returns its output
+    net.  Raises [Slc_error.Invalid_input] unless [pins] names each of
+    the cell's inputs exactly once. *)
 
 val set_load : t -> net -> float -> unit
-(** Extra capacitive load on a net (primary-output load). *)
+(** Extra capacitive load on a net (primary-output load).  Loads on one
+    net sum in call order, each onto the total before it (a gate's
+    [?wire_cap] first). *)
 
 val of_chain : Slc_cell.Chain.t -> vdd:float -> t * net * net
 (** [of_chain chain ~vdd] is the DAG of a {!Slc_cell.Chain}, with its

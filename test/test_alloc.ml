@@ -1,5 +1,6 @@
 (* Allocation regression gates for the transient hot path, axis
-   location, the oracle queries and the SSTA pass.
+   location, the oracle queries, the random generator, the SSTA design
+   builder and the SSTA pass.
 
    A warmed [Harness.simulate] (template compiled and cached) allocates
    ~8.4k minor words per call, essentially all of it in the per-call
@@ -262,6 +263,69 @@ let test_warm_library_slack_report_allocation () =
        back into the SSTA pass or the table lookup"
       per_gate ssta_library_budget_words
 
+(* The generator's four limbs live unboxed in one [Bytes.t], so a draw
+   boxes nothing: [Rng.int] allocates 0 words (the record of [int64]
+   fields it replaced boxed every limb it stored, 21 words per draw). *)
+let test_rng_int_allocation () =
+  let r = Slc_prob.Rng.create 3 in
+  ignore (Slc_prob.Rng.int r 7);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Slc_prob.Rng.int r 7))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0.0 then
+    Alcotest.failf
+      "1000 Rng.int draws allocated %.0f minor words (budget 0): the \
+       generator boxes its state"
+      words
+
+(* [Rng.split_ix] allocates the child's 32-byte state and nothing else:
+   measured 6 words (45 with boxed limbs); the budget is that plus
+   10%. *)
+let split_ix_budget_words = 6.6
+
+let test_rng_split_ix_allocation () =
+  let r = Slc_prob.Rng.create 3 in
+  ignore (Slc_prob.Rng.split_ix r 5);
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for ix = 1 to n do
+    ignore (Sys.opaque_identity (Slc_prob.Rng.split_ix r ix))
+  done;
+  let per_split = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_split > split_ix_budget_words then
+    Alcotest.failf
+      "Rng.split_ix allocated %.1f minor words (budget %.1f): the \
+       generator boxes its state"
+      per_split split_ix_budget_words
+
+(* Building and compiling a generated design allocates, per gate, what
+   the graph keeps: the child generator's state, the gate's name, its
+   (pin, net) list and instance record, and the boxed wire cap it is
+   given.  Measured 33.9 words per gate on the 2 000-gate design
+   ([compile] included, 0.9 of them); the budget is that plus 10%.  The
+   builder it replaced measured 329: boxed generator limbs, polymorphic
+   pin sorts, a pin-cap memo keyed by a string triple, a load
+   [Hashtbl] and a tuple-keyed arc table. *)
+let design_budget_words = 37.3
+
+let test_design_allocation () =
+  let module Generate = Slc_ssta.Generate in
+  let build () = Generate.design Tech.n14 ~vdd:0.8 ~seed:7 ~gates:2000 in
+  ignore (build ());
+  let before = Gc.minor_words () in
+  let d = Sys.opaque_identity (build ()) in
+  let per_gate =
+    (Gc.minor_words () -. before)
+    /. float_of_int (Slc_ssta.Sdag.compiled_gates d.Generate.compiled)
+  in
+  if per_gate > design_budget_words then
+    Alcotest.failf
+      "Generate.design allocated %.1f minor words per gate (budget %.1f): \
+       boxing crept back into the generator, the Sdag builder or compile"
+      per_gate design_budget_words
+
 let () =
   Alcotest.run "alloc"
     [
@@ -281,6 +345,13 @@ let () =
           Alcotest.test_case "library query boxes no interpolation value"
             `Quick test_library_query_allocation;
         ] );
+      ( "rng",
+        [
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_rng_int_allocation;
+          Alcotest.test_case "split_ix allocates only the child" `Quick
+            test_rng_split_ix_allocation;
+        ] );
       ( "interp",
         [
           Alcotest.test_case "locate allocates nothing" `Quick
@@ -292,5 +363,7 @@ let () =
             test_warm_slack_report_allocation;
           Alcotest.test_case "warm library slack report fits per-gate budget"
             `Quick test_warm_library_slack_report_allocation;
+          Alcotest.test_case "design build and compile fit per-gate budget"
+            `Quick test_design_allocation;
         ] );
     ]

@@ -389,6 +389,95 @@ let test_rng_split_ix () =
   Alcotest.(check bool) "parent unperturbed" true
     (Rng.uint64 parent = Rng.uint64 fresh)
 
+(* The generator's stream, bit for bit: per seed, three [uint64] draws,
+   two [float] draws (hex), four [int] draws (hex) at n = 1, 10,
+   1_000_003 and [max_int], the saved state of a [split] child, of
+   [split_ix] children at ix = 0, 1, -3 and [max_int], and finally of
+   the parent itself.  Recorded from the record-of-[int64] generator
+   that the unboxed one replaced; a change to any line changes every
+   seeded design, population and stored artifact key. *)
+let rng_golden_lines seed =
+  let r = Rng.create seed in
+  let u = List.init 3 (fun _ -> Printf.sprintf "%Lx" (Rng.uint64 r)) in
+  let f = List.init 2 (fun _ -> Printf.sprintf "%h" (Rng.float r)) in
+  let i =
+    List.map
+      (fun n -> Printf.sprintf "%x" (Rng.int r n))
+      [ 1; 10; 1_000_003; max_int ]
+  in
+  let ix = List.map (fun ix -> Rng.save (Rng.split_ix r ix)) [ 0; 1; -3; max_int ] in
+  let sp = Rng.save (Rng.split r) in
+  (String.concat " " u :: String.concat " " f :: String.concat " " i :: sp :: ix)
+  @ [ Rng.save r ]
+
+let rng_golden =
+  [
+    ( 0,
+      [
+        "53175d61490b23df 61da6f3dc380d507 5c0fdf91ec9a7bfc";
+        "0x1.775fc61ddf2cp-7 0x1.fb2813aebd296p-2";
+        "0 3 cbd0a 25bed05011c4f87f";
+        "31577428d8024b9b 24ce00c1c014ed2f 8d157aeaccfda634 4607ff0b465acf2f";
+        "be5248664bcd8505 7e8e5ec4bab289e9 a52aadc1aa93556c 884fa8e4e8ae15f";
+        "365d8f45eb373efe bbf2715e5771d20a 1f9757ae3a0988d1 611c2e90505bf0c2";
+        "1ed02e7c9ff61e2c d01efd15a549e786 66f0048d55d000d7 3360ec3889bc21cb";
+        "31fbbd45b3da9f29 82691e8469cb18de 7a28e9c3b5b58913 382e8abca0f6b84f";
+        "711ecb3a3813fcc5 7b4b4189a7ce6935 b2fee4cdfa3763ea ea1a7c84935df2d8";
+      ] );
+    ( 1,
+      [
+        "cfc5d07f6f03c29b bf424132963fe08d 19a37d5757aaf520";
+        "0x1.7e10233e0b9aap-1 0x1.7a38c25c30c34p-3";
+        "0 1 6f040 c5d72d98699a5e8";
+        "22f751a6b6d0033c 260ce3b0d9e26881 8c6c28c7567a420 b0c8a43a2e001830";
+        "58f1a87a17b2bcf8 5f67c9f1912fc9ff e691204fa5bacc65 f369e7318a642f53";
+        "43b562fdd80e1aa8 b2790d4d1fcedc11 5af5573b74c6ad42 a579a0eeb4276b6d";
+        "998a8a158cb3fd6 2210beb8b8e4d192 d1b8a0c3b55cf7c 790cc5ec20eafbb3";
+        "cb90a26e3e418457 67ca4c02bec8b078 430ea9fbcc09fea1 21c2bf50a9f6f442";
+        "5218d71bb6eec61b 6a437fdea2a8e8a1 5a97f8f54e237d37 702786175380f630";
+      ] );
+    ( (-7),
+      [
+        "f36c6e15ccc9fd7 9274d2c9b17cbd4a bb9969078e1a9521";
+        "0x1.91e12ec6384d8p-3 0x1.9f1f40017c852p-1";
+        "0 6 2b8a6 13e51bf44cfaa71";
+        "5c1f0db5c4e759fc 686e9b564ddc9e08 e137caa4fe0f1473 bac30ccc5e0b652";
+        "a7ef4ed7d44b4c24 aca6894686d7a93d f17eb9050483bd2a 4e0bcd175d07866e";
+        "88876c9e9fa355fc 933e92c193484dbf ee7ba0c8266d8b47 bb338d41b9c013a";
+        "d9c5c29dde102454 9ebe71394a45049e f7e4c18b10a866c1 a47d61db06a8f411";
+        "19a5af25f67b0c67 96ca6dd834bead5a 17ae890355191da5 dd7dc32c231e4259";
+        "8f343dd2c644d9a9 e5b3b54656909059 2257c4e06b99085a 6de3477a92e798f1";
+      ] );
+    ( max_int,
+      [
+        "45fb48efb1c2c1c2 c3add3a798906624 1f94c7639c6d4438";
+        "0x1.26520bc6cf804p-3 0x1.00f74e7e3aa6p-6";
+        "0 0 6c3ff 2e85bcf04d0f874";
+        "c73b78feea586787 b47b5e20adf47a73 654001d7968cf94d c7bffbc0a0907c75";
+        "bccd26a0778cd87b f4665fa1f41d2802 37059c9323592fd9 726e24b7f3fd4e1c";
+        "5456e785b01dd0ee 8807e05c0ea076fa c776e8ffb2737b5b 720137f5b91c133e";
+        "baecc9df40a5c920 c5b8e71c021dea71 12d276e886a989d8 2fda53f55443f3c0";
+        "ef15f20feca03e9b 37f3392d68cf9bfd 29dabaeb3ef994ed 9402ebe903dca1fa";
+        "898cb1d72f769851 6e87464fd3b3be22 22467c3688cffb7 efbeb32d77f77766";
+      ] );
+  ]
+
+let test_rng_golden_bits () =
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "stream of seed %d" seed)
+        expected (rng_golden_lines seed);
+      (* [restore] inverts [save]: the restored generator saves the same
+         text and continues the same stream. *)
+      let r = Rng.create seed in
+      ignore (Rng.uint64 r);
+      let s = Rng.save r in
+      let back = Rng.restore s in
+      Alcotest.(check string) "save (restore s) = s" s (Rng.save back);
+      Alcotest.(check int64) "restored stream" (Rng.uint64 r) (Rng.uint64 back))
+    rng_golden
+
 let test_mvn_sample_n () =
   let rng = Rng.create 77 in
   let m = Mvn.make ~mu:[| 1.0 |] ~cov:(Mat.identity 1) in
@@ -448,6 +537,7 @@ let () =
           Alcotest.test_case "split independence" `Quick
             test_rng_split_independence;
           Alcotest.test_case "indexed split" `Quick test_rng_split_ix;
+          Alcotest.test_case "golden bits" `Quick test_rng_golden_bits;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
         ] );
       ( "dist",

@@ -272,6 +272,53 @@ let test_oracle_memo_concurrent_miss () =
   Array.iter (fun a -> ignore (oracle.Oracle.query a p)) arcs;
   Alcotest.(check int) "warm memo builds nothing" raced (Atomic.get builds)
 
+(* Every build answers with its own number, so a caller that kept the
+   predictor it built after losing the publication race, or a later
+   publication replacing an earlier one, shows as two answers for one
+   arc.  Every arc of every built-in cell is queried, so the id array
+   is grown while other domains read it, and the build is long enough
+   that several domains run one arc's build at once. *)
+let test_oracle_memo_first_publication_wins () =
+  let builds = Atomic.make 0 in
+  let oracle =
+    Oracle.of_predictors ~label:"numbered" (fun _ ->
+        let spin = ref 0 in
+        for _ = 1 to 1_000_000 do
+          incr spin
+        done;
+        ignore (Sys.opaque_identity !spin);
+        let n = float_of_int (Atomic.fetch_and_add builds 1) in
+        {
+          Char_flow.label = "numbered";
+          train_cost = 0;
+          model = Char_flow.Opaque;
+          predict_td = (fun _ -> n);
+          predict_sout = (fun _ -> n);
+        })
+  in
+  let arcs = Array.of_list (List.concat_map Arc.all_of_cell Cells.all) in
+  let copies = 6 in
+  let p = { Harness.sin; cload = 2e-15; vdd } in
+  (* The copies of one arc's query are adjacent, so that the domains
+     reach its first query together. *)
+  let got =
+    Slc_num.Parallel.map ~domains:4 ~chunk:1
+      (fun q -> fst (oracle.Oracle.query arcs.(q / copies) p))
+      (Array.init (copies * Array.length arcs) Fun.id)
+  in
+  Alcotest.(check bool) "at least one build per arc" true
+    (Atomic.get builds >= Array.length arcs);
+  Array.iteri
+    (fun i arc ->
+      let published = fst (oracle.Oracle.query arc p) in
+      for c = 0 to copies - 1 do
+        let v = got.((i * copies) + c) in
+        if v <> published then
+          Alcotest.failf "%s: a caller saw build %g, the oracle holds %g"
+            (Arc.name arc) v published
+      done)
+    arcs
+
 (* ------------------------------------------------------------------ *)
 (* Path: a chain timed as a graph ({!Sdag.of_chain}) *)
 
@@ -433,6 +480,111 @@ let test_dag_pin_checking () =
   Alcotest.check_raises "missing pin"
     (Slc_obs.Slc_error.Invalid_input (Slc_obs.Slc_error.invalid ~site:"Sdag.gate" "NAND2 needs pins {A,B}, got {A}")) (fun () ->
       ignore (Sdag.gate dag Cells.nand2 ~pins:[ ("A", a) ] "bad"))
+
+(* Every pin multiset other than the cell's own is refused, with both
+   sides of the message sorted: a duplicated pin, a missing one, an
+   unknown one and an extra one. *)
+let test_dag_pin_check_messages () =
+  let dag = Sdag.create tech ~vdd in
+  let a = Sdag.input dag "a" in
+  let refused what pins detail =
+    Alcotest.check_raises what
+      (Slc_obs.Slc_error.Invalid_input
+         (Slc_obs.Slc_error.invalid ~site:"Sdag.gate" detail))
+      (fun () -> ignore (Sdag.gate dag Cells.nand2 ~pins "bad"))
+  in
+  refused "duplicated pin" [ ("A", a); ("A", a) ] "NAND2 needs pins {A,B}, got {A,A}";
+  refused "missing pin" [ ("B", a) ] "NAND2 needs pins {A,B}, got {B}";
+  refused "no pins" [] "NAND2 needs pins {A,B}, got {}";
+  refused "unknown pin" [ ("C", a); ("A", a) ] "NAND2 needs pins {A,B}, got {A,C}";
+  refused "extra pin" [ ("B", a); ("C", a); ("A", a) ]
+    "NAND2 needs pins {A,B}, got {A,B,C}";
+  Alcotest.check_raises "single-input cell, duplicated pin"
+    (Slc_obs.Slc_error.Invalid_input
+       (Slc_obs.Slc_error.invalid ~site:"Sdag.gate" "INV needs pins {A}, got {A,A}"))
+    (fun () -> ignore (Sdag.gate dag Cells.inv ~pins:[ ("A", a); ("A", a) ] "bad"));
+  (* A refused gate adds nothing: the next net is still the second. *)
+  let n = Sdag.gate dag Cells.inv ~pins:[ ("A", a) ] "ok" in
+  Alcotest.(check string) "builder unchanged by refusals" "ok" (Sdag.net_name dag n)
+
+(* Pins may be listed in any order.  A NAND2 given [B; A] is the NAND2
+   given [A; B]: the same fanout caps on its drivers and, through a
+   closed-form oracle whose delay is the load it is queried at, the
+   same compiled loads, bit for bit. *)
+let test_dag_pin_order_free () =
+  let build order =
+    let dag = Sdag.create tech ~vdd in
+    let a = Sdag.input dag "a" and b = Sdag.input dag "b" in
+    let pins = List.map (fun p -> if p = "A" then ("A", a) else ("B", b)) order in
+    let n = Sdag.gate dag Cells.nand2 ~pins ~wire_cap:0.3e-15 "n" in
+    (* [a] also drives the inverter, so its cap sums two pins. *)
+    let i = Sdag.gate dag Cells.inv ~pins:[ ("A", a) ] "i" in
+    let o = Sdag.gate dag Cells.nor2 ~pins:[ ("B", i); ("A", n) ] "o" in
+    Sdag.set_load dag o 1e-15;
+    (dag, [ a; b; n; i; o ], o)
+  in
+  let load_oracle =
+    {
+      Oracle.label = "load";
+      query = (fun _ (p : Harness.point) -> (p.Harness.cload, p.Harness.sin));
+    }
+  in
+  let observe (dag, nets, o) =
+    let caps = List.map (fun n -> Int64.bits_of_float (Sdag.net_cap dag n)) nets in
+    let rows =
+      Sdag.slack_report_compiled (Sdag.compile dag) load_oracle
+        ~input_arrivals:(fun _ -> Generate.both_edges ~at:0.0 ~slew:sin)
+        ~outputs:[ (o, 1e-9) ]
+    in
+    ( caps,
+      List.map
+        (fun (r : Sdag.slack_row) ->
+          (r.Sdag.net_label, Int64.bits_of_float r.Sdag.arrival_time,
+           Int64.bits_of_float r.Sdag.slack))
+        rows )
+  in
+  let ab = observe (build [ "A"; "B" ]) and ba = observe (build [ "B"; "A" ]) in
+  Alcotest.(check (list int64)) "net caps" (fst ab) (fst ba);
+  Alcotest.(check bool) "compiled loads time bitwise alike" true (snd ab = snd ba);
+  Alcotest.(check int) "every net has a row" 5 (List.length (snd ab))
+
+(* Explicit loads on one net sum in call order onto the gate's wire
+   cap — [set_load l] stores [l +. previous] — and the fanout pin caps
+   are added after them. *)
+let test_dag_loads_sum () =
+  let dag = Sdag.create tech ~vdd in
+  let a = Sdag.input dag "a" in
+  (* Two loads of 0.6 ulp of the wire cap: each addition rounds up by
+     one ulp, so the sum is two ulps above [w], while adding the loads
+     together first would give one, and dropping them none. *)
+  let w = 1e-15 in
+  let l = 0.6 *. (Float.succ w -. w) in
+  let n = Sdag.gate dag Cells.inv ~pins:[ ("A", a) ] ~wire_cap:w "n" in
+  Sdag.set_load dag n l;
+  Sdag.set_load dag n l;
+  let expected = l +. (l +. w) in
+  Alcotest.(check bool) "the test separates associations" true
+    (expected = Float.succ (Float.succ w) && (l +. l) +. w = Float.succ w);
+  Alcotest.(check int64) "wire cap plus two loads, bitwise"
+    (Int64.bits_of_float (expected +. 0.0))
+    (Int64.bits_of_float (Sdag.net_cap dag n));
+  (* With a fanout pin on the net, its cap comes after the loads. *)
+  let w = 0.1e-15 and l1 = 0.2e-15 and l2 = 0.3e-15 in
+  let m = Sdag.gate dag Cells.inv ~pins:[ ("A", a) ] ~wire_cap:w "m" in
+  ignore (Sdag.gate dag Cells.inv ~pins:[ ("A", m) ] "k");
+  Sdag.set_load dag m l1;
+  Sdag.set_load dag m l2;
+  let pin = Equivalent.input_cap tech Cells.inv ~pin:"A" in
+  Alcotest.(check int64) "loads, then the fanout cap, bitwise"
+    (Int64.bits_of_float ((l2 +. (l1 +. w)) +. (0.0 +. pin)))
+    (Int64.bits_of_float (Sdag.net_cap dag m));
+  (* An input given one load, and a gate output with none. *)
+  Sdag.set_load dag a 2e-15;
+  Alcotest.(check int64) "input load"
+    (Int64.bits_of_float (2e-15 +. ((0.0 +. pin) +. pin)))
+    (Int64.bits_of_float (Sdag.net_cap dag a));
+  let z = Sdag.gate dag Cells.inv ~pins:[ ("A", a) ] "z" in
+  Alcotest.(check int64) "no load" 0L (Int64.bits_of_float (Sdag.net_cap dag z))
 
 let test_dag_single_edge_propagation () =
   let dag, _, _, out = simple_dag () in
@@ -1207,6 +1359,8 @@ let () =
           Alcotest.test_case "memoization" `Slow test_oracle_memoizes;
           Alcotest.test_case "concurrent memo misses" `Quick
             test_oracle_memo_concurrent_miss;
+          Alcotest.test_case "predictor memo: first publication wins" `Quick
+            test_oracle_memo_first_publication_wins;
           Alcotest.test_case "cross-instance trained cache" `Slow
             test_oracle_bank_cross_instance_cache;
           Alcotest.test_case "query cache" `Slow test_oracle_query_cache;
@@ -1236,6 +1390,12 @@ let () =
       ( "sdag",
         [
           Alcotest.test_case "pin checking" `Quick test_dag_pin_checking;
+          Alcotest.test_case "pin check messages" `Quick
+            test_dag_pin_check_messages;
+          Alcotest.test_case "pin order is free (bitwise)" `Quick
+            test_dag_pin_order_free;
+          Alcotest.test_case "explicit loads sum (bitwise)" `Quick
+            test_dag_loads_sum;
           Alcotest.test_case "single-edge propagation" `Quick
             test_dag_single_edge_propagation;
           Alcotest.test_case "max semantics" `Slow test_dag_max_semantics;
