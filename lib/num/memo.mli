@@ -3,13 +3,10 @@
     Every reusable artifact the library builds once — trained
     predictors, compiled testbench templates, equivalent inverters,
     arc ids, server priors and populations — is cached through this
-    module, so the locking discipline lives in one place.  The two
-    measured exceptions sit on the per-query path of an oracle: the
-    answer cache ([Slc_ssta.Oracle.cache]), a flat float table whose
-    hits must be cheap next to the table lookup they save, and the
-    per-arc predictor array of [Slc_ssta.Oracle.of_predictors], read
-    without a lock.  Both build outside any lock and let the first
-    publication win, as this module does:
+    module, so the locking discipline lives in one place.  The one
+    measured exception is the per-query oracle answer cache
+    ([Slc_ssta.Oracle.cache]), a flat float table whose hits must be
+    cheap next to the table lookup they save; it keeps this discipline:
 
     - look the key up under the table's mutex and release it;
     - on a miss, run the build {e outside} any lock (builds may run

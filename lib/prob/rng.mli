@@ -8,8 +8,8 @@
     32-byte buffer, so a draw ({!uint64} aside, which returns a boxed
     [int64]) allocates nothing but its boxed float result, {!int}
     allocates nothing, and {!split}/{!split_ix} allocate only the
-    child's buffer.  The streams, and the {!save} text, are those of
-    the earlier record-of-[int64] representation, bit for bit. *)
+    child's buffer.  The streams and the {!save} text are fixed bit for
+    bit; the test_prob "golden bits" case pins them. *)
 
 type t
 

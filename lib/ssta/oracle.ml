@@ -11,37 +11,18 @@ type t = {
   label : string;
 }
 
-(* Predictors by [Arc.id], queried concurrently: the long-lived
+(* The per-oracle arc memo is queried concurrently: the long-lived
    characterization server answers many connections against one oracle
-   value.  A query reads the published array without a lock.  A miss
-   builds outside any lock and publishes a copy of the array with the
-   new slot (grown if the id is past its end) by compare-and-set; if
-   another caller published the slot first, its predictor wins —
-   [Memo]'s discipline, with the lookup an array read. *)
+   value — hence a domain-safe [Memo], not a plain table.  It is keyed
+   by [Arc.id], which names an arc as its name does, so a query hashes
+   an int, not a string. *)
 let of_predictors ~label build =
-  let published : Char_flow.predictor option array Atomic.t = Atomic.make [||] in
-  let find a id = if id < Array.length a then a.(id) else None in
-  let rec publish id p =
-    let a = Atomic.get published in
-    match find a id with
-    | Some first -> first
-    | None ->
-      let b = Array.make (max (id + 1) (Array.length a)) None in
-      Array.blit a 0 b 0 (Array.length a);
-      b.(id) <- Some p;
-      if Atomic.compare_and_set published a b then p else publish id p
-  in
-  let predictor arc =
-    let id = Arc.id arc in
-    match find (Atomic.get published) id with
-    | Some p -> p
-    | None -> publish id (build arc)
-  in
+  let memo = Memo.create () in
   {
     label;
     query =
       (fun arc point ->
-        let p = predictor arc in
+        let p = Memo.find_or_build memo (Arc.id arc) (fun () -> build arc) in
         (p.Char_flow.predict_td point, p.Char_flow.predict_sout point));
   }
 

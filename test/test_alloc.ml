@@ -263,9 +263,8 @@ let test_warm_library_slack_report_allocation () =
        back into the SSTA pass or the table lookup"
       per_gate ssta_library_budget_words
 
-(* The generator's four limbs live unboxed in one [Bytes.t], so a draw
-   boxes nothing: [Rng.int] allocates 0 words (the record of [int64]
-   fields it replaced boxed every limb it stored, 21 words per draw). *)
+(* The generator's four limbs live unboxed in one [Bytes.t], so
+   [Rng.int] allocates nothing: measured 0 words, budget 0. *)
 let test_rng_int_allocation () =
   let r = Slc_prob.Rng.create 3 in
   ignore (Slc_prob.Rng.int r 7);
@@ -281,8 +280,7 @@ let test_rng_int_allocation () =
       words
 
 (* [Rng.split_ix] allocates the child's 32-byte state and nothing else:
-   measured 6 words (45 with boxed limbs); the budget is that plus
-   10%. *)
+   measured 6 words; the budget is that plus 10%. *)
 let split_ix_budget_words = 6.6
 
 let test_rng_split_ix_allocation () =
@@ -304,10 +302,7 @@ let test_rng_split_ix_allocation () =
    the graph keeps: the child generator's state, the gate's name, its
    (pin, net) list and instance record, and the boxed wire cap it is
    given.  Measured 33.9 words per gate on the 2 000-gate design
-   ([compile] included, 0.9 of them); the budget is that plus 10%.  The
-   builder it replaced measured 329: boxed generator limbs, polymorphic
-   pin sorts, a pin-cap memo keyed by a string triple, a load
-   [Hashtbl] and a tuple-keyed arc table. *)
+   ([compile] included, 0.9 of them); the budget is that plus 10%. *)
 let design_budget_words = 37.3
 
 let test_design_allocation () =

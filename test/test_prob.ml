@@ -393,8 +393,7 @@ let test_rng_split_ix () =
    two [float] draws (hex), four [int] draws (hex) at n = 1, 10,
    1_000_003 and [max_int], the saved state of a [split] child, of
    [split_ix] children at ix = 0, 1, -3 and [max_int], and finally of
-   the parent itself.  Recorded from the record-of-[int64] generator
-   that the unboxed one replaced; a change to any line changes every
+   the parent generator itself.  A change to any line changes every
    seeded design, population and stored artifact key. *)
 let rng_golden_lines seed =
   let r = Rng.create seed in

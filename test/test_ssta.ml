@@ -272,53 +272,6 @@ let test_oracle_memo_concurrent_miss () =
   Array.iter (fun a -> ignore (oracle.Oracle.query a p)) arcs;
   Alcotest.(check int) "warm memo builds nothing" raced (Atomic.get builds)
 
-(* Every build answers with its own number, so a caller that kept the
-   predictor it built after losing the publication race, or a later
-   publication replacing an earlier one, shows as two answers for one
-   arc.  Every arc of every built-in cell is queried, so the id array
-   is grown while other domains read it, and the build is long enough
-   that several domains run one arc's build at once. *)
-let test_oracle_memo_first_publication_wins () =
-  let builds = Atomic.make 0 in
-  let oracle =
-    Oracle.of_predictors ~label:"numbered" (fun _ ->
-        let spin = ref 0 in
-        for _ = 1 to 1_000_000 do
-          incr spin
-        done;
-        ignore (Sys.opaque_identity !spin);
-        let n = float_of_int (Atomic.fetch_and_add builds 1) in
-        {
-          Char_flow.label = "numbered";
-          train_cost = 0;
-          model = Char_flow.Opaque;
-          predict_td = (fun _ -> n);
-          predict_sout = (fun _ -> n);
-        })
-  in
-  let arcs = Array.of_list (List.concat_map Arc.all_of_cell Cells.all) in
-  let copies = 6 in
-  let p = { Harness.sin; cload = 2e-15; vdd } in
-  (* The copies of one arc's query are adjacent, so that the domains
-     reach its first query together. *)
-  let got =
-    Slc_num.Parallel.map ~domains:4 ~chunk:1
-      (fun q -> fst (oracle.Oracle.query arcs.(q / copies) p))
-      (Array.init (copies * Array.length arcs) Fun.id)
-  in
-  Alcotest.(check bool) "at least one build per arc" true
-    (Atomic.get builds >= Array.length arcs);
-  Array.iteri
-    (fun i arc ->
-      let published = fst (oracle.Oracle.query arc p) in
-      for c = 0 to copies - 1 do
-        let v = got.((i * copies) + c) in
-        if v <> published then
-          Alcotest.failf "%s: a caller saw build %g, the oracle holds %g"
-            (Arc.name arc) v published
-      done)
-    arcs
-
 (* ------------------------------------------------------------------ *)
 (* Path: a chain timed as a graph ({!Sdag.of_chain}) *)
 
@@ -1359,8 +1312,6 @@ let () =
           Alcotest.test_case "memoization" `Slow test_oracle_memoizes;
           Alcotest.test_case "concurrent memo misses" `Quick
             test_oracle_memo_concurrent_miss;
-          Alcotest.test_case "predictor memo: first publication wins" `Quick
-            test_oracle_memo_first_publication_wins;
           Alcotest.test_case "cross-instance trained cache" `Slow
             test_oracle_bank_cross_instance_cache;
           Alcotest.test_case "query cache" `Slow test_oracle_query_cache;
