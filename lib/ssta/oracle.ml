@@ -13,16 +13,14 @@ type t = {
 
 (* The per-oracle arc memo is queried concurrently: the long-lived
    characterization server answers many connections against one oracle
-   value — hence a domain-safe [Memo], not a plain table.  It is keyed
-   by [Arc.id], which names an arc as its name does, so a query hashes
-   an int, not a string. *)
+   value — hence a domain-safe [Memo], not a plain table. *)
 let of_predictors ~label build =
   let memo = Memo.create () in
   {
     label;
     query =
       (fun arc point ->
-        let p = Memo.find_or_build memo (Arc.id arc) (fun () -> build arc) in
+        let p = Memo.find_or_build memo (Arc.name arc) (fun () -> build arc) in
         (p.Char_flow.predict_td point, p.Char_flow.predict_sout point));
   }
 

@@ -17,11 +17,11 @@ val of_predictors :
 (** Backed by per-arc predictors (e.g. {!Slc_core.Char_flow.train_bayes});
     the function is called once per distinct arc and memoized.
 
-    The memo is an {!Slc_num.Memo} keyed by {!Slc_cell.Arc.id}, so
-    concurrent queries (the characterization server's connections) are
-    safe.  Builds must be deterministic — concurrent misses on the same
-    arc may build more than once, and every caller then sees the single
-    published value. *)
+    The memo is an {!Slc_num.Memo}, so concurrent queries (the
+    characterization server's connections) are safe.  Builds must be
+    deterministic — concurrent misses on the same arc may build more
+    than once, and every caller then sees the single published
+    value. *)
 
 val of_library : Slc_cell.Library.t -> t
 (** Backed by interpolated NLDM tables; raises [Not_found] when queried
