@@ -138,21 +138,35 @@ let[@slc.hot] locate (slots : float array) h id p =
   let mask = mask_of slots in
   probe slots mask (h land mask) id p
 
-(* Double the capacity and re-insert every key (under the lock). *)
+(* The most slots a table holds: 3 MB of floats. *)
+let max_capacity = 1 lsl 16
+
+let max_cache_size = 3 * max_capacity / 4
+
+(* Under the lock, at 3/4 load: double the capacity and re-insert every
+   key or, at [max_capacity], empty the table and start over, so that a
+   long-lived cache fed ever new keys stays bounded.  A key that is
+   dropped is queried again on its next miss. *)
 let grow c =
   let old = c.slots in
-  let slots = Array.make (2 * Array.length old) empty in
-  for i = 0 to mask_of old do
-    let b = i * slot in
-    if old.(b) <> empty then begin
-      let id = int_of_float old.(b) in
-      let p =
-        { Harness.sin = old.(b + 1); cload = old.(b + 2); vdd = old.(b + 3) }
-      in
-      Array.blit old b slots (locate slots (hash id p) id p) slot
-    end
-  done;
-  c.slots <- slots
+  if Array.length old >= max_capacity * slot then begin
+    Array.fill old 0 (Array.length old) empty;
+    c.count <- 0
+  end
+  else begin
+    let slots = Array.make (2 * Array.length old) empty in
+    for i = 0 to mask_of old do
+      let b = i * slot in
+      if old.(b) <> empty then begin
+        let id = int_of_float old.(b) in
+        let p =
+          { Harness.sin = old.(b + 1); cload = old.(b + 2); vdd = old.(b + 3) }
+        in
+        Array.blit old b slots (locate slots (hash id p) id p) slot
+      end
+    done;
+    c.slots <- slots
+  end
 
 let cache_size c =
   Mutex.lock c.lock;

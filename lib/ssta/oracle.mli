@@ -106,7 +106,9 @@ val make_cache : unit -> cache
     keys.  The table is flat — one mutex and one open-addressing
     [float array] of (arc, sin, cload, vdd, td, sout) slots that starts
     small and doubles at 3/4 load — so a hit allocates nothing but its
-    returned pair.
+    returned pair.  It holds at most {!max_cache_size} entries: a full
+    table at its largest size starts over empty instead of doubling,
+    and a dropped key is queried again on its next miss.
 
     Unlike the library's other caches this is not an {!Slc_num.Memo}:
     a boxed, structurally hashed key made a hit cost more than the
@@ -121,3 +123,6 @@ val cached : cache -> t -> t
 
 val cache_size : cache -> int
 (** Number of distinct memoized queries. *)
+
+val max_cache_size : int
+(** The most entries a cache holds: 49 152, 3/4 of 65 536 slots. *)

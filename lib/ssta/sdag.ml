@@ -315,27 +315,30 @@ let check_compiled_net k n =
   if n < 0 || n >= Array.length k.k_names then
     Slc_obs.Slc_error.invalid_input ~site:"Sdag" "unknown net"
 
-(* The state of one forward pass, in flat arrays.  Per net: rise and
-   fall arrival time and slew, and a presence byte (bit 0 rise, bit 1
-   fall; a slot whose bit is clear holds no arrival).  Per gate: the
-   candidates it used — those whose driver edge arrived and whose arc
-   exists, the ones the backward required-time pass walks — in its CSR
-   slice of [driver]/[delay], two slots per pin starting at
-   [2 * k_pin_off.(gi)], [used.(gi)] of them filled. *)
+(* The state of one forward pass, in flat arrays.  Per net, one block
+   of four floats in [block] — rise arrival time, rise slew, fall
+   arrival time, fall slew, from [4 * n] — and a presence byte (bit 0
+   rise, bit 1 fall; an edge whose bit is clear holds no arrival, and
+   its slots are never read).  Per pin, one delay slot per output edge:
+   [2 * p] for the rising output, [2 * p + 1] for the falling one,
+   written when that candidate is used — its driver edge arrived and
+   its arc exists — and read back by the backward pass under the same
+   test. *)
 type pass = {
-  rise_at : float array;
-  rise_slew : float array;
-  fall_at : float array;
-  fall_slew : float array;
+  block : float array;
   present : Bytes.t;
-  driver : net array;
   delay : float array;
-  used : int array;
 }
 
 let rise_bit = 1
 
 let fall_bit = 2
+
+(* Offsets of an edge's arrival time in a net's block; its slew is the
+   next float. *)
+let rise_off = 0
+
+let fall_off = 2
 
 let[@slc.hot] has st n bit = Char.code (Bytes.get st.present n) land bit <> 0
 
@@ -347,34 +350,32 @@ let[@slc.hot] mark st n bit =
    point record and answers a boxed pair.  The slew and load are read
    from their arrays here, so that no float is boxed to pass them. *)
 let[@slc.alloc_ok "Oracle.query takes a Harness.point and returns a boxed pair"] query
-    (oracle : Oracle.t) arc (slews : float array) driver k gi =
+    (oracle : Oracle.t) arc (block : float array) slew k gi =
   oracle.Oracle.query arc
-    { Harness.sin = slews.(driver); cload = k.k_load.(gi); vdd = k.k_vdd }
+    { Harness.sin = block.(slew); cload = k.k_load.(gi); vdd = k.k_vdd }
 
-(* One output edge of gate [gi]: every pin whose driver has the [src]
-   edge and whose arc in [arcs] exists is a candidate, and the latest
-   wins.  A candidate replaces the best so far iff
-   [not (best_at >= at)], so a NaN arrival replaces any best and is
-   replaced by the next candidate. *)
-let[@slc.hot] eval_edge k oracle st gi arcs ~src_at ~src_slew ~src_bit ~dst_at
-    ~dst_slew ~dst_bit =
+(* One output edge ([edge] 0 rising, 1 falling) of gate [gi]: every pin
+   whose driver has the [src] edge and whose arc in [arcs] exists is a
+   candidate, and the latest wins.  A candidate replaces the best so
+   far iff [not (best_at >= at)], so a NaN arrival replaces any best
+   and is replaced by the next candidate. *)
+let[@slc.hot] eval_edge k oracle st gi arcs ~edge ~src ~src_bit ~dst ~dst_bit =
+  let block = st.block in
   let out = k.k_out.(gi) in
-  let slot = 2 * k.k_pin_off.(gi) in
+  let o = (4 * out) + dst in
   for p = k.k_pin_off.(gi) to k.k_pin_off.(gi + 1) - 1 do
     let driver = k.k_pin_net.(p) in
     if has st driver src_bit then
       match arcs.(p) with
       | None -> ()
       | Some arc ->
-        let d, s = query oracle arc src_slew driver k gi in
-        let u = st.used.(gi) in
-        st.driver.(slot + u) <- driver;
-        st.delay.(slot + u) <- d;
-        st.used.(gi) <- u + 1;
-        let at = src_at.(driver) +. d in
-        if not (has st out dst_bit && dst_at.(out) >= at) then begin
-          dst_at.(out) <- at;
-          dst_slew.(out) <- s;
+        let i = (4 * driver) + src in
+        let d, s = query oracle arc block (i + 1) k gi in
+        st.delay.((2 * p) + edge) <- d;
+        let at = block.(i) +. d in
+        if not (has st out dst_bit && block.(o) >= at) then begin
+          block.(o) <- at;
+          block.(o + 1) <- s;
           mark st out dst_bit
         end
   done
@@ -382,15 +383,13 @@ let[@slc.hot] eval_edge k oracle st gi arcs ~src_at ~src_slew ~src_bit ~dst_at
 (* An input fall launches an output rise and vice versa (every built-in
    cell is inverting). *)
 let[@slc.hot] eval_gate k oracle st gi =
-  eval_edge k oracle st gi k.k_rise ~src_at:st.fall_at ~src_slew:st.fall_slew
-    ~src_bit:fall_bit ~dst_at:st.rise_at ~dst_slew:st.rise_slew
-    ~dst_bit:rise_bit;
-  eval_edge k oracle st gi k.k_fall ~src_at:st.rise_at ~src_slew:st.rise_slew
-    ~src_bit:rise_bit ~dst_at:st.fall_at ~dst_slew:st.fall_slew
-    ~dst_bit:fall_bit
+  eval_edge k oracle st gi k.k_rise ~edge:0 ~src:fall_off ~src_bit:fall_bit
+    ~dst:rise_off ~dst_bit:rise_bit;
+  eval_edge k oracle st gi k.k_fall ~edge:1 ~src:rise_off ~src_bit:rise_bit
+    ~dst:fall_off ~dst_bit:fall_bit
 
 (* Shared forward pass over the compiled graph: every net's arrivals
-   plus every gate's used candidates, all in one [pass] of flat arrays;
+   plus every used candidate's delay, all in one [pass] of flat arrays;
    nothing is allocated per gate but the oracle's point and answer.
 
    One loop over the gates in construction order, on the caller's
@@ -406,31 +405,25 @@ let[@slc.hot] eval_gate k oracle st gi =
    wraps it in [Oracle.cached] itself. *)
 let forward_compiled k (oracle : Oracle.t) ~input_arrivals =
   let n_nets = Array.length k.k_names in
-  let n_slots = 2 * Array.length k.k_pin_net in
   let st =
     {
-      rise_at = Array.make n_nets 0.0;
-      rise_slew = Array.make n_nets 0.0;
-      fall_at = Array.make n_nets 0.0;
-      fall_slew = Array.make n_nets 0.0;
+      block = Array.create_float (4 * n_nets);
       present = Bytes.make n_nets '\000';
-      driver = Array.make n_slots 0;
-      delay = Array.make n_slots 0.0;
-      used = Array.make (Array.length k.k_out) 0;
+      delay = Array.create_float (2 * Array.length k.k_pin_net);
     }
   in
-  let set_edge n bit at slew = function
+  let set_edge n bit off = function
     | None -> ()
     | Some e ->
-      at.(n) <- e.at;
-      slew.(n) <- e.slew;
+      st.block.((4 * n) + off) <- e.at;
+      st.block.((4 * n) + off + 1) <- e.slew;
       mark st n bit
   in
   for n = 0 to n_nets - 1 do
     if k.k_origins.(n) < 0 then begin
       let a = input_arrivals k.k_names.(n) in
-      set_edge n rise_bit st.rise_at st.rise_slew a.rise;
-      set_edge n fall_bit st.fall_at st.fall_slew a.fall
+      set_edge n rise_bit rise_off a.rise;
+      set_edge n fall_bit fall_off a.fall
     end
   done;
   for gi = 0 to Array.length k.k_out - 1 do
@@ -439,13 +432,12 @@ let forward_compiled k (oracle : Oracle.t) ~input_arrivals =
   st
 
 let arrival_of st n =
-  let edge bit at slew =
-    if has st n bit then Some { at = at.(n); slew = slew.(n) } else None
+  let edge bit off =
+    if has st n bit then
+      Some { at = st.block.((4 * n) + off); slew = st.block.((4 * n) + off + 1) }
+    else None
   in
-  {
-    rise = edge rise_bit st.rise_at st.rise_slew;
-    fall = edge fall_bit st.fall_at st.fall_slew;
-  }
+  { rise = edge rise_bit rise_off; fall = edge fall_bit fall_off }
 
 let arrivals_compiled ?cache:_ k (oracle : Oracle.t) ~input_arrivals =
   let st = forward_compiled k oracle ~input_arrivals in
@@ -464,6 +456,97 @@ type slack_row = {
   slack : float;
 }
 
+(* One output edge of gate [gi], backward: each candidate the forward
+   pass used — found again from the driver's final presence bits and
+   the arc table — requires its driver to arrive its delay before the
+   gate's output is required.  The candidates come in the order the
+   forward pass met them. *)
+let[@slc.hot] require_edge k st (required : float array) gi arcs ~edge ~src_bit =
+  let r_out = required.(k.k_out.(gi)) in
+  if r_out < Float.infinity then
+    for p = k.k_pin_off.(gi) to k.k_pin_off.(gi + 1) - 1 do
+      let driver = k.k_pin_net.(p) in
+      if has st driver src_bit then
+        match arcs.(p) with
+        | None -> ()
+        | Some _ ->
+          required.(driver) <-
+            Float.min required.(driver) (r_out -. st.delay.((2 * p) + edge))
+    done
+
+(* The worst (latest) arrival of a net that has one. *)
+let[@slc.hot] [@inline] worst_at st n =
+  let bits = Char.code (Bytes.get st.present n) in
+  let rise = (4 * n) + rise_off and fall = (4 * n) + fall_off in
+  if bits = rise_bit then st.block.(rise)
+  else if bits = fall_bit then st.block.(fall)
+  else Float.max st.block.(rise) st.block.(fall)
+
+(* An unsigned 64-bit sort key that orders slacks as [Float.compare]
+   does: every NaN below everything else, [-0.0] with [0.0], and the
+   rest by value — a negative float with all its bits flipped, a
+   positive one with its sign bit flipped. *)
+let[@slc.hot] [@inline] slack_key x =
+  if Float.is_nan x then 0L
+  else if x = 0.0 then Int64.min_int
+  else
+    let b = Int64.bits_of_float x in
+    if Int64.compare b 0L < 0 then Int64.lognot b else Int64.logxor b Int64.min_int
+
+let digits = 8 (* radix 256: the key's little-endian bytes *)
+
+(* Lists the nets with an arrival in descending net order into [order],
+   writes each one's slack key at [8 * row] of [keys] (little-endian, so
+   byte [d] is digit [d]) and counts every digit into [counts], 256
+   buckets per digit.  Answers the number of rows. *)
+let[@slc.hot] prepare_rows st (required : float array) keys order counts =
+  let rows = ref 0 in
+  for n = Bytes.length st.present - 1 downto 0 do
+    if Bytes.get st.present n <> '\000' then begin
+      let i = !rows in
+      Bytes.set_int64_le keys (8 * i) (slack_key (required.(n) -. worst_at st n));
+      order.(i) <- n;
+      for d = 0 to digits - 1 do
+        let c = (256 * d) + Bytes.get_uint8 keys ((8 * i) + d) in
+        counts.(c) <- counts.(c) + 1
+      done;
+      rows := i + 1
+    end
+  done;
+  !rows
+
+(* One stable counting pass on digit [d]: moves the first [n] keys and
+   row indices of [src_keys]/[src] to [dst_keys]/[dst]. *)
+let[@slc.hot] radix_pass counts d n src_keys (src : int array) dst_keys
+    (dst : int array) =
+  let base = 256 * d in
+  let start = ref 0 in
+  for b = base to base + 255 do
+    let c = counts.(b) in
+    counts.(b) <- !start;
+    start := !start + c
+  done;
+  for i = 0 to n - 1 do
+    let b = base + Bytes.get_uint8 src_keys ((8 * i) + d) in
+    let j = counts.(b) in
+    counts.(b) <- j + 1;
+    Bytes.set_int64_le dst_keys (8 * j) (Bytes.get_int64_le src_keys (8 * i));
+    dst.(j) <- src.(i)
+  done
+
+(* LSD radix sort of [n] rows from digit [d] up, ping-ponging between
+   the two buffers; answers the array holding the sorted rows.  A digit
+   that every row shares leaves the order as it is, so its pass is
+   skipped. *)
+let rec radix counts n d src_keys src dst_keys dst =
+  if d = digits || n = 0 then src
+  else if counts.((256 * d) + Bytes.get_uint8 src_keys d) = n then
+    radix counts n (d + 1) src_keys src dst_keys dst
+  else begin
+    radix_pass counts d n src_keys src dst_keys dst;
+    radix counts n (d + 1) dst_keys dst src_keys src
+  end
+
 let slack_report_compiled ?cache:_ k oracle ~input_arrivals ~outputs =
   List.iter (fun (n, _) -> check_compiled_net k n) outputs;
   let st = forward_compiled k oracle ~input_arrivals in
@@ -474,47 +557,35 @@ let slack_report_compiled ?cache:_ k oracle ~input_arrivals ~outputs =
      order: a driver must arrive early enough for every timing arc it
      launches. *)
   for gi = Array.length k.k_out - 1 downto 0 do
-    let r_out = required.(k.k_out.(gi)) in
-    if r_out < Float.infinity then begin
-      let slot = 2 * k.k_pin_off.(gi) in
-      for u = slot to slot + st.used.(gi) - 1 do
-        let driver = st.driver.(u) in
-        required.(driver) <- Float.min required.(driver) (r_out -. st.delay.(u))
-      done
-    end
+    require_edge k st required gi k.k_rise ~edge:0 ~src_bit:fall_bit;
+    require_edge k st required gi k.k_fall ~edge:1 ~src_bit:rise_bit
   done;
   (* One row per net with an arrival: its worst (latest) edge and the
-     slack against its requirement.  The row indices are listed in
-     descending net order and stably sorted by slack, so equal slacks
-     come out highest net first. *)
-  let arrival = Array.make n_nets 0.0 and slack = Array.make n_nets 0.0 in
-  let order = Array.make n_nets 0 and n_rows = ref 0 in
-  for n = n_nets - 1 downto 0 do
-    let bits = Char.code (Bytes.get st.present n) in
-    if bits <> 0 then begin
-      let at =
-        if bits = rise_bit then st.rise_at.(n)
-        else if bits = fall_bit then st.fall_at.(n)
-        else Float.max st.rise_at.(n) st.fall_at.(n)
-      in
-      arrival.(n) <- at;
-      slack.(n) <- required.(n) -. at;
-      order.(!n_rows) <- n;
-      incr n_rows
-    end
-  done;
-  let order = Array.sub order 0 !n_rows in
-  Array.stable_sort (fun a b -> Float.compare slack.(a) slack.(b)) order;
-  Array.fold_right
-    (fun n rows ->
+     slack against its requirement.  The rows are listed in descending
+     net order and stably sorted by slack key, so equal slacks come out
+     highest net first. *)
+  let keys = Bytes.create (8 * n_nets) and order = Array.make n_nets 0 in
+  let counts = Array.make (256 * digits) 0 in
+  let n_rows = prepare_rows st required keys order counts in
+  let order =
+    radix counts n_rows 0 keys order
+      (Bytes.create (8 * n_rows))
+      (Array.make n_rows 0)
+  in
+  let rows = ref [] in
+  for i = n_rows - 1 downto 0 do
+    let n = order.(i) in
+    let at = worst_at st n in
+    rows :=
       {
         net_label = k.k_names.(n);
-        arrival_time = arrival.(n);
+        arrival_time = at;
         required_time = required.(n);
-        slack = slack.(n);
+        slack = required.(n) -. at;
       }
-      :: rows)
-    order []
+      :: !rows
+  done;
+  !rows
 
 let slack_report ?cache:_ t oracle ~input_arrivals ~outputs =
   List.iter (fun (n, _) -> check_net t n) outputs;

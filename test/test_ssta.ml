@@ -988,6 +988,87 @@ let test_slack_nan_arc () =
     (List.map (fun (l, a, r, s) -> (l, [ a; r; s ])) expected)
     (List.map (fun (l, a, r, s) -> (l, [ a; r; s ])) (row_bits rows))
 
+(* Row order over slacks that stress the sort: NaNs of both signs,
+   [-0.0] and [0.0], both infinities, subnormals and long runs of equal
+   values.  Primary inputs draw their arrival times and per-output
+   required times from a palette of one to four of these values, and
+   inverters hang off earlier nets.  The rows must come out as the
+   reference orders them: nets in descending order, then a stable sort
+   by [Float.compare] on slack. *)
+let special_values =
+  [|
+    Float.nan; -.Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity;
+    Float.succ 0.0; Float.pred 0.0; Float.pred Float.min_float;
+    -.Float.min_float; 1e-9; -1e-9; 1e-300; Float.max_float;
+    -.Float.max_float;
+  |]
+
+let gen_row_order_case =
+  QCheck.Gen.(
+    list_size (int_range 1 4) (int_bound (Array.length special_values - 1))
+    >>= fun palette ->
+    let value = opt (oneofl palette) in
+    pair
+      (list_size (int_range 1 150) (pair value value))
+      (list_size (int_range 0 150) (pair nat value)))
+
+let prop_row_order =
+  QCheck.Test.make ~name:"slack rows: descending nets, stable Float.compare"
+    ~count:200
+    (QCheck.make gen_row_order_case)
+    (fun (inputs, gates) ->
+      let dag = Sdag.create tech ~vdd in
+      (* Each label's arrival time, and its creation position: the
+         builder numbers nets in creation order. *)
+      let ats = Hashtbl.create 16 and ids = Hashtbl.create 16 in
+      let outputs = ref [] in
+      let add name n r =
+        Hashtbl.replace ids name (Hashtbl.length ids);
+        Option.iter (fun v -> outputs := (n, special_values.(v)) :: !outputs) r;
+        n
+      in
+      let inputs = Array.of_list inputs and gates = Array.of_list gates in
+      let n_inputs = Array.length inputs in
+      let input_nets =
+        Array.mapi
+          (fun i (at, r) ->
+            let name = Printf.sprintf "i%d" i in
+            Hashtbl.replace ats name
+              (match at with None -> 0.0 | Some v -> special_values.(v));
+            add name (Sdag.input dag name) r)
+          inputs
+      in
+      let nets =
+        Array.append input_nets (Array.make (Array.length gates) input_nets.(0))
+      in
+      Array.iteri
+        (fun i (src, r) ->
+          let name = Printf.sprintf "g%d" i in
+          let driver = nets.(src mod (n_inputs + i)) in
+          nets.(n_inputs + i) <-
+            add name (Sdag.gate dag Cells.inv ~pins:[ ("A", driver) ] name) r)
+        gates;
+      let input_arrivals name =
+        Generate.both_edges ~at:(Hashtbl.find ats name) ~slew:sin
+      in
+      let rows =
+        Sdag.slack_report dag synthetic_oracle ~input_arrivals ~outputs:!outputs
+      in
+      let id (r : Sdag.slack_row) = Hashtbl.find ids r.Sdag.net_label in
+      let reference =
+        List.stable_sort
+          (fun (a : Sdag.slack_row) b -> Float.compare a.Sdag.slack b.Sdag.slack)
+          (List.sort (fun a b -> Int.compare (id b) (id a)) rows)
+      in
+      List.length rows = Array.length nets
+      && row_bits rows = row_bits reference
+      && List.for_all
+           (fun (r : Sdag.slack_row) ->
+             Int64.equal
+               (Int64.bits_of_float r.Sdag.slack)
+               (Int64.bits_of_float (r.Sdag.required_time -. r.Sdag.arrival_time)))
+           rows)
+
 (* Two candidates that arrive at the same time: the first in pin order
    is kept (a later one replaces the best only when strictly later or
    NaN).  Delay depends only on the point, slew also on the arc, so a
@@ -1184,6 +1265,44 @@ let test_oracle_cache_growth () =
   done;
   Alcotest.(check int) "second sweep is all hits" (n + 1) !calls
 
+(* A long-lived cache fed ever new keys stays bounded: 200 000
+   distinct points, four times the bound, keep [cache_size] at or below
+   [max_cache_size] after every query while the cache fills to the bound
+   and starts over, and every answer, first or repeated, is bitwise the
+   uncached oracle's. *)
+let test_oracle_cache_bounded () =
+  let c = Oracle.make_cache () in
+  let w = Oracle.cached c synthetic_oracle in
+  let arcs =
+    [|
+      Arc.find Cells.inv ~pin:"A" ~out_dir:Arc.Fall;
+      Arc.find Cells.nor2 ~pin:"B" ~out_dir:Arc.Rise;
+    |]
+  in
+  let n = 200_000 in
+  let point i =
+    { Harness.sin = sin *. float_of_int (1 + (i / 1000));
+      cload = 1e-16 *. float_of_int (1 + (i mod 1000)); vdd }
+  in
+  let bits (d, s) = (Int64.bits_of_float d, Int64.bits_of_float s) in
+  let largest = ref 0 in
+  let check i =
+    let arc = arcs.(i mod 2) and p = point i in
+    if bits (w.Oracle.query arc p) <> bits (synthetic_oracle.Oracle.query arc p)
+    then Alcotest.failf "point %d: cached answer differs from the oracle's" i;
+    let size = Oracle.cache_size c in
+    if size > Oracle.max_cache_size then
+      Alcotest.failf "point %d: %d entries, bound %d" i size Oracle.max_cache_size;
+    largest := max !largest size
+  in
+  for i = 0 to n - 1 do
+    check i
+  done;
+  Alcotest.(check int) "filled to the bound" Oracle.max_cache_size !largest;
+  for i = n - 1 downto n - 1000 do
+    check i
+  done
+
 (* Keys compare coordinate bits: 0.0 and -0.0 are different queries. *)
 let test_oracle_cache_signed_zero () =
   let calls = ref 0 in
@@ -1364,6 +1483,7 @@ let () =
           Alcotest.test_case "equal slacks, highest net first" `Quick
             test_slack_tie_order;
           Alcotest.test_case "NaN arc rows (bitwise)" `Quick test_slack_nan_arc;
+          QCheck_alcotest.to_alcotest prop_row_order;
           Alcotest.test_case "equal arrivals keep the first candidate" `Quick
             test_equal_arrivals_keep_first;
           Alcotest.test_case "builder and cached passes agree (bitwise)"
@@ -1372,6 +1492,8 @@ let () =
             test_pass_builds_each_arc_once;
           Alcotest.test_case "oracle cache growth" `Quick
             test_oracle_cache_growth;
+          Alcotest.test_case "oracle cache stays bounded" `Quick
+            test_oracle_cache_bounded;
           Alcotest.test_case "oracle cache keeps -0.0 apart" `Quick
             test_oracle_cache_signed_zero;
           Alcotest.test_case "oracle cache concurrent publication" `Quick
