@@ -147,16 +147,3 @@ let logic_value cell ~on =
   | true, false -> Some true
   | false, true -> Some false
   | true, true | false, false -> None
-
-let is_complementary cell =
-  let n = List.length cell.inputs in
-  let ok = ref true in
-  for mask = 0 to (1 lsl n) - 1 do
-    let on pin =
-      match List.find_index (String.equal pin) cell.inputs with
-      | Some i -> mask land (1 lsl i) <> 0
-      | None -> Slc_obs.Slc_error.invalid_input ~site:"Cells.is_complementary" "unknown pin"
-    in
-    match logic_value cell ~on with Some _ -> () | None -> ok := false
-  done;
-  !ok

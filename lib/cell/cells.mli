@@ -27,23 +27,8 @@ val nand3 : t
 val nor2 : t
 (** 2-input NOR: parallel NMOS, series PMOS stack (upsized 2x). *)
 
-val nor3 : t
-
-val nand4 : t
-
-val nor4 : t
-
 val aoi21 : t
 (** out = not (A and B or C). *)
-
-val oai21 : t
-(** out = not ((A or B) and C). *)
-
-val aoi22 : t
-(** out = not (A and B or C and D). *)
-
-val oai22 : t
-(** out = not ((A or B) and (C or D)). *)
 
 val all : t list
 (** Every built-in cell, in a stable order — the default cell set of
@@ -60,7 +45,3 @@ val logic_value : t -> on:(string -> bool) -> bool option
     pull-up conducts, [Some false] when only the pull-down conducts,
     [None] for a non-complementary state (never happens for the
     built-in cells). *)
-
-val is_complementary : t -> bool
-(** Whether pull-up and pull-down conduction are complements over all
-    input assignments. *)

@@ -63,6 +63,9 @@ val build_netlist :
   Arc.t ->
   point ->
   Slc_spice.Netlist.t * Slc_spice.Netlist.node * Slc_spice.Netlist.node
+[@@slc.test_only
+  "the from-scratch netlist whose measurements the compiled-template \
+   cache of simulate must reproduce bitwise"]
 (** [(netlist, in_node, out_node)] for the given arc and condition
     (ramp starts at an internal offset time). *)
 
@@ -95,6 +98,9 @@ val simulate_batch :
 
 val set_fault_injector :
   (Slc_device.Process.seed -> point -> bool) option -> unit
+[@@slc.test_only
+  "synthetic simulator failures, to drive graceful degradation \
+   deterministically"]
 (** Test hook: when set, {!simulate} raises a synthetic
     [No_convergence] for any (seed, point) the predicate accepts,
     before running (and before counting) a simulation.  Pass [None] to

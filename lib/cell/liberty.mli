@@ -64,10 +64,16 @@ val parse : string -> t
 val lookup :
   t -> cell:string -> related_pin:string -> rising:bool ->
   sin:float -> cload:float -> (float * float) option
+[@@slc.test_only
+  "reads a written .lib back: the round trip pins the delay and \
+   transition tables the writer emits"]
 (** Bilinear table lookup in a parsed library: [(delay, transition)] in
     seconds for SI inputs; [None] if the arc is absent. *)
 
 val lookup_energy :
   t -> cell:string -> related_pin:string -> rising:bool ->
   sin:float -> cload:float -> float option
+[@@slc.test_only
+  "reads a written .lib back: the round trip pins the internal_power \
+   tables the writer emits"]
 (** Switching energy in joules from the [internal_power] tables. *)

@@ -22,20 +22,6 @@ let find t ~cell ~pin ~out_dir =
       && e.arc.Arc.out_dir = out_dir)
     t.entries
 
-let arcs t = List.map (fun e -> e.arc) t.entries
-
-let entry_for t arc =
-  match
-    find t ~cell:arc.Arc.cell.Cells.name ~pin:arc.Arc.pin
-      ~out_dir:arc.Arc.out_dir
-  with
-  | Some e -> e
-  | None -> raise Not_found
-
-let delay t arc point = Nldm.lookup_td (entry_for t arc).table point
-
-let slew t arc point = Nldm.lookup_sout (entry_for t arc).table point
-
 (* ------------------------------------------------------------------ *)
 (* Serialization: the library header plus one embedded NLDM block per
    entry.  Arcs are stored as (cell, pin, direction) and rebuilt

@@ -22,16 +22,6 @@ val find : t -> cell:string -> pin:string -> out_dir:Arc.direction -> entry opti
 (** The entry for one arc, by cell name, switching pin and output
     direction; [None] if the library does not contain it. *)
 
-val arcs : t -> Arc.t list
-(** Every arc the library has a table for, in entry order. *)
-
-val delay : t -> Arc.t -> Harness.point -> float
-(** Interpolated delay; raises [Not_found] for an arc that is not in the
-    library. *)
-
-val slew : t -> Arc.t -> Harness.point -> float
-(** Interpolated output slew; raises [Not_found] like {!delay}. *)
-
 val summary : Format.formatter -> t -> unit
 (** Liberty-flavored human-readable dump (cells, arcs, table sizes and
     corner values). *)

@@ -12,8 +12,6 @@ type t = {
 
 let dim (axis : Interp.axis) = Array.length (axis :> float array)
 
-let size t = dim t.sin_axis * dim t.cload_axis * dim t.vdd_axis
-
 let design_levels ~budget ~box =
   if Array.length box <> 3 then Slc_obs.Slc_error.invalid_input ~site:"Nldm.design_levels" "need 3-D box";
   if budget < 1 then Slc_obs.Slc_error.invalid_input ~site:"Nldm.design_levels" "budget must be >= 1";
@@ -160,8 +158,6 @@ let lookup_td_sout t (p : Harness.point) =
   let ty = weight t.cload_axis j p.Harness.cload in
   let tz = weight t.vdd_axis k p.Harness.vdd in
   (interpolate t.td t i j k tx ty tz, interpolate t.sout t i j k tx ty tz)
-
-let lookup_energy t p = lookup t.energy t p
 
 (* ------------------------------------------------------------------ *)
 (* Serialization.  Line-oriented text with hex floats (Hexfloat), so a

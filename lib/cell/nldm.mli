@@ -18,18 +18,11 @@ type t = {
   energy : float array array array;  (** switching energy, J *)
 }
 
-val size : t -> int
-(** Number of grid points = simulator runs used to build the table. *)
-
 val design_levels : budget:int -> box:Slc_prob.Sampling.box -> int array
 (** Axis level counts [| n_sin; n_cload; n_vdd |] whose product is as
     close to [budget] as possible without exceeding it, preferring
     balanced [Sin]/[Cload] resolution over [Vdd] (the conventional NLDM
     shape).  Every count is at least 1. *)
-
-val axes_of_levels : box:Slc_prob.Sampling.box -> int array -> float array array
-(** Evenly spaced levels per axis (a singleton level sits at the box
-    center). *)
 
 val build :
   ?seed:Slc_device.Process.seed ->
@@ -38,16 +31,6 @@ val build :
   levels:int array ->
   t
 (** Simulates every grid point. *)
-
-val build_on_axes :
-  ?seed:Slc_device.Process.seed ->
-  Slc_device.Tech.t ->
-  Arc.t ->
-  axes:float array array ->
-  t
-(** Simulates every point of the given axes; raises
-    {!Slc_obs.Slc_error.Invalid_input} for an axis that is empty or not
-    strictly increasing. *)
 
 val lookup_td : t -> Harness.point -> float
 (** Trilinearly interpolated delay at an arbitrary ξ (linear
@@ -60,9 +43,6 @@ val lookup_td_sout : t -> Harness.point -> float * float
 (** Bitwise [(lookup_td t p, lookup_sout t p)], locating [p] on the
     axes once for both grids. *)
 
-val lookup_energy : t -> Harness.point -> float
-(** Interpolated switching energy, J; same scheme as {!lookup_td}. *)
-
 (** {2 Serialization}
 
     Tables are the unit of paid-for characterization work, so the
@@ -74,9 +54,15 @@ val lookup_energy : t -> Harness.point -> float
     {!Slc_num.Line_reader.Malformed}, reports every malformation. *)
 
 val to_string : t -> string
+[@@slc.test_only
+  "the standalone form of the block to_buffer embeds in libraries and \
+   store artifacts; the tests pin its bitwise round trip"]
 (** Versioned line-oriented text (header, axes, value grids). *)
 
 val of_string : string -> t
+[@@slc.test_only
+  "parse_lines on a standalone block; the tests pin the rejection of \
+   malformed blocks that libraries and store artifacts parse"]
 (** Raises {!Slc_num.Line_reader.Malformed} on malformed input (an axis
     that is empty or not strictly increasing included), an unsupported
     format version, or text after the [end] line. *)

@@ -16,19 +16,6 @@ type capture_result = {
       (** 50%-50% clock-edge-to-Q delay when a Q transition happened *)
 }
 
-val simulate_capture :
-  ?seed:Slc_device.Process.seed ->
-  Slc_device.Tech.t ->
-  vdd:float ->
-  data_rises:bool ->
-  d_to_clk:float ->
-  capture_result
-(** One clocked capture attempt: D transitions to its new value
-    [d_to_clk] seconds before the active clock edge (negative = data
-    changes after the edge), with 5 ps edges on both signals.  The
-    output latch is seeded to the {e old} data value, so a successful
-    capture flips Q. *)
-
 val simulate_capture_gen :
   ?seed:Slc_device.Process.seed ->
   ?d_revert:float ->
@@ -37,9 +24,17 @@ val simulate_capture_gen :
   data_rises:bool ->
   d_to_clk:float ->
   capture_result
-(** Like {!simulate_capture} with an optional data revert: when
-    [d_revert] is given, D returns to its old value that many seconds
-    after the clock edge (negative = before the edge). *)
+[@@slc.test_only
+  "one capture attempt, the probe setup_time and hold_time search \
+   with; the tests pin capture and miss on either side of the times \
+   they find"]
+(** One clocked capture attempt: D transitions to its new value
+    [d_to_clk] seconds before the active clock edge (negative = data
+    changes after the edge), with 5 ps edges on both signals.  The
+    output latch is seeded to the {e old} data value, so a successful
+    capture flips Q.  When [d_revert] is given, D returns to its old
+    value that many seconds after the clock edge (negative = before the
+    edge). *)
 
 val hold_time :
   ?seed:Slc_device.Process.seed ->

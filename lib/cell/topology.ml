@@ -3,25 +3,6 @@ type t =
   | Series of t list
   | Parallel of t list
 
-let pins net =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let rec go = function
-    | Dev { pin; _ } ->
-      if not (Hashtbl.mem seen pin) then begin
-        Hashtbl.add seen pin ();
-        acc := pin :: !acc
-      end
-    | Series l | Parallel l -> List.iter go l
-  in
-  go net;
-  List.rev !acc
-
-let rec device_count = function
-  | Dev _ -> 1
-  | Series l | Parallel l ->
-    List.fold_left (fun n sub -> n + device_count sub) 0 l
-
 let rec conducts net ~on =
   match net with
   | Dev { pin; _ } -> on pin

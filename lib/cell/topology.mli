@@ -11,12 +11,6 @@ type t =
   | Series of t list
   | Parallel of t list
 
-val pins : t -> string list
-(** Distinct pin names in first-appearance order. *)
-
-val device_count : t -> int
-(** Total number of transistors in the network. *)
-
 val conducts : t -> on:(string -> bool) -> bool
 (** Whether the network conducts when [on pin] says a device whose gate
     is at [pin] is turned on (series = AND, parallel = OR). *)

@@ -60,8 +60,6 @@ let chain nodes =
       (fun msg (_, rows) -> observe (drift msg q) rows)
       (diffuse dim) nodes
 
-let to_mvn msg = Mvn.make ~mu:msg.mu ~cov:msg.cov
-
 let chain_prior (prior : Prior.t) ~ordered =
   let by_tech name =
     List.filter_map

@@ -19,34 +19,24 @@ type message = {
   cov : Slc_num.Mat.t;
 }
 
-val diffuse : int -> message
-(** Near-uninformative starting belief of the given dimension (zero
-    mean, diagonal covariance 10.0 — very wide in the model's natural
-    parameter units). *)
-
-val observe : message -> Slc_num.Vec.t array -> message
-(** Conjugate update of the mean-belief with a node's population of
-    extracted parameter vectors: the population mean is treated as an
-    observation of the underlying mean with covariance [S/n] (sample
-    covariance over population size; a single row assumes a diagonal
-    spread of 0.01).  With no rows, the belief is returned unchanged. *)
-
-val drift : message -> Slc_num.Mat.t -> message
-(** Adds process-evolution covariance between adjacent nodes
-    (Kalman-style prediction step). *)
-
-val default_drift : int -> Slc_num.Mat.t
-(** Diagonal drift sized to typical node-to-node parameter movement. *)
-
 val chain : (string * Slc_num.Vec.t array) list -> message
-(** Folds {!drift} by {!default_drift} and then {!observe} over nodes
-    ordered oldest first, starting from {!diffuse}; each element is
-    (node name, extracted parameter vectors).  Rejects an empty list. *)
+[@@slc.test_only
+  "the fold chain_prior runs: the tests pin it bit for bit, and the \
+   shrink and growth of its covariance"]
+(** Folds a drift step and then an observation over nodes ordered
+    oldest first, starting from a near-uninformative belief (zero mean,
+    diagonal covariance 10.0); each element is (node name, extracted
+    parameter vectors).  The drift adds a diagonal process-evolution
+    covariance sized to typical node-to-node parameter movement
+    (Kalman-style prediction).  The observation is a conjugate update
+    of the mean-belief with the node's population: its mean is treated
+    as an observation of the underlying mean with covariance [S/n]
+    (sample covariance over population size; a single row assumes a
+    diagonal spread of 0.01; no rows leave the belief unchanged).
+    Rejects an empty list. *)
 
 val chain_prior : Prior.t -> ordered:string list -> Prior.t
 (** Rebuilds a {!Prior.t} whose Gaussian component comes from chain
     propagation over the prior's own provenance (grouped by technology,
     ordered as given — unknown names are skipped, nodes without data are
     skipped); β(ξ) is kept.  Costs no additional simulations. *)
-
-val to_mvn : message -> Slc_prob.Mvn.t

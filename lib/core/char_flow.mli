@@ -34,6 +34,9 @@ val ieff_at :
   Slc_cell.Arc.t ->
   Input_space.point ->
   float
+[@@slc.test_only
+  "the Ieff a compact-model predictor divides by; the tests rebuild a \
+   predictor's answers bitwise from it"]
 (** The arc's equivalent-inverter drive current at the point's supply,
     with the seed's global shifts (default nominal): the [Ieff] a
     compact-model predictor divides by.  A model predictor answers
@@ -41,15 +44,6 @@ val ieff_at :
     pt]; it builds the seeded equivalent device once, when it is
     built (so an arc whose network cannot conduct raises there), and
     the tests pin that this changes no bit. *)
-
-val observations_of_dataset :
-  ?seed:Slc_device.Process.seed ->
-  Slc_device.Tech.t ->
-  dataset ->
-  metric:Prior.metric ->
-  Extract_lse.observation array
-(** Attaches per-condition [Ieff] (with the seed's global shifts) to the
-    measured values. *)
 
 (** The serializable substance behind a predictor: what must be
     persisted so another process can rebuild the same predictions
@@ -152,17 +146,6 @@ val train_lut :
   predictor
 (** Builds the largest NLDM grid whose size does not exceed [budget];
     [train_cost] is the actual grid size. *)
-
-val train_gpr_on :
-  ?workspace:Gpr.workspace ->
-  Slc_device.Tech.t ->
-  dataset ->
-  predictor
-(** Nonparametric fallback: one exact-inference GP per metric
-    ({!Gpr.fit} with data-driven hyperparameters) conditioned on the
-    dataset.  Labelled ["model+gpr"].  Unlike the analytical trainers
-    this needs no seed — the per-seed electrical behaviour is already
-    baked into the measured targets. *)
 
 type errors = { td_err : float; sout_err : float }
 (** Mean absolute relative errors over a dataset. *)

@@ -27,17 +27,3 @@ let with_scale scale =
     lut_budgets_stat = [ 4; 8; 18; 32; 60 ];
     rng_seed = 42;
   }
-
-let tiny =
-  {
-    scale = 0.05;
-    n_validation = 20;
-    n_validation_stat = 5;
-    n_seeds = 6;
-    n_seeds_fig9 = 8;
-    ks = [ 2; 5 ];
-    lut_budgets = [ 4; 12 ];
-    ks_stat = [ 2 ];
-    lut_budgets_stat = [ 4 ];
-    rng_seed = 7;
-  }

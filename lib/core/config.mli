@@ -24,6 +24,3 @@ val with_scale : float -> t
 (** The defaults with every count grown by [scale] (> 0).  Nothing here
     reads the environment: the CLI binds [SLC_SCALE] to its [--scale]
     option and passes [with_scale] of the result to every experiment. *)
-
-val tiny : t
-(** Minimal configuration for unit tests. *)

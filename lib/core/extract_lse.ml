@@ -52,7 +52,3 @@ let abs_rel_errors p obs =
 let avg_abs_rel_error p obs =
   if Array.length obs = 0 then Slc_obs.Slc_error.invalid_input ~site:"Extract_lse.avg_abs_rel_error" "empty";
   Slc_num.Vec.mean (abs_rel_errors p obs)
-
-let max_abs_rel_error p obs =
-  if Array.length obs = 0 then Slc_obs.Slc_error.invalid_input ~site:"Extract_lse.max_abs_rel_error" "empty";
-  Slc_num.Vec.max_elt (abs_rel_errors p obs)

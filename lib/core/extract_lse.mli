@@ -27,5 +27,3 @@ val fit :
 val avg_abs_rel_error : Timing_model.params -> observation array -> float
 (** Mean |relative error| over the observations (the paper's "% error"
     divided by 100). *)
-
-val max_abs_rel_error : Timing_model.params -> observation array -> float

@@ -64,15 +64,6 @@ type workspace
 
 val workspace : unit -> workspace
 
-val default_hyper :
-  Slc_device.Tech.t -> Input_space.point array -> float array -> hyper
-(** Deterministic data-driven defaults: length-scales proportional to
-    the per-dimension spread of the normalized inputs (floored for
-    degenerate designs), signal variance from the target variance
-    (floored relative to the target magnitude), and a small relative
-    noise floor that keeps K + σ_n²·I positive definite even with
-    duplicated points. *)
-
 val fit :
   ?workspace:workspace ->
   ?hyper:hyper ->

@@ -22,6 +22,9 @@ val fit :
   tech:Slc_device.Tech.t ->
   Extract_lse.observation array ->
   result
+[@@slc.test_only
+  "the MAP fit behind fit_params with its cost decomposition (prior \
+   Mahalanobis term, data term) for the tests to check"]
 (** MAP fit of the observations under the given prior.  Works with any
     number of observations including zero (then the result is the prior
     mean).  [?workspace] reuses caller-owned LM scratch buffers across

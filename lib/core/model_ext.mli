@@ -17,16 +17,15 @@ type params = {
 val of_base : Timing_model.params -> params
 (** Embeds the 4-parameter model ([gamma = 0]). *)
 
-val n_params : int
-(** 5. *)
-
-val to_vec : params -> Slc_num.Vec.t
-
-val of_vec : Slc_num.Vec.t -> params
-
 val eval : params -> ieff:float -> Slc_cell.Harness.point -> float
+[@@slc.test_only
+  "the model fit minimizes the relative error of: at gamma = 0 it is \
+   the base model"]
 
 val grad : params -> ieff:float -> Slc_cell.Harness.point -> Slc_num.Vec.t
+[@@slc.test_only
+  "the Jacobian row fit's least squares uses, in the order \
+   [kd; cpar; v_off; alpha; gamma]; checked against finite differences"]
 
 val fit : ?init:params -> Extract_lse.observation array -> params
 (** Least-squares extraction of all five parameters. *)

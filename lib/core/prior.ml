@@ -174,14 +174,6 @@ let build ~metric ~grid_levels ~beta_rel_floor ~learn_cost raws =
   in
   { metric; mvn; beta; provenance; learn_cost }
 
-let learn ?(cells = Cells.paper_set) ?(grid_levels = grid_levels_default)
-    ?(beta_rel_floor = 0.01) ~historical metric =
-  if historical = [] then Slc_obs.Slc_error.invalid_input ~site:"Prior.learn" "no historical nodes";
-  let before = Harness.sim_count () in
-  let raws = gather ~cells ~grid_levels historical in
-  let learn_cost = Harness.sim_count () - before in
-  build ~metric ~grid_levels ~beta_rel_floor ~learn_cost raws
-
 type pair = { delay : t; slew : t }
 
 let learn_pair ?(cells = Cells.paper_set) ?(grid_levels = grid_levels_default)

@@ -29,22 +29,6 @@ type t = {
   learn_cost : int;              (** simulator runs consumed *)
 }
 
-val grid_levels_default : int array
-(** [|4; 4; 3|] — 48 normalized conditions per historical arc. *)
-
-val learn :
-  ?cells:Slc_cell.Cells.t list ->
-  ?grid_levels:int array ->
-  ?beta_rel_floor:float ->
-  historical:Slc_device.Tech.t list ->
-  metric ->
-  t
-(** Fits every arc of [cells] (default {!Slc_cell.Cells.paper_set}) in
-    every historical node and assembles the prior.  [beta_rel_floor]
-    (default 0.01) floors the per-condition relative model sigma so a
-    lucky agreement between old nodes cannot produce an unbounded
-    precision. *)
-
 type pair = { delay : t; slew : t }
 
 val learn_pair :

@@ -6,8 +6,6 @@
     text file (stable across platforms, diff-friendly), read through
     {!Slc_num.Line_reader}. *)
 
-val write : Format.formatter -> Prior.pair -> unit
-
 val to_string : Prior.pair -> string
 
 val parse : string -> Prior.pair

@@ -28,23 +28,6 @@ let table ppf ~header rows =
   Format.fprintf ppf "%s@." rule;
   List.iter (fun row -> Format.fprintf ppf "%s@." (render row)) rows
 
-let series ppf ~title ~x_label ~xs named =
-  Format.fprintf ppf "== %s ==@." title;
-  let header = x_label :: List.map fst named in
-  let rows =
-    Array.to_list
-      (Array.mapi
-         (fun i x ->
-           Printf.sprintf "%g" x
-           :: List.map
-                (fun (_, ys) ->
-                  if i < Array.length ys then Printf.sprintf "%.3f" ys.(i)
-                  else "-")
-                named)
-         xs)
-  in
-  table ppf ~header rows
-
 let bar ~width value vmax =
   if width < 1 then Slc_obs.Slc_error.invalid_input ~site:"Report.bar" "width must be >= 1";
   let frac =

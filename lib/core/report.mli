@@ -5,16 +5,6 @@ val table :
   Format.formatter -> header:string list -> string list list -> unit
 (** Renders rows under a header with auto-sized columns. *)
 
-val series :
-  Format.formatter ->
-  title:string ->
-  x_label:string ->
-  xs:float array ->
-  (string * float array) list ->
-  unit
-(** Renders several named y-series against a common x axis, one row per
-    x value. *)
-
 val bar : width:int -> float -> float -> string
 (** [bar ~width value max] renders a proportional ASCII bar. *)
 

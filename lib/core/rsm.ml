@@ -56,11 +56,3 @@ let eval t point =
   let acc = ref 0.0 in
   Array.iteri (fun j c -> acc := !acc +. (c *. phi.(j))) t.coeffs;
   !acc
-
-let avg_abs_rel_error t samples =
-  if Array.length samples = 0 then Slc_obs.Slc_error.invalid_input ~site:"Rsm.avg_abs_rel_error" "empty";
-  let acc = ref 0.0 in
-  Array.iter
-    (fun (point, y) -> acc := !acc +. Float.abs ((eval t point -. y) /. y))
-    samples;
-  !acc /. float_of_int (Array.length samples)

@@ -11,9 +11,6 @@
 
 type t
 
-val n_coeffs : degree:int -> int
-(** 1, 4 or 10 for degrees 0, 1, 2 (3 input dimensions). *)
-
 val fit :
   Slc_device.Tech.t ->
   (Input_space.point * float) array ->
@@ -22,7 +19,7 @@ val fit :
     observations. *)
 
 val degree : t -> int
+[@@slc.test_only
+  "the polynomial degree fit chose from the sample budget"]
 
 val eval : t -> Input_space.point -> float
-
-val avg_abs_rel_error : t -> (Input_space.point * float) array -> float

@@ -32,10 +32,6 @@ val default_init : params
 val eval : params -> ieff:float -> Slc_cell.Harness.point -> float
 (** Model value in seconds.  [ieff] in amperes. *)
 
-val charge : params -> Slc_cell.Harness.point -> float
-(** The effective switched charge [ΔQ = (Vdd+V')(Cload+Cpar+α·Sin)] in
-    coulombs (paper Eq. 5) — [eval] is [kd * charge / ieff]. *)
-
 val grad : params -> ieff:float -> Slc_cell.Harness.point -> Slc_num.Vec.t
 (** Gradient of [eval] w.r.t. the parameter vector (seconds per
     unit-parameter). *)

@@ -172,10 +172,6 @@ let[@inline] [@slc.hot] eval_into p ~vg ~vd ~vs buf =
     eval_nmos_into p ~vg:(-.vg) ~vd:(-.vd) ~vs:(-.vs) buf;
     buf.b_id <- -.buf.b_id
 
-let idsat p ~vdd =
-  let id, _, _ = intrinsic p vdd vdd in
-  id
-
 let ieff p ~vdd =
   let ih, _, _ = intrinsic p vdd (vdd /. 2.0) in
   let il, _, _ = intrinsic p (vdd /. 2.0) vdd in

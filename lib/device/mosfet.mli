@@ -45,10 +45,14 @@ type eval = {
 }
 
 val channel_current : params -> vgs:float -> vds:float -> float
+[@@slc.test_only
+  "the channel current ieff averages and eval differentiates; the \
+   device tests check its physics"]
 (** Intrinsic channel current for an NMOS-convention device with
     [vds >= 0]; this is the quantity used by {!ieff}. *)
 
 val eval : params -> vg:float -> vd:float -> vs:float -> eval
+[@@slc.test_only "the bitwise reference for eval_into"]
 (** Terminal current and derivatives at the given absolute node voltages
     (handles source/drain swap and PMOS mirroring internally). *)
 
@@ -67,9 +71,6 @@ val eval_into : params -> vg:float -> vd:float -> vs:float -> eval_buf -> unit
 (** Same results as {!eval}, written into [eval_buf] instead of a fresh
     record.  This is the allocation-free entry point used by the
     transient simulator's Newton loop; the two paths agree bit-for-bit. *)
-
-val idsat : params -> vdd:float -> float
-(** On-current at [Vgs = Vds = vdd]. *)
 
 val ieff : params -> vdd:float -> float
 (** Effective switching current, paper Eq. 4:

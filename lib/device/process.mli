@@ -29,10 +29,6 @@ val corner : Tech.t -> corner -> seed
     +/- 3 sigma_vt_global and drive by -/+ 2 sigma_kp_rel per device
     polarity. *)
 
-val sample : Slc_prob.Rng.t -> Tech.t -> int -> seed
-(** [sample rng tech index] draws one seed using the node's variability
-    coefficients. *)
-
 val sample_batch : Slc_prob.Rng.t -> Tech.t -> int -> seed array
 (** [sample_batch rng tech n] draws [n] seeds indexed [0 .. n-1]. *)
 
@@ -43,6 +39,9 @@ val sample_batch_lhs : Slc_prob.Rng.t -> Tech.t -> int -> seed array
     lower Monte-Carlo variance for population statistics. *)
 
 val local_dvt : seed -> Tech.t -> device_index:int -> Mosfet.params -> float
+[@@slc.test_only
+  "the local threshold shift apply adds to a device; the tests pin its \
+   determinism per (seed, device) and its Pelgrom scaling"]
 (** Deterministic local threshold shift of the device with the given
     instance index: N(0, (avt / sqrt (W L))^2) drawn from a stream keyed
     by [(local_seed, device_index)]. *)

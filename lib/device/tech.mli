@@ -34,9 +34,6 @@ val n20 : t
 val n28 : t
 (** Bulk 28 nm node — the target of the paper's statistical example. *)
 
-val n32 : t
-(** SOI-flavored node. *)
-
 val n40 : t
 
 val n45 : t

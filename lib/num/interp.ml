@@ -16,15 +16,6 @@ let axis a =
   let a = Array.copy a in
   if is_strictly_increasing a then Some a else None
 
-(* A grid axis needs a cell: at least two points. *)
-let grid_axis name a =
-  if Array.length a < 2 then
-    invalid_arg (Printf.sprintf "Interp.%s: axis needs >= 2 points" name);
-  match axis a with
-  | Some a -> a
-  | None ->
-    invalid_arg (Printf.sprintf "Interp.%s: axis not strictly increasing" name)
-
 let locate (axis : axis) (x : float) =
   let n = Array.length axis in
   if n < 2 || x <= axis.(0) then 0
@@ -53,40 +44,7 @@ let linear1d xs ys x =
   let t = weight xs i x in
   ((1.0 -. t) *. ys.(i)) +. (t *. ys.(i + 1))
 
-type grid2 = { xs : axis; ys : axis; values : Mat.t }
-
-let make_grid2 ~xs ~ys ~f =
-  let xs = grid_axis "make_grid2" xs and ys = grid_axis "make_grid2" ys in
-  { xs; ys; values = Mat.init (Array.length xs) (Array.length ys) (fun i j -> f xs.(i) ys.(j)) }
-
-let bilinear g x y =
-  if
-    Mat.rows g.values <> Array.length g.xs
-    || Mat.cols g.values <> Array.length g.ys
-  then invalid_arg "Interp.bilinear: values shape mismatch";
-  let i = locate g.xs x and j = locate g.ys y in
-  let tx = weight g.xs i x and ty = weight g.ys j y in
-  let v00 = Mat.get g.values i j
-  and v10 = Mat.get g.values (i + 1) j
-  and v01 = Mat.get g.values i (j + 1)
-  and v11 = Mat.get g.values (i + 1) (j + 1) in
-  ((1.0 -. tx) *. (1.0 -. ty) *. v00)
-  +. (tx *. (1.0 -. ty) *. v10)
-  +. ((1.0 -. tx) *. ty *. v01)
-  +. (tx *. ty *. v11)
-
 type grid3 = { axes : axis * axis * axis; values3 : float array array array }
-
-let make_grid3 ~xs ~ys ~zs ~f =
-  let xs = grid_axis "make_grid3" xs
-  and ys = grid_axis "make_grid3" ys
-  and zs = grid_axis "make_grid3" zs in
-  let values3 =
-    Array.init (Array.length xs) (fun i ->
-        Array.init (Array.length ys) (fun j ->
-            Array.init (Array.length zs) (fun k -> f xs.(i) ys.(j) zs.(k))))
-  in
-  { axes = (xs, ys, zs); values3 }
 
 let trilinear g x y z =
   let xs, ys, zs = g.axes in

@@ -1,5 +1,5 @@
-(** Interpolation on rectilinear grids: 1-D linear, 2-D bilinear and 3-D
-    trilinear, with linear extrapolation outside the grid.  These are the
+(** Interpolation on rectilinear grids: 1-D linear and 3-D trilinear,
+    with linear extrapolation outside the grid.  These are the
     interpolation schemes used by NLDM-style timing look-up tables. *)
 
 type axis = private float array
@@ -26,21 +26,7 @@ val linear1d : axis -> Vec.t -> float -> float
     [Invalid_argument] unless [xs] has at least two points and [ys] its
     length. *)
 
-type grid2 = { xs : axis; ys : axis; values : Mat.t }
-(** [values] has [dim xs] rows and [dim ys] columns. *)
-
-val make_grid2 : xs:Vec.t -> ys:Vec.t -> f:(float -> float -> float) -> grid2
-(** Validates each axis once: raises [Invalid_argument] unless it has
-    at least two points and is strictly increasing. *)
-
-val bilinear : grid2 -> float -> float -> float
-
 type grid3 = { axes : axis * axis * axis; values3 : float array array array }
 (** [values3.(i).(j).(k)] corresponds to [(xs.(i), ys.(j), zs.(k))]. *)
-
-val make_grid3 :
-  xs:Vec.t -> ys:Vec.t -> zs:Vec.t -> f:(float -> float -> float -> float) ->
-  grid3
-(** Validates each axis once, as {!make_grid2}. *)
 
 val trilinear : grid3 -> float -> float -> float -> float

@@ -123,17 +123,6 @@ let spd_inverse a =
   (* Symmetrize to remove round-off asymmetry. *)
   Mat.sym_part inv
 
-let spd_log_det a =
-  let l = cholesky a in
-  let n = Mat.rows a in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. log (Mat.get l i i)
-  done;
-  2.0 *. !acc
-
-type lu = { lu_mat : Mat.t; perm : int array; sign : float }
-
 let[@slc.hot] lu_factor_in_place a perm =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Linalg.lu_factor_in_place: not square";
@@ -208,50 +197,6 @@ let[@slc.hot] lu_solve_in_place a perm ~b ~x =
     x.(i) <- !s /. m.(ri + i)
   done
 
-let lu_decompose a =
-  let n = Mat.rows a in
-  if Mat.cols a <> n then invalid_arg "Linalg.lu_decompose: not square";
-  let m = Mat.copy a in
-  let perm = Array.make n 0 in
-  let sign =
-    try lu_factor_in_place m perm
-    with Singular _ -> raise (Singular "lu_decompose: singular matrix")
-  in
-  { lu_mat = m; perm; sign }
-
-let lu_solve { lu_mat; perm; _ } b =
-  let n = Mat.rows lu_mat in
-  if Array.length b <> n then invalid_arg "Linalg.lu_solve: size mismatch";
-  let x = Array.make n 0.0 in
-  lu_solve_in_place lu_mat perm ~b ~x;
-  x
-
-let lu_det { lu_mat; sign; _ } =
-  let n = Mat.rows lu_mat in
-  let acc = ref sign in
-  for i = 0 to n - 1 do
-    acc := !acc *. Mat.get lu_mat i i
-  done;
-  !acc
-
-let solve a b = lu_solve (lu_decompose a) b
-
-let inverse a =
-  let n = Mat.rows a in
-  let f = lu_decompose a in
-  let inv = Mat.create n n in
-  for j = 0 to n - 1 do
-    let e = Array.make n 0.0 in
-    e.(j) <- 1.0;
-    let x = lu_solve f e in
-    for i = 0 to n - 1 do
-      Mat.set inv i j x.(i)
-    done
-  done;
-  inv
-
-let det a = lu_det (lu_decompose a)
-
 let solve_least_squares a b =
   if Mat.rows a < Mat.cols a then
     invalid_arg "Linalg.solve_least_squares: underdetermined system";
@@ -297,8 +242,21 @@ let expm a =
     p := Mat.add !p term;
     q := Mat.add !q (Mat.scale (if k mod 2 = 0 then 1.0 else -1.0) term)
   done;
-  (* exp(A_scaled) ~ q^-1 p, then square s times. *)
-  let e = ref (Mat.mul (inverse !q) !p) in
+  (* exp(A_scaled) ~ q^-1 p, solved column by column on q's LU
+     factors; then square s times. *)
+  let q = Mat.copy !q and perm = Array.make n 0 in
+  ignore (lu_factor_in_place q perm);
+  let b = Array.make n 0.0 and x = Array.make n 0.0 in
+  let e = ref (Mat.create n n) in
+  for j = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      b.(i) <- Mat.get !p i j
+    done;
+    lu_solve_in_place q perm ~b ~x;
+    for i = 0 to n - 1 do
+      Mat.set !e i j x.(i)
+    done
+  done;
   for _ = 1 to s do
     e := Mat.mul !e !e
   done;

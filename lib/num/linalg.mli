@@ -1,6 +1,7 @@
-(** Direct dense linear algebra: Cholesky and LU factorizations, solves,
-    inverses.  Sized for the small systems this project needs (circuit
-    Jacobians and 4x4 parameter covariances), not for large-scale work. *)
+(** Direct dense linear algebra: Cholesky and in-place LU
+    factorizations, solves, SPD inverses.  Sized for the small systems
+    this project needs (circuit Jacobians and 4x4 parameter
+    covariances), not for large-scale work. *)
 
 exception Singular of string
 (** Raised when a factorization meets a (numerically) singular or, for
@@ -28,9 +29,6 @@ val cholesky_solve_into : Mat.t -> Vec.t -> y:Vec.t -> x:Vec.t -> unit
 val spd_inverse : Mat.t -> Mat.t
 (** Inverse of a symmetric positive-definite matrix via Cholesky. *)
 
-val spd_log_det : Mat.t -> float
-(** Log-determinant of a symmetric positive-definite matrix. *)
-
 val lu_factor_in_place : Mat.t -> int array -> float
 (** [lu_factor_in_place a perm] overwrites the square matrix [a] with
     its packed LU factors (unit lower + upper) using partial pivoting,
@@ -45,20 +43,13 @@ val lu_solve_in_place : Mat.t -> int array -> b:Vec.t -> x:Vec.t -> unit
     {!lu_factor_in_place} into the caller-owned [x] (which must not
     alias [b]); [b] is left untouched.  Allocation-free. *)
 
-val solve : Mat.t -> Vec.t -> Vec.t
-(** General square solve via LU with partial pivoting. *)
-
-val inverse : Mat.t -> Mat.t
-
-val det : Mat.t -> float
-
 val lower_solve : Mat.t -> Vec.t -> Vec.t
 (** Forward substitution with a lower-triangular matrix. *)
 
-val upper_solve : Mat.t -> Vec.t -> Vec.t
-(** Back substitution with an upper-triangular matrix. *)
-
 val expm : Mat.t -> Mat.t
+[@@slc.test_only
+  "the exact response of a linear RC ladder that the transient \
+   integrators are checked against"]
 (** Matrix exponential by scaling-and-squaring with a (6,6) Padé
     approximant — used to compute exact linear-circuit responses when
     validating the transient integrators. *)

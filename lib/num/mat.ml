@@ -17,28 +17,11 @@ let init r c f =
 
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
-let of_rows rows =
-  let r = Array.length rows in
-  if r = 0 then { r = 0; c = 0; data = [||] }
-  else begin
-    let c = Array.length rows.(0) in
-    Array.iter
-      (fun row ->
-        if Array.length row <> c then
-          invalid_arg "Mat.of_rows: ragged rows")
-      rows;
-    init r c (fun i j -> rows.(i).(j))
-  end
-
 let rows m = m.r
 
 let cols m = m.c
 
 let data m = m.data
-
-let unsafe_get m i j = Array.unsafe_get m.data ((i * m.c) + j)
-
-let unsafe_set m i j x = Array.unsafe_set m.data ((i * m.c) + j) x
 
 let get m i j =
   if i < 0 || i >= m.r || j < 0 || j >= m.c then
@@ -50,13 +33,7 @@ let set m i j x =
     invalid_arg "Mat.set: index out of bounds";
   m.data.((i * m.c) + j) <- x
 
-let to_rows m = Array.init m.r (fun i -> Array.init m.c (fun j -> get m i j))
-
 let copy m = { m with data = Array.copy m.data }
-
-let row m i = Array.init m.c (fun j -> get m i j)
-
-let col m j = Array.init m.r (fun i -> get m i j)
 
 let transpose m = init m.c m.r (fun i j -> get m j i)
 
@@ -69,10 +46,6 @@ let check_same name a b =
 let add a b =
   check_same "add" a b;
   { a with data = Array.init (Array.length a.data) (fun i -> a.data.(i) +. b.data.(i)) }
-
-let sub a b =
-  check_same "sub" a b;
-  { a with data = Array.init (Array.length a.data) (fun i -> a.data.(i) -. b.data.(i)) }
 
 let scale s a = { a with data = Array.map (fun x -> s *. x) a.data }
 
@@ -104,19 +77,6 @@ let mul_vec m v =
       done;
       !acc)
 
-let tmul_vec m v =
-  if m.r <> Array.length v then
-    invalid_arg "Mat.tmul_vec: dimension mismatch";
-  let out = Array.make m.c 0.0 in
-  for i = 0 to m.r - 1 do
-    let vi = v.(i) in
-    if vi <> 0.0 then
-      for j = 0 to m.c - 1 do
-        out.(j) <- out.(j) +. (m.data.((i * m.c) + j) *. vi)
-      done
-  done;
-  out
-
 (* [gram_into j out] computes out <- JᵀJ with floating-point operations
    in the exact order of [mul (transpose j) j] (ikj loops, zero-skip),
    so workspace-reusing callers get bitwise-identical results. *)
@@ -147,8 +107,6 @@ let[@slc.hot] tmul_vec_into m v out =
         out.(j) <- out.(j) +. (m.data.((i * m.c) + j) *. vi)
       done
   done
-
-let outer u v = init (Array.length u) (Array.length v) (fun i j -> u.(i) *. v.(j))
 
 let diag v =
   let n = Array.length v in
@@ -191,26 +149,3 @@ let[@slc.hot] add_ridge_into m lambda out =
   for i = 0 to m.r - 1 do
     out.data.((i * m.c) + i) <- m.data.((i * m.c) + i) +. lambda
   done
-
-let frobenius m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
-
-let approx_equal ?(tol = 1e-9) a b =
-  a.r = b.r && a.c = b.c
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun i x -> if Float.abs (x -. b.data.(i)) > tol then ok := false)
-    a.data;
-  !ok
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.r - 1 do
-    Format.fprintf ppf "|";
-    for j = 0 to m.c - 1 do
-      Format.fprintf ppf " %10.4g" (get m i j)
-    done;
-    Format.fprintf ppf " |";
-    if i < m.r - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

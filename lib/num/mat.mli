@@ -9,12 +9,6 @@ val init : int -> int -> (int -> int -> float) -> t
 
 val identity : int -> t
 
-val of_rows : float array array -> t
-(** Takes ownership of a copy of the given rows; all rows must have equal
-    length. *)
-
-val to_rows : t -> float array array
-
 val rows : t -> int
 
 val cols : t -> int
@@ -30,23 +24,11 @@ val data : t -> float array
     per-element bounds checks and allocation.  Mutating it mutates the
     matrix. *)
 
-val unsafe_get : t -> int -> int -> float
-(** No bounds checks; [(i, j)] must be in range. *)
-
-val unsafe_set : t -> int -> int -> float -> unit
-(** No bounds checks; [(i, j)] must be in range. *)
-
 val copy : t -> t
-
-val row : t -> int -> Vec.t
-
-val col : t -> int -> Vec.t
 
 val transpose : t -> t
 
 val add : t -> t -> t
-
-val sub : t -> t -> t
 
 val scale : float -> t -> t
 
@@ -55,9 +37,6 @@ val mul : t -> t -> t
 
 val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec m v] is [m * v]. *)
-
-val tmul_vec : t -> Vec.t -> Vec.t
-(** [tmul_vec m v] is [m^T * v] without forming the transpose. *)
 
 val gram_into : t -> t -> unit
 (** [gram_into j out] stores [jᵀ j] into the pre-allocated
@@ -73,14 +52,8 @@ val add_ridge_into : t -> float -> t -> unit
 (** [add_ridge_into m lambda out] is [add_ridge] into a pre-allocated
     [out] of the same shape ([out == m] is not supported). *)
 
-val outer : Vec.t -> Vec.t -> t
-(** [outer u v] is the rank-one matrix [u v^T]. *)
-
 val diag : Vec.t -> t
 (** Diagonal matrix from a vector. *)
-
-val diagonal : t -> Vec.t
-(** Diagonal of a square matrix. *)
 
 val trace : t -> float
 
@@ -92,9 +65,3 @@ val sym_part : t -> t
 val add_ridge : t -> float -> t
 (** [add_ridge m lambda] adds [lambda] to each diagonal entry (Tikhonov
     regularization); the input is not modified. *)
-
-val frobenius : t -> float
-
-val approx_equal : ?tol:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -43,4 +43,7 @@ val find_or_build : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     running [build ()] first if there is none. *)
 
 val length : ('k, 'v) t -> int
+[@@slc.test_only
+  "the publication rule: concurrent misses publish one value per key \
+   and a failed build publishes nothing"]
 (** Number of published keys. *)

@@ -150,142 +150,3 @@ let levenberg_marquardt ?workspace ?(max_iter = 200) ?(xtol = 1e-12)
     residual_norm = Vec.norm2 r;
     non_finite_steps = !non_finite;
   }
-
-type nm_result = {
-  nm_x : Vec.t;
-  nm_f : float;
-  nm_iterations : int;
-  nm_converged : bool;
-}
-
-let nelder_mead ?(max_iter = 2000) ?(tol = 1e-10) ?(init_step = 0.1) ~f ~x0 () =
-  let n = Array.length x0 in
-  let simplex =
-    Array.init (n + 1) (fun i ->
-        let p = Vec.copy x0 in
-        if i > 0 then begin
-          let j = i - 1 in
-          let h = init_step *. Float.max 1.0 (Float.abs p.(j)) in
-          p.(j) <- p.(j) +. h
-        end;
-        p)
-  in
-  let fv = Array.map f simplex in
-  let order () =
-    let idx = Array.init (n + 1) (fun i -> i) in
-    Array.sort (fun a b -> compare fv.(a) fv.(b)) idx;
-    let s = Array.map (fun i -> simplex.(i)) idx in
-    let v = Array.map (fun i -> fv.(i)) idx in
-    Array.blit s 0 simplex 0 (n + 1);
-    Array.blit v 0 fv 0 (n + 1)
-  in
-  let centroid () =
-    let c = Vec.create n in
-    for i = 0 to n - 1 do
-      Vec.axpy 1.0 simplex.(i) c
-    done;
-    Vec.scale (1.0 /. float_of_int n) c
-  in
-  let iter = ref 0 in
-  let converged = ref false in
-  while (not !converged) && !iter < max_iter do
-    incr iter;
-    order ();
-    if Float.abs (fv.(n) -. fv.(0)) <= tol *. (1.0 +. Float.abs fv.(0)) then
-      converged := true
-    else begin
-      let c = centroid () in
-      let reflect alpha =
-        Vec.init n (fun i -> c.(i) +. (alpha *. (c.(i) -. simplex.(n).(i))))
-      in
-      let xr = reflect 1.0 in
-      let fr = f xr in
-      if fr < fv.(0) then begin
-        let xe = reflect 2.0 in
-        let fe = f xe in
-        if fe < fr then begin
-          simplex.(n) <- xe;
-          fv.(n) <- fe
-        end
-        else begin
-          simplex.(n) <- xr;
-          fv.(n) <- fr
-        end
-      end
-      else if fr < fv.(n - 1) then begin
-        simplex.(n) <- xr;
-        fv.(n) <- fr
-      end
-      else begin
-        let xc = reflect (-0.5) in
-        let fc = f xc in
-        if fc < fv.(n) then begin
-          simplex.(n) <- xc;
-          fv.(n) <- fc
-        end
-        else
-          (* Shrink towards the best vertex. *)
-          for i = 1 to n do
-            simplex.(i) <-
-              Vec.init n (fun j ->
-                  simplex.(0).(j)
-                  +. (0.5 *. (simplex.(i).(j) -. simplex.(0).(j))));
-            fv.(i) <- f simplex.(i)
-          done
-      end
-    end
-  done;
-  order ();
-  { nm_x = simplex.(0); nm_f = fv.(0); nm_iterations = !iter; nm_converged = !converged }
-
-let golden_ratio = (sqrt 5.0 -. 1.0) /. 2.0
-
-let golden_section ?(tol = 1e-10) ~f ~lo ~hi () =
-  if lo >= hi then invalid_arg "Optimize.golden_section: lo >= hi";
-  let a = ref lo and b = ref hi in
-  let c = ref (!b -. (golden_ratio *. (!b -. !a))) in
-  let d = ref (!a +. (golden_ratio *. (!b -. !a))) in
-  let fc = ref (f !c) and fd = ref (f !d) in
-  while !b -. !a > tol *. (1.0 +. Float.abs !a +. Float.abs !b) do
-    if !fc < !fd then begin
-      b := !d;
-      d := !c;
-      fd := !fc;
-      c := !b -. (golden_ratio *. (!b -. !a));
-      fc := f !c
-    end
-    else begin
-      a := !c;
-      c := !d;
-      fc := !fd;
-      d := !a +. (golden_ratio *. (!b -. !a));
-      fd := f !d
-    end
-  done;
-  0.5 *. (!a +. !b)
-
-let bisect ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
-  let fa = f lo and fb = f hi in
-  if fa = 0.0 then lo
-  else if fb = 0.0 then hi
-  else if fa *. fb > 0.0 then
-    invalid_arg "Optimize.bisect: interval does not bracket a root"
-  else begin
-    let a = ref lo and b = ref hi and fa = ref fa in
-    let i = ref 0 in
-    while !b -. !a > tol *. (1.0 +. Float.abs !a) && !i < max_iter do
-      incr i;
-      let m = 0.5 *. (!a +. !b) in
-      let fm = f m in
-      if fm = 0.0 then begin
-        a := m;
-        b := m
-      end
-      else if !fa *. fm < 0.0 then b := m
-      else begin
-        a := m;
-        fa := fm
-      end
-    done;
-    0.5 *. (!a +. !b)
-  end

@@ -1,8 +1,6 @@
-(** Local optimization: Levenberg–Marquardt nonlinear least squares,
-    Nelder–Mead simplex, golden-section line search, and scalar root
-    finding.  These cover parameter extraction (LM on model residuals),
-    MAP estimation (LM on prior-augmented residuals) and the odd scalar
-    solve. *)
+(** Levenberg–Marquardt nonlinear least squares: parameter extraction
+    (LM on model residuals) and MAP estimation (LM on prior-augmented
+    residuals). *)
 
 type lm_result = {
   x : Vec.t;            (** optimal parameter vector *)
@@ -18,6 +16,9 @@ type lm_result = {
 
 val numeric_jacobian :
   ?rel_step:float -> (Vec.t -> Vec.t) -> Vec.t -> Mat.t
+[@@slc.test_only
+  "the default Jacobian of levenberg_marquardt, checked against a \
+   closed form"]
 (** Forward-difference Jacobian of a residual function; [rel_step]
     defaults to [1e-6] of each component's magnitude (floored). *)
 
@@ -54,24 +55,3 @@ val levenberg_marquardt :
     workspace variants of the underlying kernels replicate the
     allocating operation order exactly). *)
 
-type nm_result = { nm_x : Vec.t; nm_f : float; nm_iterations : int; nm_converged : bool }
-
-val nelder_mead :
-  ?max_iter:int ->
-  ?tol:float ->
-  ?init_step:float ->
-  f:(Vec.t -> float) ->
-  x0:Vec.t ->
-  unit ->
-  nm_result
-(** Derivative-free simplex minimization of [f] starting at [x0]. *)
-
-val golden_section :
-  ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> unit -> float
-(** Minimizer of a unimodal scalar function on [lo, hi]. *)
-
-val bisect :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float ->
-  unit -> float
-(** Root of [f] on a bracketing interval ([f lo] and [f hi] must have
-    opposite signs; raises [Invalid_argument] otherwise). *)

@@ -258,11 +258,3 @@ let try_map ?domains ?chunk f xs =
      attempted and the caller decides what survives.  This is the
      primitive the statistical layer's graceful degradation builds on. *)
   map ?domains ?chunk (fun x -> match f x with v -> Ok v | exception e -> Error e) xs
-
-let mapi ?domains ?chunk f xs =
-  let idx = Array.init (Array.length xs) Fun.id in
-  map ?domains ?chunk (fun i -> f i xs.(i)) idx
-
-let map_list ?domains f xs = Array.to_list (map ?domains f (Array.of_list xs))
-
-let shutdown = Pool.shutdown

@@ -45,20 +45,10 @@ val try_map :
     The graceful-degradation primitive — callers inspect which items
     survived and proceed on those. *)
 
-val mapi : ?domains:int -> ?chunk:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** Like [map], passing each element's index. *)
-
-val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map] over lists. *)
-
 val sequential : (unit -> 'a) -> 'a
 (** [sequential f] runs [f] with pool entry disabled: every [map]
     below it executes inline on the calling domain.  Used to obtain a
     reference sequential execution for determinism checks. *)
-
-val shutdown : unit -> unit
-(** Join and discard the pool (a later map recreates it).  Registered
-    via [at_exit]; only needed explicitly by tests. *)
 
 (** Per-domain state slots, for worker-owned caches and scratch
     workspaces.  A slot holds one value per domain, created on first

@@ -1,5 +1,5 @@
-(* erf via the Numerical-Recipes rational Chebyshev fit of erfc (fractional
-   error < 1.2e-7 everywhere). *)
+(* erfc by the Numerical-Recipes rational Chebyshev fit (fractional
+   error < 1.2e-7 everywhere): the normal CDF below is built on it. *)
 let erfc x =
   let z = Float.abs x in
   let t = 1.0 /. (1.0 +. (0.5 *. z)) in
@@ -26,18 +26,12 @@ let erfc x =
   let ans = t *. exp ((-.z *. z) +. poly) in
   if x >= 0.0 then ans else 2.0 -. ans
 
-let erf x = 1.0 -. erfc x
-
 let sqrt2 = sqrt 2.0
 
 let two_pi = 8.0 *. atan 1.0
 
 let normal_cdf ?(mu = 0.0) ?(sigma = 1.0) x =
   0.5 *. erfc (-.(x -. mu) /. (sigma *. sqrt2))
-
-let normal_pdf ?(mu = 0.0) ?(sigma = 1.0) x =
-  let z = (x -. mu) /. sigma in
-  exp (-0.5 *. z *. z) /. (sigma *. sqrt two_pi)
 
 (* Acklam's inverse normal CDF approximation followed by one Halley
    refinement step against the accurate erfc-based CDF. *)
@@ -86,26 +80,3 @@ let normal_quantile ?(mu = 0.0) ?(sigma = 1.0) p =
   let u = e *. sqrt two_pi *. exp (x0 *. x0 /. 2.0) in
   let x1 = x0 -. (u /. (1.0 +. (x0 *. u /. 2.0))) in
   mu +. (sigma *. x1)
-
-(* Lanczos approximation (g = 7, 9 coefficients). *)
-let rec log_gamma x =
-  if x <= 0.0 then invalid_arg "Special.log_gamma: requires x > 0";
-  if x < 0.5 then
-    log (Float.pi /. sin (Float.pi *. x)) -. log_gamma (1.0 -. x)
-  else begin
-    let coef =
-      [| 0.99999999999980993; 676.5203681218851; -1259.1392167224028;
-         771.32342877765313; -176.61502916214059; 12.507343278686905;
-         -0.13857109526572012; 9.9843695780195716e-6; 1.5056327351493116e-7 |]
-    in
-    let x = x -. 1.0 in
-    let acc = ref coef.(0) in
-    for i = 1 to 8 do
-      acc := !acc +. (coef.(i) /. (x +. float_of_int i))
-    done;
-    let t = x +. 7.5 in
-    (0.5 *. log (2.0 *. Float.pi))
-    +. ((x +. 0.5) *. log t)
-    -. t
-    +. log !acc
-  end

@@ -4,15 +4,9 @@ let create n = Array.make n 0.0
 
 let init = Array.init
 
-let of_list = Array.of_list
-
-let to_list = Array.to_list
-
 let copy = Array.copy
 
 let dim = Array.length
-
-let fill v x = Array.fill v 0 (Array.length v) x
 
 let check_dims name a b =
   if Array.length a <> Array.length b then
@@ -30,12 +24,6 @@ let sub a b =
 
 let scale s a = Array.map (fun x -> s *. x) a
 
-let neg a = Array.map (fun x -> -.x) a
-
-let mul_elt a b =
-  check_dims "mul_elt" a b;
-  Array.init (Array.length a) (fun i -> a.(i) *. b.(i))
-
 let axpy a x y =
   check_dims "axpy" x y;
   for i = 0 to Array.length x - 1 do
@@ -52,55 +40,13 @@ let dot a b =
 
 let norm2 a = sqrt (dot a a)
 
-let norm_inf a = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 a
-
-let dist2 a b = norm2 (sub a b)
-
 let sum = Array.fold_left ( +. ) 0.0
 
 let mean a =
   if Array.length a = 0 then invalid_arg "Vec.mean: empty vector";
   sum a /. float_of_int (Array.length a)
 
-let min_elt a =
-  if Array.length a = 0 then invalid_arg "Vec.min_elt: empty vector";
-  Array.fold_left Float.min a.(0) a
-
-let max_elt a =
-  if Array.length a = 0 then invalid_arg "Vec.max_elt: empty vector";
-  Array.fold_left Float.max a.(0) a
-
-let map = Array.map
-
-let map2 f a b =
-  check_dims "map2" a b;
-  Array.init (Array.length a) (fun i -> f a.(i) b.(i))
-
-let iteri = Array.iteri
-
-let fold_left = Array.fold_left
-
 let linspace a b n =
   if n < 2 then invalid_arg "Vec.linspace: need at least 2 points";
   let h = (b -. a) /. float_of_int (n - 1) in
   Array.init n (fun i -> a +. (float_of_int i *. h))
-
-let logspace a b n =
-  if a <= 0.0 || b <= 0.0 then invalid_arg "Vec.logspace: bounds must be > 0";
-  Array.map exp (linspace (log a) (log b) n)
-
-let approx_equal ?(tol = 1e-9) a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  for i = 0 to Array.length a - 1 do
-    if Float.abs (a.(i) -. b.(i)) > tol then ok := false
-  done;
-  !ok
-
-let pp ppf v =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf x -> Format.fprintf ppf "%g" x))
-    v

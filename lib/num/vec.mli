@@ -12,27 +12,15 @@ val create : int -> t
 val init : int -> (int -> float) -> t
 (** [init n f] is [| f 0; ...; f (n-1) |]. *)
 
-val of_list : float list -> t
-
-val to_list : t -> float list
-
 val copy : t -> t
 
 val dim : t -> int
-
-val fill : t -> float -> unit
-(** [fill v x] sets every component of [v] to [x]. *)
 
 val add : t -> t -> t
 
 val sub : t -> t -> t
 
 val scale : float -> t -> t
-
-val neg : t -> t
-
-val mul_elt : t -> t -> t
-(** Component-wise (Hadamard) product. *)
 
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] performs [y <- a*x + y] in place. *)
@@ -42,38 +30,9 @@ val dot : t -> t -> float
 val norm2 : t -> float
 (** Euclidean norm. *)
 
-val norm_inf : t -> float
-
-val dist2 : t -> t -> float
-(** Euclidean distance between two vectors. *)
-
-val sum : t -> float
-
 val mean : t -> float
 (** Raises [Invalid_argument] on the empty vector. *)
-
-val min_elt : t -> float
-
-val max_elt : t -> float
-
-val map : (float -> float) -> t -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
-
-val iteri : (int -> float -> unit) -> t -> unit
-
-val fold_left : ('a -> float -> 'a) -> 'a -> t -> 'a
 
 val linspace : float -> float -> int -> t
 (** [linspace a b n] is [n >= 2] evenly spaced points from [a] to [b]
     inclusive. *)
-
-val logspace : float -> float -> int -> t
-(** [logspace a b n] is [n] points spaced evenly on a log scale between
-    [a > 0] and [b > 0] inclusive. *)
-
-val approx_equal : ?tol:float -> t -> t -> bool
-(** Component-wise comparison with absolute tolerance [tol] (default
-    [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -42,11 +42,10 @@ let invalid_message iv =
   Format.asprintf "Invalid_input: %s: %s [%a]" iv.iv_site iv.iv_detail
     pp_context iv.iv_context
 
-type phase = Dc_operating_point | Dc_sweep | Transient_step
+type phase = Dc_operating_point | Transient_step
 
 let phase_label = function
   | Dc_operating_point -> "dc-operating-point"
-  | Dc_sweep -> "dc-sweep"
   | Transient_step -> "transient"
 
 type convergence = {

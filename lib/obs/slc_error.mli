@@ -25,8 +25,6 @@ val no_context : context
 (** All fields [None]; the raw solver raises with this and the harness
     re-raises with the fields filled in. *)
 
-val pp_context : Format.formatter -> context -> unit
-
 (** {2 Precondition violations}
 
     The typed replacement for the bare [Invalid_argument]/[Failure]
@@ -42,8 +40,10 @@ type invalid = { iv_site : string; iv_detail : string; iv_context : context }
 exception Invalid_input of invalid
 
 val invalid : site:string -> string -> invalid
-(** Build an {!invalid} payload with {!no_context} — handy for tests
-    asserting on the exact exception value. *)
+[@@slc.test_only
+  "the exact payload invalid_input raises, for tests asserting on the \
+   typed error a precondition violation surfaces as"]
+(** Build an {!invalid} payload with {!no_context}. *)
 
 val invalid_input : site:string -> string -> 'a
 (** [invalid_input ~site detail] raises {!Invalid_input} with
@@ -53,10 +53,7 @@ val invalid_message : invalid -> string
 
 type phase =
   | Dc_operating_point  (** initial DC solve *)
-  | Dc_sweep            (** transfer-curve sweep point *)
   | Transient_step      (** time-stepping loop *)
-
-val phase_label : phase -> string
 
 type convergence = {
   phase : phase;
@@ -133,8 +130,6 @@ type store_fault_kind =
   | Store_key_mismatch
       (** an artifact's embedded key disagrees with the path it was
           found under — the store was manually rearranged *)
-
-val store_fault_kind_label : store_fault_kind -> string
 
 type store_fault = {
   st_path : string;   (** offending file or directory *)

@@ -30,8 +30,6 @@ let add c n = if !enabled then ignore (Atomic.fetch_and_add c.c_cell n : int)
 
 let read c = Atomic.get c.c_cell
 
-let counter_name c = c.c_name
-
 let simulations = make_counter "simulations"
 
 let sim_retries = make_counter "sim_retries"

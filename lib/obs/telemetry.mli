@@ -28,8 +28,6 @@ val add : counter -> int -> unit
 
 val read : counter -> int
 
-val counter_name : counter -> string
-
 (** {2 Pipeline counters}
 
     One per observable event class; keep names stable — they are the

@@ -24,12 +24,6 @@ let skewness xs =
   let nf = float_of_int n in
   g1 *. sqrt (nf *. (nf -. 1.0)) /. (nf -. 2.0)
 
-let kurtosis_excess xs =
-  let n = Array.length xs in
-  if n < 4 then Slc_obs.Slc_error.invalid_input ~site:"Describe.kurtosis_excess" "need >= 4 samples";
-  let m2 = central_moment xs 2 and m4 = central_moment xs 4 in
-  (m4 /. (m2 *. m2)) -. 3.0
-
 let quantile xs p =
   if Array.length xs = 0 then Slc_obs.Slc_error.invalid_input ~site:"Describe.quantile" "empty sample";
   if p < 0.0 || p > 1.0 then Slc_obs.Slc_error.invalid_input ~site:"Describe.quantile" "p outside [0,1]";
@@ -44,26 +38,11 @@ let quantile xs p =
     ((1.0 -. frac) *. sorted.(i)) +. (frac *. sorted.(i + 1))
   end
 
-let median xs = quantile xs 0.5
-
 let min_max xs =
   if Array.length xs = 0 then Slc_obs.Slc_error.invalid_input ~site:"Describe.min_max" "empty sample";
   Array.fold_left
     (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
     (xs.(0), xs.(0)) xs
-
-let covariance xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then Slc_obs.Slc_error.invalid_input ~site:"Describe.covariance" "length mismatch";
-  if n < 2 then Slc_obs.Slc_error.invalid_input ~site:"Describe.covariance" "need >= 2 samples";
-  let mx = mean xs and my = mean ys in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. ((xs.(i) -. mx) *. (ys.(i) -. my))
-  done;
-  !acc /. float_of_int (n - 1)
-
-let correlation xs ys = covariance xs ys /. (std xs *. std ys)
 
 let mean_vector rows =
   if Array.length rows = 0 then Slc_obs.Slc_error.invalid_input ~site:"Describe.mean_vector" "empty";

@@ -2,29 +2,16 @@
 
 val mean : float array -> float
 
-val variance : float array -> float
-(** Unbiased (n-1) sample variance; requires at least two samples. *)
-
 val std : float array -> float
 
 val skewness : float array -> float
 (** Bias-corrected sample skewness; requires at least three samples. *)
 
-val kurtosis_excess : float array -> float
-(** Excess kurtosis (0 for a Gaussian); requires at least four samples. *)
-
 val quantile : float array -> float -> float
 (** [quantile xs p] for [p] in [0,1], linear interpolation between order
     statistics (type-7).  Does not modify the input. *)
 
-val median : float array -> float
-
 val min_max : float array -> float * float
-
-val covariance : float array -> float array -> float
-(** Unbiased sample covariance of two equal-length samples. *)
-
-val correlation : float array -> float array -> float
 
 val covariance_matrix : Slc_num.Vec.t array -> Slc_num.Mat.t
 (** Sample covariance matrix of a set of observation vectors (rows). *)

@@ -9,13 +9,7 @@ let rec standard_gaussian rng =
 
 let gaussian rng ~mu ~sigma = mu +. (sigma *. standard_gaussian rng)
 
-let gaussian_pdf ~mu ~sigma x = Slc_num.Special.normal_pdf ~mu ~sigma x
-
-let gaussian_cdf ~mu ~sigma x = Slc_num.Special.normal_cdf ~mu ~sigma x
-
 let gaussian_quantile ~mu ~sigma p = Slc_num.Special.normal_quantile ~mu ~sigma p
-
-let lognormal rng ~mu ~sigma = exp (gaussian rng ~mu ~sigma)
 
 let truncated_gaussian rng ~mu ~sigma ~lo ~hi =
   if lo >= hi then Slc_obs.Slc_error.invalid_input ~site:"Dist.truncated_gaussian" "empty interval";
@@ -28,9 +22,3 @@ let truncated_gaussian rng ~mu ~sigma ~lo ~hi =
       if x >= lo && x <= hi then x else draw (attempts + 1)
   in
   draw 0
-
-let uniform = Rng.uniform
-
-let exponential rng ~rate =
-  if rate <= 0.0 then Slc_obs.Slc_error.invalid_input ~site:"Dist.exponential" "rate must be > 0";
-  -.log (1.0 -. Rng.float rng) /. rate

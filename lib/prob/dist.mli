@@ -1,24 +1,13 @@
-(** Scalar probability distributions: sampling, densities, CDFs. *)
+(** Scalar probability distributions: Gaussian sampling and quantiles. *)
 
 val gaussian : Rng.t -> mu:float -> sigma:float -> float
 (** Sample from N(mu, sigma^2) by the Marsaglia polar method. *)
 
 val standard_gaussian : Rng.t -> float
 
-val gaussian_pdf : mu:float -> sigma:float -> float -> float
-
-val gaussian_cdf : mu:float -> sigma:float -> float -> float
-
 val gaussian_quantile : mu:float -> sigma:float -> float -> float
-
-val lognormal : Rng.t -> mu:float -> sigma:float -> float
-(** [exp] of a N(mu, sigma^2) draw. *)
 
 val truncated_gaussian :
   Rng.t -> mu:float -> sigma:float -> lo:float -> hi:float -> float
 (** Rejection sampling; requires a non-empty interval that carries
     non-negligible mass. *)
-
-val uniform : Rng.t -> lo:float -> hi:float -> float
-
-val exponential : Rng.t -> rate:float -> float

@@ -15,8 +15,6 @@ type t = {
    (error Phi(-8) ~ 6e-16, relative to a kept mass of at least 1). *)
 let pdf_cutoff = 8.0
 
-let cdf_cutoff_hi = 13.0
-
 let silverman_bandwidth xs =
   let n = Array.length xs in
   if n < 2 then Slc_obs.Slc_error.invalid_input ~site:"Kde.silverman_bandwidth" "need >= 2 samples";
@@ -76,20 +74,6 @@ let pdf t x =
     incr hi
   done;
   pdf_window t x ~lo ~hi:!hi
-
-let cdf t x =
-  let n = Array.length t.samples in
-  let lo = lower_bound t.samples (x -. (pdf_cutoff *. t.h)) in
-  let hi_x = x +. (cdf_cutoff_hi *. t.h) in
-  (* Samples below the window are saturated kernels: each contributes
-     exactly 1/n. *)
-  let acc = ref (float_of_int lo) in
-  let i = ref lo in
-  while !i < n && t.samples.(!i) <= hi_x do
-    acc := !acc +. Slc_num.Special.normal_cdf ((x -. t.samples.(!i)) *. t.inv_h);
-    incr i
-  done;
-  !acc /. float_of_int n
 
 let is_ascending xs =
   let ok = ref true in

@@ -3,17 +3,13 @@
 
 type t
 
-val silverman_bandwidth : float array -> float
-(** Silverman's rule of thumb [0.9 * min(std, iqr/1.34) * n^(-1/5)]. *)
-
 val fit : ?bandwidth:float -> float array -> t
 (** Builds a KDE over the sample; [bandwidth] defaults to Silverman. *)
 
 val bandwidth : t -> float
-
-val pdf : t -> float -> float
-
-val cdf : t -> float -> float
+[@@slc.test_only
+  "the bandwidth fit chose; the tests rebuild the density by brute \
+   force from it and check evaluate's window cut-off against that"]
 
 val evaluate : t -> Slc_num.Vec.t -> Slc_num.Vec.t
 (** Density at each grid point. *)

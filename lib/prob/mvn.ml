@@ -29,29 +29,9 @@ let sample t rng =
 
 let sample_n t rng n = Array.init n (fun _ -> sample t rng)
 
-let mahalanobis2 t x =
-  let c = Vec.sub x t.mu in
-  let y = Linalg.lower_solve t.chol c in
-  Vec.dot y y
-
-let logpdf t x =
-  let d = float_of_int (dim t) in
-  let log_det = 2.0 *. Array.fold_left ( +. ) 0.0
-                  (Array.init (dim t) (fun i -> log (Mat.get t.chol i i)))
-  in
-  -0.5 *. ((d *. log (2.0 *. Float.pi)) +. log_det +. mahalanobis2 t x)
-
 let of_samples ?(ridge_rel = 1e-6) rows =
   let mu = Describe.mean_vector rows in
   let cov = Describe.covariance_matrix rows in
   let d = Vec.dim mu in
   let tr = Float.max 1e-300 (Mat.trace cov /. float_of_int d) in
   make ~mu ~cov:(Mat.add_ridge cov (ridge_rel *. tr))
-
-let marginal t idx =
-  let mu = Array.map (fun i -> t.mu.(i)) idx in
-  let cov =
-    Mat.init (Array.length idx) (Array.length idx) (fun a b ->
-        Mat.get t.cov idx.(a) idx.(b))
-  in
-  make ~mu ~cov

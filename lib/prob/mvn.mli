@@ -11,21 +11,12 @@ val make : mu:Slc_num.Vec.t -> cov:Slc_num.Mat.t -> t
     (after an automatic tiny-ridge repair attempt) or dimensions
     mismatch. *)
 
-val dim : t -> int
-
-val sample : t -> Rng.t -> Slc_num.Vec.t
-
 val sample_n : t -> Rng.t -> int -> Slc_num.Vec.t array
-
-val logpdf : t -> Slc_num.Vec.t -> float
-
-val mahalanobis2 : t -> Slc_num.Vec.t -> float
-(** Squared Mahalanobis distance of a point from the mean. *)
+[@@slc.test_only
+  "draws mu + chol z: the draws recover mu and cov, which pins the \
+   Cholesky factor Map_fit whitens the prior with"]
 
 val of_samples : ?ridge_rel:float -> Slc_num.Vec.t array -> t
 (** Fit mean and covariance from observation rows; [ridge_rel] (default
     [1e-6]) scales a diagonal ridge relative to the mean diagonal
     variance, keeping near-degenerate sample covariances usable. *)
-
-val marginal : t -> int array -> t
-(** Marginal over the listed coordinate indices. *)

@@ -32,8 +32,6 @@ let[@inline] expand state =
 
 let create seed = expand (Int64.of_int seed)
 
-let copy = Bytes.copy
-
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -51,8 +49,6 @@ let[@inline] next r =
   result
 
 let uint64 r = next r
-
-let split r = expand (next r)
 
 let split_ix r ix =
   (* Pure derivation: fold the parent state and the index through

@@ -7,7 +7,7 @@
     The state is kept unboxed: the four 64-bit limbs live in one
     32-byte buffer, so a draw ({!uint64} aside, which returns a boxed
     [int64]) allocates nothing but its boxed float result, {!int}
-    allocates nothing, and {!split}/{!split_ix} allocate only the
+    allocates nothing, and {!split_ix} allocates only the
     child's buffer.  The streams and the {!save} text are fixed bit for
     bit; the test_prob "golden bits" case pins them. *)
 
@@ -16,12 +16,6 @@ type t
 val create : int -> t
 (** [create seed] builds a generator from an integer seed (any value,
     including 0, is fine — the state is expanded through splitmix64). *)
-
-val copy : t -> t
-
-val split : t -> t
-(** [split rng] derives an independent generator and advances [rng];
-    useful to hand sub-streams to sub-experiments. *)
 
 val split_ix : t -> int -> t
 (** [split_ix rng ix] derives the independent sub-generator number
@@ -41,6 +35,9 @@ val save : t -> string
     same designs bit for bit. *)
 
 val restore : string -> t
+[@@slc.test_only
+  "save is the full generator state: the restored generator continues \
+   the saved stream, so a store key built from save names the stream"]
 (** Inverse of {!save}; raises [Invalid_argument] on malformed
     input. *)
 

@@ -90,15 +90,3 @@ let full_factorial box ~levels =
       in
       let ds = Array.of_list (digits (d - 1) idx []) in
       Vec.init d (fun dim -> coord dim ds.(dim)))
-
-let center_and_corners box =
-  check_box box;
-  let d = Array.length box in
-  let center = Array.map (fun (lo, hi) -> 0.5 *. (lo +. hi)) box in
-  let corners =
-    Array.init (1 lsl d) (fun mask ->
-        Vec.init d (fun dim ->
-            let lo, hi = box.(dim) in
-            if mask land (1 lsl dim) <> 0 then hi else lo))
-  in
-  Array.append [| center |] corners

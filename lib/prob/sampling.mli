@@ -19,10 +19,6 @@ val full_factorial : box -> levels:int array -> Slc_num.Vec.t array
 (** Grid design with [levels.(d)] evenly spaced levels per dimension
     (inclusive of the bounds). *)
 
-val center_and_corners : box -> Slc_num.Vec.t array
-(** The box center followed by all [2^d] corners — a cheap, well-spread
-    design for very small sample budgets. *)
-
 val scale_unit : box -> Slc_num.Vec.t -> Slc_num.Vec.t
 (** Map a unit-cube point into the box. *)
 

@@ -22,37 +22,3 @@ let ks_two_sample xs ys =
     end
   in
   go 0 0 0.0
-
-let ks_against_cdf xs cdf =
-  let n = Array.length xs in
-  if n = 0 then Slc_obs.Slc_error.invalid_input ~site:"Stattest.ks_against_cdf" "empty sample";
-  let s = Array.copy xs in
-  Array.sort compare s;
-  let best = ref 0.0 in
-  for i = 0 to n - 1 do
-    let c = cdf s.(i) in
-    let lo = float_of_int i /. float_of_int n in
-    let hi = float_of_int (i + 1) /. float_of_int n in
-    best := Float.max !best (Float.max (Float.abs (c -. lo)) (Float.abs (hi -. c)))
-  done;
-  !best
-
-let total_variation_binned ~bins xs ys =
-  if Array.length xs = 0 || Array.length ys = 0 then
-    Slc_obs.Slc_error.invalid_input ~site:"Stattest.total_variation_binned" "empty sample";
-  let lo1, hi1 = Describe.min_max xs and lo2, hi2 = Describe.min_max ys in
-  let lo = Float.min lo1 lo2 and hi = Float.max hi1 hi2 in
-  let hi = if hi > lo then hi else lo +. 1.0 in
-  let hx = Histogram.build_range ~bins ~lo ~hi xs in
-  let hy = Histogram.build_range ~bins ~lo ~hi ys in
-  let nx = float_of_int hx.Histogram.total
-  and ny = float_of_int hy.Histogram.total in
-  let acc = ref 0.0 in
-  for b = 0 to bins - 1 do
-    acc :=
-      !acc
-      +. Float.abs
-           ((float_of_int hx.Histogram.counts.(b) /. nx)
-           -. (float_of_int hy.Histogram.counts.(b) /. ny))
-  done;
-  0.5 *. !acc

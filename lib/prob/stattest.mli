@@ -3,11 +3,3 @@
 val ks_two_sample : float array -> float array -> float
 (** Two-sample Kolmogorov–Smirnov statistic (sup distance between
     empirical CDFs). *)
-
-val ks_against_cdf : float array -> (float -> float) -> float
-(** One-sample KS statistic of a sample against a reference CDF. *)
-
-val total_variation_binned :
-  bins:int -> float array -> float array -> float
-(** Total-variation distance between two samples after binning both on
-    their common range; in [0, 1]. *)

@@ -105,6 +105,9 @@ val parse_request : string -> (request, string) result
 (** Parses one request line (leading/trailing whitespace ignored). *)
 
 val format_request : request -> string
+[@@slc.test_only
+  "the inverse of parse_request: the tests pin the exact round trip of \
+   the wire grammar"]
 (** Inverse of {!parse_request}; floats are rendered in hexadecimal so
     the round-trip is exact. *)
 

@@ -24,11 +24,6 @@ let fresh_node t name =
   t.names <- name :: t.names;
   id
 
-let node_name t n =
-  if n = ground then "gnd"
-  else if n > 0 && n < t.n_nodes then List.nth t.names (t.n_nodes - 1 - n)
-  else Slc_obs.Slc_error.invalid_input ~site:"Netlist.node_name" "unknown node"
-
 let node_count t = t.n_nodes
 
 let check_node t n =

@@ -21,8 +21,6 @@ val create : unit -> t
 val fresh_node : t -> string -> node
 (** Allocates a new named node. *)
 
-val node_name : t -> node -> string
-
 val node_count : t -> int
 (** Total number of nodes including ground. *)
 

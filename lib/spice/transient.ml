@@ -100,8 +100,6 @@ let compile net =
     src_stim = Array.map snd srcs;
   }
 
-let node_count c = c.n_nodes
-
 let respecialize c ~mosfets ~caps ~sources =
   if Array.length mosfets <> Array.length c.mos_params then
     Slc_obs.Slc_error.invalid_input ~site:"Transient.respecialize" "mosfet count mismatch";
@@ -402,70 +400,6 @@ let dc_operating_point net ~at =
   dc_solve ws c opts ~at v;
   v
 
-let dc_sweep_compiled ?workspace c ~node ~values =
-  if node <= 0 || node >= c.n_nodes || c.free_index.(node) >= 0 then
-    Slc_obs.Slc_error.invalid_input ~site:"Transient.dc_sweep" "node must be driven by a source";
-  let src_i =
-    let found = ref (-1) in
-    Array.iteri
-      (fun i n -> if n = node && !found < 0 then found := i)
-      c.src_node;
-    if !found < 0 then
-      Slc_obs.Slc_error.invalid_input ~site:"Transient.dc_sweep" "node must be driven by a source";
-    !found
-  in
-  let ws =
-    match workspace with
-    | Some ws ->
-      check_workspace ws c;
-      ws
-    | None -> make_workspace c
-  in
-  let opts = default_options ~tstop:1.0 in
-  let v = Array.make c.n_nodes 0.0 in
-  let vmax = source_vmax c ~at:0.0 in
-  Array.iter (fun n -> v.(n) <- 0.5 *. vmax) c.free_nodes;
-  apply_sources c v 0.0;
-  (* The sweep swaps the swept source's stimulus for each DC value so
-     that EVERY solve — including the gmin/source-stepping fallbacks,
-     which re-apply sources from scratch — sees the sweep value (the
-     old code let the fallback solve against the un-swept stimulus and
-     then polished at the right value, which could both fail spuriously
-     and, on failure, leave the mutated stimulus behind).  The original
-     stimulus is restored on all exits, so a compiled circuit cached by
-     a higher layer is never left corrupted for its next user. *)
-  let saved_stim = c.src_stim.(src_i) in
-  Fun.protect
-    ~finally:(fun () -> c.src_stim.(src_i) <- saved_stim)
-    (fun () ->
-      Array.map
-        (fun value ->
-          c.src_stim.(src_i) <- Stimulus.dc value;
-          apply_sources c v 0.0;
-          (* Continuation from the previous point's solution; full
-             solve from scratch (mid-rail reset, gmin and source
-             stepping) when that fails. *)
-          (match newton ws c opts ~gmin:opts.gmin ~caps:None ~v_prev:ws.v_prev v with
-          | Some _ -> ()
-          | None -> (
-            Array.iter (fun n -> v.(n) <- 0.5 *. vmax) c.free_nodes;
-            try dc_solve ws c opts ~at:0.0 v
-            with Slc_error.No_convergence d ->
-              raise
-                (Slc_error.No_convergence
-                   {
-                     d with
-                     Slc_error.phase = Slc_error.Dc_sweep;
-                     detail =
-                       Printf.sprintf "dc_sweep at %.6g V: %s" value
-                         d.Slc_error.detail;
-                   })));
-          Array.copy v)
-        values)
-
-let dc_sweep net ~node ~values =
-  dc_sweep_compiled (compile net) ~node ~values
-
 type result = {
   r_times : float array;
   r_volts : float array array;
@@ -686,8 +620,6 @@ let run_recovered ?workspace ?record ?(max_recovery = 3) opts c =
           escalate (name :: attempted) rest)
     in
     escalate [] rungs
-
-let times r = r.r_times
 
 let waveform r node =
   if Array.length r.r_volts = 0 then Slc_obs.Slc_error.invalid_input ~site:"Transient.waveform" "empty";

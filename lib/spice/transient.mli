@@ -41,16 +41,13 @@ val default_options : tstop:float -> options
     layer annotates it with the arc/tech/seed/ξ-point context. *)
 
 val dc_operating_point : Netlist.t -> at:float -> float array
+[@@slc.test_only
+  "the DC solve (gmin, then source stepping) every transient run \
+   starts from"]
 (** DC solution with sources evaluated at time [at]; returns the full
     node-voltage vector (index = node id).  Falls back to gmin stepping
     and then source stepping.  Raises
     {!Slc_obs.Slc_error.No_convergence} if everything fails. *)
-
-val dc_sweep :
-  Netlist.t -> node:Netlist.node -> values:float array -> float array array
-(** Replaces the stimulus of the pinned [node] by each value in turn
-    and returns the DC solution per value (continuation: each solve
-    starts from the previous solution).  Used for transfer curves. *)
 
 type compiled
 (** A netlist compiled for fast stamping: immutable topology (node
@@ -61,8 +58,6 @@ type compiled
 val compile : Netlist.t -> compiled
 (** Validates and flattens the netlist.  Element order is the netlist
     insertion order. *)
-
-val node_count : compiled -> int
 
 val respecialize :
   compiled ->
@@ -95,12 +90,6 @@ val run : ?record:int array -> options -> Netlist.t -> result
     step (waveforms of other nodes are unavailable); by default every
     node is recorded. *)
 
-val run_compiled :
-  ?workspace:workspace -> ?record:int array -> options -> compiled -> result
-(** As {!run} on an already-compiled circuit.  [workspace] (sized by
-    {!make_workspace} for a circuit of the same shape) is reused when
-    given, so back-to-back runs allocate no solver buffers at all. *)
-
 val run_recovered :
   ?workspace:workspace ->
   ?record:int array ->
@@ -108,7 +97,10 @@ val run_recovered :
   options ->
   compiled ->
   result
-(** {!run_compiled} behind a convergence-recovery escalation ladder.
+(** As {!run} on an already-compiled circuit, behind a
+    convergence-recovery escalation ladder.  [workspace] (sized by
+    {!make_workspace} for a circuit of the same shape) is reused when
+    given, so back-to-back runs allocate no solver buffers at all.
     When the plain run raises [No_convergence], up to [max_recovery]
     (default 3, the full ladder) rungs re-run the transient with
     progressively more forgiving options:
@@ -122,20 +114,6 @@ val run_recovered :
     DC-level gmin stepping and source stepping always run inside every
     attempt's operating-point solve.  If every rung fails, the ORIGINAL
     failure is re-raised with [recovery] listing the rungs tried. *)
-
-val dc_sweep_compiled :
-  ?workspace:workspace ->
-  compiled ->
-  node:Netlist.node ->
-  values:float array ->
-  float array array
-(** As {!dc_sweep} on an already-compiled circuit.  The swept source's
-    stimulus is temporarily replaced per point and restored on ALL
-    exits (including failures), so a compiled circuit shared through a
-    cache is never left corrupted; fallback solves for a hard sweep
-    point run against the sweep value itself. *)
-
-val times : result -> float array
 
 val waveform : result -> Netlist.node -> Waveform.t
 (** Raises [Invalid_argument] for a node that was not recorded. *)

@@ -12,8 +12,6 @@ let make ~times ~values =
 
 let times w = (w.times :> Slc_num.Vec.t)
 
-let length w = Array.length (times w)
-
 let value_at w t =
   let times = times w in
   let n = Array.length times in
@@ -90,18 +88,3 @@ let measure_slew w ~vdd dir =
 
 let settled w ~vdd ~target ~tol_frac =
   Float.abs (final_value w -. target) <= tol_frac *. vdd
-
-let to_csv ppf named =
-  match named with
-  | [] -> Slc_obs.Slc_error.invalid_input ~site:"Waveform.to_csv" "no waveforms"
-  | (_, first) :: _ ->
-    Format.fprintf ppf "time,%s@."
-      (String.concat "," (List.map fst named));
-    Array.iter
-      (fun t ->
-        Format.fprintf ppf "%.6e" t;
-        List.iter
-          (fun (_, w) -> Format.fprintf ppf ",%.6e" (value_at w t))
-          named;
-        Format.fprintf ppf "@.")
-      (times first)

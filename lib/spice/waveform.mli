@@ -6,9 +6,10 @@ type t = { times : Slc_num.Interp.axis; values : Slc_num.Vec.t }
 
 val make : times:Slc_num.Vec.t -> values:Slc_num.Vec.t -> t
 
-val length : t -> int
-
 val value_at : t -> float -> float
+[@@slc.test_only
+  "samples a simulated waveform where the tests evaluate an exact \
+   linear-circuit response"]
 (** Linear interpolation; clamps outside the simulated interval. *)
 
 val final_value : t -> float
@@ -34,8 +35,3 @@ val measure_slew : t -> vdd:float -> direction -> float option
 
 val settled : t -> vdd:float -> target:float -> tol_frac:float -> bool
 (** Whether the final value is within [tol_frac * vdd] of [target]. *)
-
-val to_csv : Format.formatter -> (string * t) list -> unit
-(** Dumps named waveforms as CSV (time plus one column per waveform,
-    resampled onto the first waveform's time grid) for external
-    plotting.  Raises [Invalid_argument] on an empty list. *)

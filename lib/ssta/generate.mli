@@ -19,9 +19,6 @@ type design = {
       (** the design compiled once, after all loads were placed *)
 }
 
-val default_cells : Slc_cell.Cells.t array
-(** INV, NAND2, NOR2 — the paper's Table-I set. *)
-
 val design :
   ?inputs:int ->
   ?cells:Slc_cell.Cells.t array ->
@@ -40,11 +37,14 @@ val design :
     non-positive sizes or a negative wire-cap mean. *)
 
 val wire_cap_draw : Slc_prob.Rng.t -> mean:float -> float
+[@@slc.test_only
+  "the wire-load draw of design: the regression test pins that it is \
+   always finite"]
 (** One wire-load draw: exponentially distributed with the given mean,
     always finite — the uniform draw behind it is clamped into (0, 1]
     so a generator returning its upper endpoint can never produce
     [log 0.0 = -inf] (an infinite cap would poison every downstream
-    arrival).  Exposed for the regression test pinning that bound. *)
+    arrival). *)
 
 val both_edges : at:float -> slew:float -> Sdag.arrival
 (** An arrival with identical rising and falling edges — the usual

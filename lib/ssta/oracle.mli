@@ -14,6 +14,9 @@ val of_predictors :
   label:string ->
   (Slc_cell.Arc.t -> Slc_core.Char_flow.predictor) ->
   t
+[@@slc.test_only
+  "the per-arc memoized oracle bayes_bank builds on; the tests drive \
+   its memo with constant and counting predictors"]
 (** Backed by per-arc predictors (e.g. {!Slc_core.Char_flow.train_bayes});
     the function is called once per distinct arc and memoized.
 
@@ -29,6 +32,9 @@ val of_library : Slc_cell.Library.t -> t
 
 val of_simulator :
   ?seed:Slc_device.Process.seed -> Slc_device.Tech.t -> t
+[@@slc.test_only
+  "SSTA ground truth: a transient simulation per query, which the \
+   model-based oracles are checked against"]
 (** Ground truth: every query is one transient simulation. *)
 
 val bayes_bank :
@@ -125,4 +131,7 @@ val cache_size : cache -> int
 (** Number of distinct memoized queries. *)
 
 val max_cache_size : int
+[@@slc.test_only
+  "the bound a cache stops at: the test checks it is reached and never \
+   exceeded"]
 (** The most entries a cache holds: 49 152, 3/4 of 65 536 slots. *)

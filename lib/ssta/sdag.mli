@@ -112,7 +112,8 @@ val net_cap : t -> net -> float
     [?wire_cap]) plus the input capacitance of every fanout pin
     connected so far.  O(1): fanout caps are accumulated as gates are
     added, in connection order, so the total is bitwise identical to a
-    fresh summation over the netlist. *)
+    fresh summation over the netlist.  Raises {!Slc_obs.Slc_error.Invalid_input}
+    for a net this graph did not create, like {!net_name}. *)
 
 val at_edge : arrival -> rises:bool -> edge_arrival option
 (** Selects the rising or falling component of an arrival. *)
@@ -133,6 +134,9 @@ val compile : t -> compiled
     loads) are not reflected; compile again.  O(nets + pins). *)
 
 val compiled_nets : compiled -> int
+[@@slc.test_only
+  "the net count of a compiled graph: the tests pin one slack row per \
+   net and identical graphs from one generator seed"]
 (** Number of nets (primary inputs + gate outputs). *)
 
 val compiled_gates : compiled -> int

@@ -25,7 +25,6 @@ module R = Slc_num.Line_reader
 
 type t = { root : string }
 
-let root t = t.root
 let format_version = 1
 
 type key = string

@@ -41,11 +41,6 @@
 type t
 (** An opened store rooted at a directory. *)
 
-val format_version : int
-(** On-disk format major version (currently 1).  Bumped on any
-    incompatible change; every key embeds it, and the root marker file
-    declares it. *)
-
 val open_ : string -> t
 (** [open_ dir] opens (creating if necessary) a store rooted at [dir].
     A fresh or empty directory is initialized with a version marker;
@@ -54,8 +49,6 @@ val open_ : string -> t
     when the marker declares a different format version or the
     directory exists with unrelated content, and with [Store_corrupt]
     when the marker is unreadable. *)
-
-val root : t -> string
 
 type key = string
 (** 32-character hex content hash. *)
@@ -73,20 +66,22 @@ val prior_fingerprint : Slc_core.Prior.pair -> string
     bitwise-equal MAP fits — this is the prior component of every
     Bayes-method key. *)
 
-val prior_key : historical:Slc_device.Tech.t list -> key
-(** Key of the prior learned by
-    [Prior.learn_pair ~historical ()] at the default cell set and grid
-    levels.  Order-sensitive: learning folds the historical nodes in
-    list order. *)
-
 val put_prior : t -> key:key -> Slc_core.Prior.pair -> unit
+[@@slc.test_only
+  "get_prior's persist step; the tests round-trip a small prior \
+   through it bitwise"]
 
 val find_prior : t -> key:key -> Slc_core.Prior.pair option
+[@@slc.test_only
+  "get_prior's load step; the tests pin that a damaged prior artifact \
+   raises Store_corrupt"]
 (** [None] when absent.  Raises [Store_failed] ([Store_corrupt]) when
     present but unparseable. *)
 
 val get_prior : t -> historical:Slc_device.Tech.t list -> Slc_core.Prior.pair
-(** Load-or-learn: {!find_prior} under {!prior_key}, falling back to
+(** Load-or-learn: {!find_prior} under a key of the historical nodes
+    (in list order, at the default cell set and grid levels), falling
+    back to
     [Prior.learn_pair ~historical ()] and persisting the result. *)
 
 (** {2 Trained per-arc predictors (the [Oracle.bayes_bank] tier)} *)
@@ -152,6 +147,9 @@ val population_key :
   budget:int ->
   min_points:int ->
   key
+[@@slc.test_only
+  "the key extract_population stores under: the tests locate its \
+   checkpoint and final artifacts through it"]
 (** For [Random_per_seed] designs the key captures the generator's
     exact state ({!Slc_prob.Rng.save}) — a resumed run must be handed
     a generator in the same state to reach the same artifact. *)
@@ -215,16 +213,17 @@ val find_population :
   budget:int ->
   min_points:int ->
   Slc_core.Statistical.population option
+[@@slc.test_only
+  "a peek at the final artifact extract_population writes; the tests \
+   check when it exists"]
 (** Peek: the finished population if its artifact exists, without
     computing anything. *)
 
 (** {2 Introspection} *)
 
-val tech_fingerprint : Slc_device.Tech.t -> string
-(** Digest over the technology card's physical content (device
-    templates, variability coefficients, input box) — distinguishes
-    temperature and Vt variants that share a base name. *)
-
 val artifact_path : t -> [ `Prior | `Predictor | `Library | `Population ] -> key -> string
+[@@slc.test_only
+  "where the store keeps an artifact: the tests damage, truncate and \
+   inspect the files"]
 (** Absolute path an artifact of the given kind lives at (whether or
-    not it currently exists) — for tooling and tests. *)
+    not it currently exists). *)

@@ -100,7 +100,7 @@ let test_ieff_definition () =
 
 let test_ieff_below_idsat () =
   Alcotest.(check bool) "ieff < idsat" true
-    (Mosfet.ieff nmos ~vdd:0.8 < Mosfet.idsat nmos ~vdd:0.8)
+    (Mosfet.ieff nmos ~vdd:0.8 < Mosfet.channel_current nmos ~vgs:0.8 ~vds:0.8)
 
 let test_scale_width () =
   let w2 = Mosfet.scale_width nmos 2.0 in
@@ -139,7 +139,7 @@ let test_nodes_scale_sensibly () =
   Alcotest.(check bool) "vdd scales down" true
     (Tech.n14.Tech.vdd_nom < Tech.n45.Tech.vdd_nom);
   let drive t =
-    Mosfet.idsat t.Tech.nmos ~vdd:t.Tech.vdd_nom /. t.Tech.nmos.Mosfet.w
+    Mosfet.channel_current t.Tech.nmos ~vgs:t.Tech.vdd_nom ~vds:t.Tech.vdd_nom /. t.Tech.nmos.Mosfet.w
   in
   Alcotest.(check bool) "drive per width improves" true
     (drive Tech.n14 > drive Tech.n45)
@@ -212,7 +212,7 @@ let test_nominal_seed_is_identity () =
 
 let test_seed_determinism () =
   let rng1 = Rng.create 77 and rng2 = Rng.create 77 in
-  let s1 = Process.sample rng1 Tech.n14 0 and s2 = Process.sample rng2 Tech.n14 0 in
+  let s1 = (Process.sample_batch rng1 Tech.n14 1).(0) and s2 = (Process.sample_batch rng2 Tech.n14 1).(0) in
   Alcotest.(check bool) "same seed same draws" true (s1 = s2);
   (* Applying the same seed twice to the same device index gives the
      same parameters (the statistical flow depends on this). *)
@@ -222,7 +222,7 @@ let test_seed_determinism () =
 
 let test_local_mismatch_varies_by_device () =
   let rng = Rng.create 78 in
-  let s = Process.sample rng Tech.n14 0 in
+  let s = (Process.sample_batch rng Tech.n14 1).(0) in
   let d0 = Process.local_dvt s Tech.n14 ~device_index:0 nmos in
   let d1 = Process.local_dvt s Tech.n14 ~device_index:1 nmos in
   Alcotest.(check bool) "differs across devices" true (d0 <> d1)
@@ -234,7 +234,7 @@ let test_pelgrom_scaling () =
   let sample_sigma dev =
     let xs =
       Array.init 3_000 (fun i ->
-          let s = Process.sample (Rng.create (i + 1)) Tech.n14 i in
+          let s = (Process.sample_batch (Rng.create (i + 1)) Tech.n14 1).(0) in
           ignore rng;
           Process.local_dvt s Tech.n14 ~device_index:0 dev)
     in
@@ -263,7 +263,7 @@ let test_lhs_batch () =
   Array.iter
     (fun s ->
       let u =
-        Slc_prob.Dist.gaussian_cdf ~mu:0.0 ~sigma:Tech.n28.Tech.sigma_vt_global
+        Slc_num.Special.normal_cdf ~mu:0.0 ~sigma:Tech.n28.Tech.sigma_vt_global
           s.Process.dvt_n
       in
       let b = min (n - 1) (int_of_float (u *. float_of_int n)) in
@@ -313,7 +313,7 @@ let prop_seed_variations_bounded =
   QCheck.Test.make ~name:"relative shifts stay in truncation bounds"
     ~count:200 QCheck.small_int (fun n ->
       let rng = Rng.create (n + 7) in
-      let s = Process.sample rng Tech.n40 n in
+      let s = (Process.sample_batch rng Tech.n40 1).(0) in
       Float.abs s.Process.dkp_rel <= 0.4
       && Float.abs s.Process.dl_rel <= 0.3
       && Float.abs s.Process.dcpar_rel <= 0.4)

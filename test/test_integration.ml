@@ -8,6 +8,21 @@ module Cells = Slc_cell.Cells
 module Arc = Slc_cell.Arc
 module Harness = Slc_cell.Harness
 
+(* Miniature experiment sizes: every driver finishes in seconds. *)
+let tiny =
+  {
+    Config.scale = 0.05;
+    n_validation = 20;
+    n_validation_stat = 5;
+    n_seeds = 6;
+    n_seeds_fig9 = 8;
+    ks = [ 2; 5 ];
+    lut_budgets = [ 4; 12 ];
+    ks_stat = [ 2 ];
+    lut_budgets_stat = [ 4 ];
+    rng_seed = 7;
+  }
+
 (* One shared small prior for all integration tests: 2 historical
    nodes, INV + NOR2, 3x3x2 grid. *)
 let prior =
@@ -70,7 +85,7 @@ let test_fig5_spread () =
 let test_fig6_mini_conclusions () =
   let config =
     {
-      Config.tiny with
+      tiny with
       Config.n_validation = 40;
       ks = [ 2; 10 ];
       lut_budgets = [ 4; 12; 48 ];
@@ -103,7 +118,7 @@ let test_fig6_mini_conclusions () =
 let test_fig78_mini_conclusions () =
   let config =
     {
-      Config.tiny with
+      tiny with
       Config.n_validation_stat = 4;
       n_seeds = 8;
       ks_stat = [ 2 ];
@@ -123,7 +138,7 @@ let test_fig78_mini_conclusions () =
     (b.Exp_statistical.e_mu_td.(0) < 0.10)
 
 let test_fig9_mini () =
-  let config = { Config.tiny with Config.n_seeds_fig9 = 24 } in
+  let config = { tiny with Config.n_seeds_fig9 = 24 } in
   let r = Exp_statistical.fig9 ~config ~prior:(Lazy.force prior) () in
   Alcotest.(check int) "grid points" 80 (Array.length r.Exp_statistical.grid);
   (* The proposed method should track the baseline at least as well as
@@ -135,7 +150,7 @@ let test_fig9_mini () =
     (r.Exp_statistical.ks_bayes <= r.Exp_statistical.ks_lut +. 0.15);
   (* Densities are proper (positive mass). *)
   let mass ys =
-    Slc_num.Quadrature.trapezoid_samples ~xs:r.Exp_statistical.grid ~ys
+    Helpers.trapezoid ~xs:r.Exp_statistical.grid ~ys
   in
   Alcotest.(check bool) "baseline mass ~1" true
     (Float.abs (mass r.Exp_statistical.pdf_baseline -. 1.0) < 0.1);
@@ -143,7 +158,7 @@ let test_fig9_mini () =
     (r.Exp_statistical.cost_bayes < r.Exp_statistical.cost_lut)
 
 let test_ablation_beta_runs () =
-  let config = Config.tiny in
+  let config = tiny in
   let rows = Exp_ablation.ablation_beta ~config ~prior:(Lazy.force prior) () in
   Alcotest.(check bool) "rows for both variants" true (List.length rows >= 2);
   List.iter
@@ -153,7 +168,7 @@ let test_ablation_beta_runs () =
     rows
 
 let test_ablation_chain_runs () =
-  let config = Config.tiny in
+  let config = tiny in
   let rows = Exp_ablation.ablation_chain ~config ~prior:(Lazy.force prior) () in
   Alcotest.(check bool) "has pooled and chained" true (List.length rows >= 2)
 
@@ -168,7 +183,7 @@ let test_experiment_printers () =
   Alcotest.(check bool) "printed something" true (Buffer.length buf > 100)
 
 let test_vt_transfer_extension () =
-  let config = { Config.tiny with Config.n_validation = 60 } in
+  let config = { tiny with Config.n_validation = 60 } in
   let r = Exp_extension.vt_transfer ~config ~k:2 ~lut_budget:12 () in
   Alcotest.(check string) "target renamed" "n14-lvt" r.Exp_extension.target_name;
   (* All three errors are sane percentages. *)

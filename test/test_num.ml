@@ -11,34 +11,28 @@ let check_close ?(tol = 1e-9) msg expected actual =
 (* Vec *)
 
 let test_vec_basic () =
-  let v = Vec.of_list [ 1.0; 2.0; 3.0 ] in
-  check_float "sum" 6.0 (Vec.sum v);
+  let v = Array.of_list [ 1.0; 2.0; 3.0 ] in
   check_float "mean" 2.0 (Vec.mean v);
-  check_float "norm_inf" 3.0 (Vec.norm_inf v);
   check_float "dot" 14.0 (Vec.dot v v);
   check_float "norm2" (sqrt 14.0) (Vec.norm2 v);
-  check_float "min" 1.0 (Vec.min_elt v);
-  check_float "max" 3.0 (Vec.max_elt v)
+  check_float "max" 3.0 (Array.fold_left Float.max v.(0) v)
 
 let test_vec_ops () =
-  let a = Vec.of_list [ 1.0; 2.0 ] and b = Vec.of_list [ 3.0; 5.0 ] in
+  let a = Array.of_list [ 1.0; 2.0 ] and b = Array.of_list [ 3.0; 5.0 ] in
   Alcotest.(check bool)
     "add" true
-    (Vec.approx_equal (Vec.add a b) (Vec.of_list [ 4.0; 7.0 ]));
+    (Helpers.vec_close (Vec.add a b) (Array.of_list [ 4.0; 7.0 ]));
   Alcotest.(check bool)
     "sub" true
-    (Vec.approx_equal (Vec.sub b a) (Vec.of_list [ 2.0; 3.0 ]));
+    (Helpers.vec_close (Vec.sub b a) (Array.of_list [ 2.0; 3.0 ]));
   Alcotest.(check bool)
     "scale" true
-    (Vec.approx_equal (Vec.scale 2.0 a) (Vec.of_list [ 2.0; 4.0 ]));
-  Alcotest.(check bool)
-    "mul_elt" true
-    (Vec.approx_equal (Vec.mul_elt a b) (Vec.of_list [ 3.0; 10.0 ]));
+    (Helpers.vec_close (Vec.scale 2.0 a) (Array.of_list [ 2.0; 4.0 ]));
   let y = Vec.copy b in
   Vec.axpy 2.0 a y;
   Alcotest.(check bool)
     "axpy" true
-    (Vec.approx_equal y (Vec.of_list [ 5.0; 9.0 ]))
+    (Helpers.vec_close y (Array.of_list [ 5.0; 9.0 ]))
 
 let test_vec_mismatch () =
   let a = Vec.create 2 and b = Vec.create 3 in
@@ -51,16 +45,14 @@ let test_linspace () =
   Alcotest.(check int) "length" 5 (Vec.dim v);
   check_float "first" 0.0 v.(0);
   check_float "last" 1.0 v.(4);
-  check_float "step" 0.25 v.(1);
-  let lg = Vec.logspace 1.0 100.0 3 in
-  check_close ~tol:1e-9 "log mid" 10.0 lg.(1)
+  check_float "step" 0.25 v.(1)
 
 (* ------------------------------------------------------------------ *)
 (* Mat *)
 
 let test_mat_mul () =
-  let a = Mat.of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let b = Mat.of_rows [| [| 5.0; 6.0 |]; [| 7.0; 8.0 |] |] in
+  let a = Helpers.mat_of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
+  let b = Helpers.mat_of_rows [| [| 5.0; 6.0 |]; [| 7.0; 8.0 |] |] in
   let c = Mat.mul a b in
   check_float "c00" 19.0 (Mat.get c 0 0);
   check_float "c01" 22.0 (Mat.get c 0 1);
@@ -68,32 +60,30 @@ let test_mat_mul () =
   check_float "c11" 50.0 (Mat.get c 1 1)
 
 let test_mat_vec () =
-  let a = Mat.of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
+  let a = Helpers.mat_of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
   let v = [| 1.0; 1.0 |] in
   Alcotest.(check bool)
     "mul_vec" true
-    (Vec.approx_equal (Mat.mul_vec a v) [| 3.0; 7.0 |]);
-  Alcotest.(check bool)
-    "tmul_vec" true
-    (Vec.approx_equal (Mat.tmul_vec a v) [| 4.0; 6.0 |])
+    (Helpers.vec_close (Mat.mul_vec a v) [| 3.0; 7.0 |]);
+  let out = Vec.create 2 in
+  Mat.tmul_vec_into a v out;
+  Alcotest.(check bool) "tmul_vec_into" true (Helpers.vec_close out [| 4.0; 6.0 |])
 
 let test_mat_transpose_identity () =
-  let a = Mat.of_rows [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] |] in
+  let a = Helpers.mat_of_rows [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] |] in
   let t = Mat.transpose a in
   Alcotest.(check int) "rows" 3 (Mat.rows t);
   check_float "t21" 6.0 (Mat.get t 2 1);
   let i3 = Mat.identity 3 in
-  Alcotest.(check bool) "A*I = A" true (Mat.approx_equal (Mat.mul a i3) a)
+  Alcotest.(check bool) "A*I = A" true (Helpers.mat_close (Mat.mul a i3) a)
 
 let test_mat_helpers () =
-  let a = Mat.of_rows [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
+  let a = Helpers.mat_of_rows [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
   Alcotest.(check bool) "symmetric" true (Mat.is_symmetric a);
   check_float "trace" 5.0 (Mat.trace a);
   let r = Mat.add_ridge a 0.5 in
   check_float "ridge" 2.5 (Mat.get r 0 0);
-  check_float "ridge off-diag" 1.0 (Mat.get r 0 1);
-  let o = Mat.outer [| 1.0; 2.0 |] [| 3.0; 4.0 |] in
-  check_float "outer" 8.0 (Mat.get o 1 1)
+  check_float "ridge off-diag" 1.0 (Mat.get r 0 1)
 
 (* ------------------------------------------------------------------ *)
 (* Linalg *)
@@ -113,15 +103,15 @@ let test_cholesky_reconstruct () =
     Alcotest.(check bool)
       (Printf.sprintf "L L^T = A (n=%d)" n)
       true
-      (Mat.approx_equal ~tol:1e-8 llt a)
+      (Helpers.mat_close ~tol:1e-8 llt a)
   done
 
 let test_cholesky_rejects () =
-  let not_pd = Mat.of_rows [| [| 1.0; 2.0 |]; [| 2.0; 1.0 |] |] in
+  let not_pd = Helpers.mat_of_rows [| [| 1.0; 2.0 |]; [| 2.0; 1.0 |] |] in
   Alcotest.check_raises "not PD"
     (Linalg.Singular "cholesky: not positive definite") (fun () ->
       ignore (Linalg.cholesky not_pd));
-  let asym = Mat.of_rows [| [| 1.0; 2.0 |]; [| 0.0; 1.0 |] |] in
+  let asym = Helpers.mat_of_rows [| [| 1.0; 2.0 |]; [| 0.0; 1.0 |] |] in
   Alcotest.check_raises "not symmetric"
     (Linalg.Singular "cholesky: matrix not symmetric") (fun () ->
       ignore (Linalg.cholesky asym))
@@ -136,50 +126,61 @@ let test_solve_spd () =
     Alcotest.(check bool)
       (Printf.sprintf "solve_spd n=%d" n)
       true
-      (Vec.approx_equal ~tol:1e-7 x x_true)
+      (Helpers.vec_close ~tol:1e-7 x x_true)
   done
 
+(* A solve and a determinant through the in-place LU factors. *)
+let lu_solve a b =
+  let n = Mat.rows a in
+  let f = Mat.copy a and perm = Array.make n 0 and x = Array.make n 0.0 in
+  ignore (Linalg.lu_factor_in_place f perm);
+  Linalg.lu_solve_in_place f perm ~b ~x;
+  x
+
+let lu_det a =
+  let n = Mat.rows a in
+  let f = Mat.copy a and perm = Array.make n 0 in
+  let acc = ref (Linalg.lu_factor_in_place f perm) in
+  for i = 0 to n - 1 do
+    acc := !acc *. Mat.get f i i
+  done;
+  !acc
+
 let test_lu_solve_and_det () =
-  let a = Mat.of_rows [| [| 0.0; 2.0 |]; [| 3.0; 1.0 |] |] in
+  let a = Helpers.mat_of_rows [| [| 0.0; 2.0 |]; [| 3.0; 1.0 |] |] in
   (* Pivoting required: a(0,0) = 0. *)
-  let x = Linalg.solve a [| 4.0; 5.0 |] in
+  let x = lu_solve a [| 4.0; 5.0 |] in
   Alcotest.(check bool) "solve with pivot" true
-    (Vec.approx_equal ~tol:1e-10 x [| 1.0; 2.0 |]);
-  check_close ~tol:1e-10 "det" (-6.0) (Linalg.det a)
+    (Helpers.vec_close ~tol:1e-10 x [| 1.0; 2.0 |]);
+  check_close ~tol:1e-10 "det" (-6.0) (lu_det a)
 
 let test_inverse () =
   let rng = Slc_prob.Rng.create 13 in
   let a = random_spd rng 4 in
-  let ai = Linalg.inverse a in
+  let ai = Linalg.spd_inverse a in
   Alcotest.(check bool)
     "A * A^-1 = I" true
-    (Mat.approx_equal ~tol:1e-8 (Mat.mul a ai) (Mat.identity 4));
-  let si = Linalg.spd_inverse a in
-  Alcotest.(check bool)
-    "spd_inverse agrees" true
-    (Mat.approx_equal ~tol:1e-7 ai si)
-
-let test_spd_log_det () =
-  let a = Mat.of_rows [| [| 4.0; 0.0 |]; [| 0.0; 9.0 |] |] in
-  check_close ~tol:1e-10 "log det" (log 36.0) (Linalg.spd_log_det a)
+    (Helpers.mat_close ~tol:1e-8 (Mat.mul a ai) (Mat.identity 4));
+  Alcotest.(check bool) "symmetric" true (Mat.is_symmetric ~tol:0.0 ai)
 
 let test_triangular_solves () =
-  let l = Mat.of_rows [| [| 2.0; 0.0 |]; [| 1.0; 3.0 |] |] in
+  let l = Helpers.mat_of_rows [| [| 2.0; 0.0 |]; [| 1.0; 3.0 |] |] in
   let x = Linalg.lower_solve l [| 4.0; 11.0 |] in
-  Alcotest.(check bool) "lower" true (Vec.approx_equal x [| 2.0; 3.0 |]);
-  let u = Mat.transpose l in
-  let y = Linalg.upper_solve u [| 7.0; 6.0 |] in
-  Alcotest.(check bool) "upper" true (Vec.approx_equal y [| 2.5; 2.0 |])
+  Alcotest.(check bool) "lower" true (Helpers.vec_close x [| 2.0; 3.0 |]);
+  let z = Helpers.mat_of_rows [| [| 0.0; 0.0 |]; [| 1.0; 3.0 |] |] in
+  Alcotest.check_raises "zero diagonal"
+    (Linalg.Singular "lower_solve: zero diagonal") (fun () ->
+      ignore (Linalg.lower_solve z [| 1.0; 1.0 |]))
 
 let test_least_squares () =
   (* Overdetermined consistent system: exact recovery. *)
   let a =
-    Mat.of_rows [| [| 1.0; 1.0 |]; [| 1.0; 2.0 |]; [| 1.0; 3.0 |] |]
+    Helpers.mat_of_rows [| [| 1.0; 1.0 |]; [| 1.0; 2.0 |]; [| 1.0; 3.0 |] |]
   in
   let x_true = [| 0.5; 2.0 |] in
   let b = Mat.mul_vec a x_true in
   let x = Linalg.solve_least_squares a b in
-  Alcotest.(check bool) "exact" true (Vec.approx_equal ~tol:1e-6 x x_true)
+  Alcotest.(check bool) "exact" true (Helpers.vec_close ~tol:1e-6 x x_true)
 
 let test_expm_diagonal () =
   let a = Mat.diag [| 1.0; -2.0; 0.0 |] in
@@ -191,7 +192,7 @@ let test_expm_diagonal () =
 
 let test_expm_nilpotent () =
   (* exp([[0,1],[0,0]]) = [[1,1],[0,1]] exactly. *)
-  let a = Mat.of_rows [| [| 0.0; 1.0 |]; [| 0.0; 0.0 |] |] in
+  let a = Helpers.mat_of_rows [| [| 0.0; 1.0 |]; [| 0.0; 0.0 |] |] in
   let e = Linalg.expm a in
   check_close ~tol:1e-13 "11" 1.0 (Mat.get e 0 0);
   check_close ~tol:1e-13 "12" 1.0 (Mat.get e 0 1);
@@ -204,21 +205,21 @@ let test_expm_inverse_property () =
   let e = Linalg.expm a in
   let em = Linalg.expm (Mat.scale (-1.0) a) in
   Alcotest.(check bool) "exp(A)exp(-A)=I" true
-    (Mat.approx_equal ~tol:1e-9 (Mat.mul e em) (Mat.identity 4))
+    (Helpers.mat_close ~tol:1e-9 (Mat.mul e em) (Mat.identity 4))
 
 let test_expm_rotation () =
   (* exp of a rotation generator gives cos/sin. *)
   let th = 0.7 in
-  let a = Mat.of_rows [| [| 0.0; -.th |]; [| th; 0.0 |] |] in
+  let a = Helpers.mat_of_rows [| [| 0.0; -.th |]; [| th; 0.0 |] |] in
   let e = Linalg.expm a in
   check_close ~tol:1e-12 "cos" (cos th) (Mat.get e 0 0);
   check_close ~tol:1e-12 "sin" (sin th) (Mat.get e 1 0)
 
 let test_singular_raises () =
-  let s = Mat.of_rows [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  Alcotest.check_raises "singular LU"
-    (Linalg.Singular "lu_decompose: singular matrix") (fun () ->
-      ignore (Linalg.solve s [| 1.0; 1.0 |]))
+  let s = Helpers.mat_of_rows [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
+  Alcotest.check_raises "singular SPD solve"
+    (Linalg.Singular "cholesky: not positive definite") (fun () ->
+      ignore (Linalg.solve_spd s [| 1.0; 1.0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Interp *)
@@ -226,8 +227,8 @@ let test_singular_raises () =
 let axis a = Option.get (Interp.axis a)
 
 let test_linear1d () =
-  let xs = axis (Vec.of_list [ 0.0; 1.0; 3.0 ]) in
-  let ys = Vec.of_list [ 0.0; 2.0; 4.0 ] in
+  let xs = axis (Array.of_list [ 0.0; 1.0; 3.0 ]) in
+  let ys = Array.of_list [ 0.0; 2.0; 4.0 ] in
   check_float "at node" 2.0 (Interp.linear1d xs ys 1.0);
   check_float "mid" 1.0 (Interp.linear1d xs ys 0.5);
   check_float "second cell" 3.0 (Interp.linear1d xs ys 2.0);
@@ -235,21 +236,15 @@ let test_linear1d () =
   check_float "left extrap" (-2.0) (Interp.linear1d xs ys (-1.0));
   check_float "right extrap" 5.0 (Interp.linear1d xs ys 4.0)
 
-let test_bilinear_exact_plane () =
-  (* Bilinear interpolation is exact for affine functions. *)
-  let f x y = 2.0 +. (3.0 *. x) -. (1.5 *. y) in
-  let g =
-    Interp.make_grid2 ~xs:(Vec.linspace 0.0 1.0 4) ~ys:(Vec.linspace 0.0 2.0 3)
-      ~f
-  in
-  check_close ~tol:1e-12 "interior" (f 0.37 1.21) (Interp.bilinear g 0.37 1.21);
-  check_close ~tol:1e-12 "outside" (f 1.5 2.5) (Interp.bilinear g 1.5 2.5)
-
 let test_trilinear_exact_affine () =
   let f x y z = 1.0 +. x -. (2.0 *. y) +. (0.5 *. z) in
+  let ax = Vec.linspace 0.0 1.0 3 in
   let g =
-    Interp.make_grid3 ~xs:(Vec.linspace 0.0 1.0 3) ~ys:(Vec.linspace 0.0 1.0 3)
-      ~zs:(Vec.linspace 0.0 1.0 3) ~f
+    {
+      Interp.axes = (axis ax, axis ax, axis ax);
+      values3 =
+        Array.map (fun x -> Array.map (fun y -> Array.map (f x y) ax) ax) ax;
+    }
   in
   check_close ~tol:1e-12 "interior" (f 0.3 0.7 0.9)
     (Interp.trilinear g 0.3 0.7 0.9)
@@ -257,7 +252,7 @@ let test_trilinear_exact_affine () =
 (* An axis is validated once, when it is made: a flat, descending or
    empty array is refused there, so [locate] itself never scans. *)
 let test_locate () =
-  let four = axis (Vec.of_list [ 0.0; 1.0; 2.0; 3.0 ]) in
+  let four = axis (Array.of_list [ 0.0; 1.0; 2.0; 3.0 ]) in
   Alcotest.(check int) "below" 0 (Interp.locate four (-5.0));
   Alcotest.(check int) "above" 2 (Interp.locate four 10.0);
   Alcotest.(check int) "inside" 1 (Interp.locate four 1.5);
@@ -276,17 +271,7 @@ let test_locate () =
     (fun (what, a) ->
       Alcotest.(check bool) what true (Interp.axis a = None))
     [ ("non-increasing", [| 1.0; 1.0 |]); ("descending", [| 2.0; 1.0 |]);
-      ("empty", [||]); ("NaN", [| 0.0; Float.nan |]) ];
-  Alcotest.check_raises "grid needs two points"
-    (Invalid_argument "Interp.make_grid2: axis needs >= 2 points")
-    (fun () ->
-      ignore (Interp.make_grid2 ~xs:[| 0.0 |] ~ys:[| 0.0; 1.0 |] ~f:( +. )));
-  Alcotest.check_raises "grid axis increasing"
-    (Invalid_argument "Interp.make_grid3: axis not strictly increasing")
-    (fun () ->
-      ignore
-        (Interp.make_grid3 ~xs:[| 0.0; 1.0 |] ~ys:[| 1.0; 1.0 |]
-           ~zs:[| 0.0; 1.0 |] ~f:(fun x y z -> x +. y +. z)))
+      ("empty", [||]); ("NaN", [| 0.0; Float.nan |]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Optimize *)
@@ -350,36 +335,18 @@ let test_numeric_jacobian () =
   check_close ~tol:1e-4 "d(xy)/dy" 2.0 (Mat.get j 1 1);
   check_close ~tol:1e-4 "d(xy)/dx" 3.0 (Mat.get j 1 0)
 
-let test_nelder_mead () =
-  let f v = ((v.(0) -. 1.5) ** 2.0) +. ((v.(1) +. 0.5) ** 2.0) +. 7.0 in
-  let r = Slc_num.Optimize.nelder_mead ~f ~x0:[| 0.0; 0.0 |] () in
-  check_close ~tol:1e-4 "x" 1.5 r.Slc_num.Optimize.nm_x.(0);
-  check_close ~tol:1e-4 "y" (-0.5) r.Slc_num.Optimize.nm_x.(1);
-  check_close ~tol:1e-6 "f" 7.0 r.Slc_num.Optimize.nm_f
-
-let test_golden_section () =
-  let m =
-    Slc_num.Optimize.golden_section ~f:(fun x -> (x -. 0.3) ** 2.0) ~lo:(-1.0)
-      ~hi:2.0 ()
-  in
-  check_close ~tol:1e-6 "minimum" 0.3 m
-
-let test_bisect () =
-  let r = Slc_num.Optimize.bisect ~f:(fun x -> (x *. x) -. 2.0) ~lo:0.0 ~hi:2.0 () in
-  check_close ~tol:1e-9 "sqrt2" (sqrt 2.0) r;
-  Alcotest.check_raises "no bracket"
-    (Invalid_argument "Optimize.bisect: interval does not bracket a root")
-    (fun () ->
-      ignore (Slc_num.Optimize.bisect ~f:(fun _ -> 1.0) ~lo:0.0 ~hi:1.0 ()))
-
 (* ------------------------------------------------------------------ *)
 (* Special *)
 
+(* The erfc fit behind [normal_cdf], through erf x = 2 Phi(x sqrt 2) - 1
+   and erfc x = 2 Phi(-x sqrt 2). *)
 let test_erf_values () =
-  check_close ~tol:2e-7 "erf 0" 0.0 (Special.erf 0.0);
-  check_close ~tol:2e-7 "erf 1" 0.8427007929 (Special.erf 1.0);
-  check_close ~tol:2e-7 "erf -1" (-0.8427007929) (Special.erf (-1.0));
-  check_close ~tol:2e-7 "erfc 2" 0.0046777349 (Special.erfc 2.0)
+  let erf x = (2.0 *. Special.normal_cdf (x *. sqrt 2.0)) -. 1.0 in
+  let erfc x = 2.0 *. Special.normal_cdf (-.x *. sqrt 2.0) in
+  check_close ~tol:4e-7 "erf 0" 0.0 (erf 0.0);
+  check_close ~tol:4e-7 "erf 1" 0.8427007929 (erf 1.0);
+  check_close ~tol:4e-7 "erf -1" (-0.8427007929) (erf (-1.0));
+  check_close ~tol:4e-7 "erfc 2" 0.0046777349 (erfc 2.0)
 
 let test_normal_cdf_quantile_roundtrip () =
   List.iter
@@ -390,36 +357,7 @@ let test_normal_cdf_quantile_roundtrip () =
         p (Special.normal_cdf x))
     [ 0.001; 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999 ]
 
-let test_normal_pdf () =
-  check_close ~tol:1e-9 "pdf 0" (1.0 /. sqrt (2.0 *. Float.pi))
-    (Special.normal_pdf 0.0);
-  check_close ~tol:1e-9 "pdf scaled" (Special.normal_pdf 0.0 /. 2.0)
-    (Special.normal_pdf ~sigma:2.0 0.0)
-
-let test_log_gamma () =
-  check_close ~tol:1e-9 "gamma 1" 0.0 (Special.log_gamma 1.0);
-  check_close ~tol:1e-9 "gamma 5" (log 24.0) (Special.log_gamma 5.0);
-  check_close ~tol:1e-8 "gamma 0.5" (0.5 *. log Float.pi)
-    (Special.log_gamma 0.5)
-
-(* ------------------------------------------------------------------ *)
-(* Quadrature *)
-
-let test_quadrature () =
-  let f x = x *. x in
-  check_close ~tol:1e-3 "trapezoid x^2" (1.0 /. 3.0)
-    (Quadrature.trapezoid f ~lo:0.0 ~hi:1.0 ~n:100);
-  check_close ~tol:1e-9 "simpson x^2" (1.0 /. 3.0)
-    (Quadrature.simpson f ~lo:0.0 ~hi:1.0 ~n:10);
-  check_close ~tol:1e-8 "adaptive sin"
-    2.0
-    (Quadrature.adaptive_simpson sin ~lo:0.0 ~hi:Float.pi ());
-  let xs = Vec.linspace 0.0 1.0 101 in
-  let ys = Array.map f xs in
-  check_close ~tol:1e-3 "samples" (1.0 /. 3.0)
-    (Quadrature.trapezoid_samples ~xs ~ys)
-
-(* In-place LU: must agree with the allocating Linalg.solve on random
+(* In-place LU: must recover the known solution of random
    well-conditioned systems, and reject singular input. *)
 let test_lu_in_place_matches_solve () =
   (* Small deterministic LCG so the test needs no RNG dependency. *)
@@ -436,8 +374,8 @@ let test_lu_in_place_matches_solve () =
           Mat.init n n (fun i j ->
               if i = j then 4.0 +. float_of_int n +. rand () else rand ())
         in
-        let b = Array.init n (fun _ -> rand ()) in
-        let expected = Linalg.solve a b in
+        let expected = Array.init n (fun _ -> rand ()) in
+        let b = Mat.mul_vec a expected in
         let fact = Mat.copy a in
         let perm = Array.make n 0 in
         let sign = Linalg.lu_factor_in_place fact perm in
@@ -445,7 +383,7 @@ let test_lu_in_place_matches_solve () =
         let x = Array.make n 0.0 in
         Linalg.lu_solve_in_place fact perm ~b ~x;
         Array.iteri
-          (fun i xi -> check_close ~tol:0.0 "in-place = solve" expected.(i) xi)
+          (fun i xi -> check_close ~tol:1e-9 "in-place = solution" expected.(i) xi)
           x;
         (* Residual sanity: a x ~ b. *)
         let r = Mat.mul_vec a x in
@@ -454,7 +392,7 @@ let test_lu_in_place_matches_solve () =
     [ 1; 2; 3; 5; 8 ]
 
 let test_lu_in_place_singular () =
-  let a = Mat.of_rows [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
+  let a = Helpers.mat_of_rows [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
   let perm = Array.make 2 0 in
   Alcotest.check_raises "singular raises"
     (Linalg.Singular "lu_factor_in_place: singular matrix") (fun () ->
@@ -470,8 +408,6 @@ let test_parallel_matches_sequential () =
     (Parallel.map ~domains:4 f xs);
   Alcotest.(check (array int)) "single domain" (Array.map f xs)
     (Parallel.map ~domains:1 f xs);
-  Alcotest.(check (list int)) "list version" [ 2; 5; 10 ]
-    (Parallel.map_list ~domains:3 f [ 1; 2; 3 ]);
   Alcotest.(check (array int)) "empty" [||] (Parallel.map ~domains:4 f [||])
 
 let test_parallel_propagates_exceptions () =
@@ -571,7 +507,7 @@ let prop_mat_transpose_involution =
     (fun (r, c) ->
       let rng = Slc_prob.Rng.create ((r * 31) + c) in
       let m = Mat.init r c (fun _ _ -> Slc_prob.Rng.uniform rng ~lo:(-5.0) ~hi:5.0) in
-      Mat.approx_equal (Mat.transpose (Mat.transpose m)) m)
+      Helpers.mat_close (Mat.transpose (Mat.transpose m)) m)
 
 let prop_det_of_product =
   QCheck.Test.make ~name:"det(AB) = det(A) det(B)" ~count:40
@@ -584,8 +520,8 @@ let prop_det_of_product =
           1.5
       in
       let a = mk () and b = mk () in
-      let lhs = Linalg.det (Mat.mul a b) in
-      let rhs = Linalg.det a *. Linalg.det b in
+      let lhs = lu_det (Mat.mul a b) in
+      let rhs = lu_det a *. lu_det b in
       Float.abs (lhs -. rhs) < 1e-6 *. (1.0 +. Float.abs rhs))
 
 let prop_cholesky_solve =
@@ -597,7 +533,8 @@ let prop_cholesky_solve =
       let b = Vec.init n (fun i -> Slc_prob.Rng.uniform rng ~lo:(-2.0) ~hi:2.0 +. float_of_int i) in
       let x = Linalg.solve_spd a b in
       let r = Vec.sub (Mat.mul_vec a x) b in
-      Vec.norm_inf r < 1e-7 *. (1.0 +. Vec.norm_inf b))
+      let norm_inf v = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 v in
+      norm_inf r < 1e-7 *. (1.0 +. norm_inf b))
 
 let prop_interp_between_nodes =
   QCheck.Test.make ~name:"linear1d inside hull of neighbours" ~count:100
@@ -607,7 +544,7 @@ let prop_interp_between_nodes =
       let ys = Array.map (fun x -> sin (6.0 *. (x +. a))) (xs :> float array) in
       let x = Float.max 0.0 (Float.min 1.0 b) in
       let v = Interp.linear1d xs ys x in
-      let lo = Vec.min_elt ys and hi = Vec.max_elt ys in
+      let lo = Array.fold_left Float.min ys.(0) ys and hi = Array.fold_left Float.max ys.(0) ys in
       v >= lo -. 1e-12 && v <= hi +. 1e-12)
 
 let prop_lm_quadratic_exact =
@@ -717,7 +654,6 @@ let () =
           Alcotest.test_case "in-place LU rejects singular" `Quick
             test_lu_in_place_singular;
           Alcotest.test_case "inverse" `Quick test_inverse;
-          Alcotest.test_case "log det" `Quick test_spd_log_det;
           Alcotest.test_case "triangular solves" `Quick test_triangular_solves;
           Alcotest.test_case "least squares" `Quick test_least_squares;
           Alcotest.test_case "singular raises" `Quick test_singular_raises;
@@ -733,8 +669,6 @@ let () =
       ( "interp",
         [
           Alcotest.test_case "linear 1d" `Quick test_linear1d;
-          Alcotest.test_case "bilinear exact on plane" `Quick
-            test_bilinear_exact_plane;
           Alcotest.test_case "trilinear exact on affine" `Quick
             test_trilinear_exact_affine;
           Alcotest.test_case "locate" `Quick test_locate;
@@ -749,9 +683,6 @@ let () =
           Alcotest.test_case "LM NaN region recovers" `Quick
             test_lm_nan_region_recovers;
           Alcotest.test_case "numeric jacobian" `Quick test_numeric_jacobian;
-          Alcotest.test_case "nelder-mead" `Quick test_nelder_mead;
-          Alcotest.test_case "golden section" `Quick test_golden_section;
-          Alcotest.test_case "bisect" `Quick test_bisect;
           QCheck_alcotest.to_alcotest prop_lm_quadratic_exact;
         ] );
       ( "special",
@@ -759,8 +690,6 @@ let () =
           Alcotest.test_case "erf values" `Quick test_erf_values;
           Alcotest.test_case "cdf/quantile roundtrip" `Quick
             test_normal_cdf_quantile_roundtrip;
-          Alcotest.test_case "pdf" `Quick test_normal_pdf;
-          Alcotest.test_case "log gamma" `Quick test_log_gamma;
         ] );
       ( "parallel",
         [
@@ -783,8 +712,6 @@ let () =
           Alcotest.test_case "nested map runs inline" `Quick
             test_pool_nested_map_runs_inline;
         ] );
-      ( "quadrature",
-        [ Alcotest.test_case "rules agree with analytic" `Quick test_quadrature ] );
       ( "memo",
         [
           Alcotest.test_case "concurrent misses publish one value" `Quick

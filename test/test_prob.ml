@@ -50,8 +50,9 @@ let test_rng_int () =
 
 let test_rng_split_independence () =
   let a = Rng.create 9 in
-  let b = Rng.split a in
-  Alcotest.(check bool) "streams differ" true (Rng.uint64 a <> Rng.uint64 b)
+  let b = Rng.split_ix a 0 and c = Rng.split_ix a 1 in
+  Alcotest.(check bool) "streams differ" true
+    (Rng.uint64 a <> Rng.uint64 b && Rng.uint64 b <> Rng.uint64 c)
 
 let test_shuffle_permutes () =
   let rng = Rng.create 10 in
@@ -74,7 +75,13 @@ let test_gaussian_moments () =
 let test_gaussian_ks () =
   let rng = Rng.create 22 in
   let xs = Array.init 5_000 (fun _ -> Dist.standard_gaussian rng) in
-  let d = Stattest.ks_against_cdf xs (Dist.gaussian_cdf ~mu:0.0 ~sigma:1.0) in
+  (* Against the standard normal's quantiles at the mid-points of 5 000
+     equal-probability slices. *)
+  let ref_xs =
+    Array.init 5_000 (fun i ->
+        Slc_num.Special.normal_quantile ((float_of_int i +. 0.5) /. 5_000.0))
+  in
+  let d = Stattest.ks_two_sample xs ref_xs in
   Alcotest.(check bool) "KS small" true (d < 0.03)
 
 let test_truncated_gaussian_bounds () =
@@ -84,27 +91,14 @@ let test_truncated_gaussian_bounds () =
     Alcotest.(check bool) "inside" true (x >= -0.5 && x <= 0.7)
   done
 
-let test_lognormal_positive () =
-  let rng = Rng.create 24 in
-  for _ = 1 to 1_000 do
-    Alcotest.(check bool)
-      "positive" true
-      (Dist.lognormal rng ~mu:0.0 ~sigma:0.5 > 0.0)
-  done
-
-let test_exponential_mean () =
-  let rng = Rng.create 25 in
-  let xs = Array.init 30_000 (fun _ -> Dist.exponential rng ~rate:2.0) in
-  check_close ~tol:0.02 "mean 1/rate" 0.5 (Describe.mean xs)
-
 (* ------------------------------------------------------------------ *)
 (* Describe *)
 
 let test_describe_basic () =
   let xs = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
   check_close "mean" 5.0 (Describe.mean xs);
-  check_close ~tol:1e-9 "variance" (32.0 /. 7.0) (Describe.variance xs);
-  check_close "median" 4.5 (Describe.median xs);
+  check_close ~tol:1e-9 "variance" (32.0 /. 7.0) (Describe.std xs ** 2.0);
+  check_close "median" 4.5 (Describe.quantile xs 0.5);
   check_close "q0" 2.0 (Describe.quantile xs 0.0);
   check_close "q1" 9.0 (Describe.quantile xs 1.0);
   let lo, hi = Describe.min_max xs in
@@ -116,11 +110,15 @@ let test_describe_quantile_interp () =
   check_close "q25" 2.5 (Describe.quantile xs 0.25)
 
 let test_covariance_correlation () =
+  let correlation xs ys =
+    let c = Describe.covariance_matrix (Array.map2 (fun x y -> [| x; y |]) xs ys) in
+    Mat.get c 0 1 /. sqrt (Mat.get c 0 0 *. Mat.get c 1 1)
+  in
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
   let ys = [| 2.0; 4.0; 6.0; 8.0 |] in
-  check_close ~tol:1e-12 "corr perfect" 1.0 (Describe.correlation xs ys);
+  check_close ~tol:1e-12 "corr perfect" 1.0 (correlation xs ys);
   let zs = [| 8.0; 6.0; 4.0; 2.0 |] in
-  check_close ~tol:1e-12 "corr anti" (-1.0) (Describe.correlation xs zs)
+  check_close ~tol:1e-12 "corr anti" (-1.0) (correlation xs zs)
 
 let test_covariance_matrix () =
   let rows = [| [| 1.0; 0.0 |]; [| 2.0; 1.0 |]; [| 3.0; 2.0 |] |] in
@@ -128,7 +126,7 @@ let test_covariance_matrix () =
   check_close ~tol:1e-12 "var x" 1.0 (Mat.get c 0 0);
   check_close ~tol:1e-12 "cov xy" 1.0 (Mat.get c 0 1);
   let mu = Describe.mean_vector rows in
-  Alcotest.(check bool) "mean" true (Vec.approx_equal mu [| 2.0; 1.0 |])
+  Alcotest.(check bool) "mean" true (Helpers.vec_close mu [| 2.0; 1.0 |])
 
 let test_skewness_sign () =
   let right = [| 1.0; 1.0; 1.0; 2.0; 2.0; 10.0 |] in
@@ -139,38 +137,16 @@ let test_skewness_sign () =
 
 let test_mvn_sampling_recovers () =
   let rng = Rng.create 31 in
-  let cov = Mat.of_rows [| [| 2.0; 0.8 |]; [| 0.8; 1.0 |] |] in
+  let cov = Helpers.mat_of_rows [| [| 2.0; 0.8 |]; [| 0.8; 1.0 |] |] in
   let m = Mvn.make ~mu:[| 1.0; -1.0 |] ~cov in
   let samples = Mvn.sample_n m rng 20_000 in
   let fitted = Mvn.of_samples samples in
   Alcotest.(check bool)
     "mean recovered" true
-    (Vec.approx_equal ~tol:0.05 (fitted : Mvn.t).Mvn.mu [| 1.0; -1.0 |]);
+    (Helpers.vec_close ~tol:0.05 (fitted : Mvn.t).Mvn.mu [| 1.0; -1.0 |]);
   Alcotest.(check bool)
     "cov recovered" true
-    (Mat.approx_equal ~tol:0.1 fitted.Mvn.cov cov)
-
-let test_mvn_logpdf () =
-  (* Against the closed form of a standard bivariate normal. *)
-  let m = Mvn.make ~mu:[| 0.0; 0.0 |] ~cov:(Mat.identity 2) in
-  check_close ~tol:1e-9 "at origin"
-    (-.log (2.0 *. Float.pi))
-    (Mvn.logpdf m [| 0.0; 0.0 |]);
-  check_close ~tol:1e-9 "at (1,1)"
-    (-.log (2.0 *. Float.pi) -. 1.0)
-    (Mvn.logpdf m [| 1.0; 1.0 |])
-
-let test_mvn_mahalanobis () =
-  let cov = Mat.of_rows [| [| 4.0; 0.0 |]; [| 0.0; 1.0 |] |] in
-  let m = Mvn.make ~mu:[| 0.0; 0.0 |] ~cov in
-  check_close ~tol:1e-9 "scaled" 1.0 (Mvn.mahalanobis2 m [| 2.0; 0.0 |])
-
-let test_mvn_marginal () =
-  let cov = Mat.of_rows [| [| 2.0; 0.5 |]; [| 0.5; 3.0 |] |] in
-  let m = Mvn.make ~mu:[| 1.0; 2.0 |] ~cov in
-  let mg = Mvn.marginal m [| 1 |] in
-  check_close "marginal mean" 2.0 (mg : Mvn.t).Mvn.mu.(0);
-  check_close "marginal var" 3.0 (Mat.get mg.Mvn.cov 0 0)
+    (Helpers.mat_close ~tol:0.1 fitted.Mvn.cov cov)
 
 let test_mvn_repairs_borderline () =
   (* A sample covariance from nearly collinear rows still yields a
@@ -181,7 +157,7 @@ let test_mvn_repairs_borderline () =
         [| t; 2.0 *. t +. 1e-9 |])
   in
   let m = Mvn.of_samples rows in
-  Alcotest.(check bool) "dim" true (Mvn.dim m = 2)
+  Alcotest.(check bool) "dim" true (Array.length m.Mvn.mu = 2)
 
 (* ------------------------------------------------------------------ *)
 (* Sampling *)
@@ -231,38 +207,21 @@ let test_full_factorial () =
   let c = Sampling.full_factorial box2 ~levels:[| 1; 1 |] in
   Alcotest.(check (float 1e-12)) "center" 0.5 c.(0).(0)
 
-let test_center_and_corners () =
-  let pts = Sampling.center_and_corners box2 in
-  Alcotest.(check int) "count 1+2^2" 5 (Array.length pts);
-  Alcotest.(check (float 1e-12)) "center x" 0.5 pts.(0).(0);
-  Alcotest.(check (float 1e-12)) "center y" 15.0 pts.(0).(1)
-
 let test_unit_mapping_roundtrip () =
   let p = [| 0.25; 17.5 |] in
   let u = Sampling.to_unit box2 p in
   let q = Sampling.scale_unit box2 u in
-  Alcotest.(check bool) "roundtrip" true (Vec.approx_equal ~tol:1e-12 p q)
+  Alcotest.(check bool) "roundtrip" true (Helpers.vec_close ~tol:1e-12 p q)
 
 (* ------------------------------------------------------------------ *)
-(* Histogram / Kde / Stattest *)
-
-let test_histogram_counts () =
-  let xs = [| 0.1; 0.2; 0.6; 0.9; 1.0 |] in
-  let h = Histogram.build_range ~bins:2 ~lo:0.0 ~hi:1.0 xs in
-  Alcotest.(check int) "low bin" 2 h.Histogram.counts.(0);
-  Alcotest.(check int) "high bin" 3 h.Histogram.counts.(1);
-  let d = Histogram.density h in
-  check_close ~tol:1e-12 "density integrates to 1"
-    1.0
-    ((d.(0) +. d.(1)) *. Histogram.bin_width h)
+(* Kde / Stattest *)
 
 let test_kde_gaussian_recovery () =
   let rng = Rng.create 51 in
   let xs = Array.init 4_000 (fun _ -> Dist.gaussian rng ~mu:0.0 ~sigma:1.0) in
   let k = Kde.fit xs in
-  let peak = Kde.pdf k 0.0 in
-  check_close ~tol:0.03 "peak near 1/sqrt(2pi)" 0.3989 peak;
-  check_close ~tol:0.02 "cdf at 0" 0.5 (Kde.cdf k 0.0)
+  let peak = (Kde.evaluate k [| 0.0 |]).(0) in
+  check_close ~tol:0.03 "peak near 1/sqrt(2pi)" 0.3989 peak
 
 let test_kde_integrates_to_one () =
   let rng = Rng.create 52 in
@@ -270,7 +229,7 @@ let test_kde_integrates_to_one () =
   let k = Kde.fit xs in
   let grid = Kde.grid k ~pad:6.0 400 in
   let ys = Kde.evaluate k grid in
-  check_close ~tol:1e-3 "mass" 1.0 (Slc_num.Quadrature.trapezoid_samples ~xs:grid ~ys)
+  check_close ~tol:1e-3 "mass" 1.0 (Helpers.trapezoid ~xs:grid ~ys)
 
 let test_ks_two_sample () =
   let rng = Rng.create 53 in
@@ -280,19 +239,11 @@ let test_ks_two_sample () =
   Alcotest.(check bool) "same dist small" true (Stattest.ks_two_sample xs ys < 0.06);
   Alcotest.(check bool) "shifted dist large" true (Stattest.ks_two_sample xs zs > 0.3)
 
-let test_total_variation () =
-  let rng = Rng.create 54 in
-  let xs = Array.init 3_000 (fun _ -> Dist.gaussian rng ~mu:0.0 ~sigma:1.0) in
-  let ys = Array.init 3_000 (fun _ -> Dist.gaussian rng ~mu:4.0 ~sigma:1.0) in
-  Alcotest.(check bool)
-    "disjoint ~1" true
-    (Stattest.total_variation_binned ~bins:40 xs ys > 0.9)
-
 let test_gaussian_quantile_roundtrip () =
   List.iter
     (fun p ->
       let x = Dist.gaussian_quantile ~mu:2.0 ~sigma:3.0 p in
-      check_close ~tol:1e-6 "roundtrip" p (Dist.gaussian_cdf ~mu:2.0 ~sigma:3.0 x))
+      check_close ~tol:1e-6 "roundtrip" p (Slc_num.Special.normal_cdf ~mu:2.0 ~sigma:3.0 x))
     [ 0.05; 0.5; 0.95 ]
 
 let test_kde_bandwidth_accessor () =
@@ -304,7 +255,7 @@ let test_kde_bandwidth_accessor () =
 
 (* With all mass at one location and an explicit bandwidth, the KDE is
    a single Gaussian kernel with a closed form:
-     pdf(x) = phi((x - x0)/h) / h     cdf(x) = Phi((x - x0)/h). *)
+     pdf(x) = phi((x - x0)/h) / h. *)
 let test_kde_closed_form_single_kernel () =
   let x0 = 2e-11 and h = 3e-12 in
   let k = Kde.fit ~bandwidth:h [| x0; x0 |] in
@@ -315,13 +266,14 @@ let test_kde_closed_form_single_kernel () =
   List.iter
     (fun dz ->
       let x = x0 +. (dz *. h) in
-      check_rel "pdf" (Slc_num.Special.normal_pdf dz /. h) (Kde.pdf k x);
-      check_rel "cdf" (Slc_num.Special.normal_cdf dz) (Kde.cdf k x))
+      let phi = exp (-0.5 *. dz *. dz) /. sqrt (2.0 *. Float.pi) in
+      check_rel "pdf" (phi /. h)
+        (Kde.evaluate k [| x |]).(0))
     [ -3.0; -1.0; 0.0; 0.5; 2.0; 4.0 ]
 
-(* The windowed pdf/cdf must stay within 1e-12 RELATIVE error of the
-   brute-force all-samples sums on a fig9-style grid, and [evaluate]
-   must agree bitwise with per-point [pdf]. *)
+(* The windowed density must stay within 1e-12 RELATIVE error of the
+   brute-force all-samples sum on a fig9-style grid, and [evaluate] on
+   the grid must agree bitwise with one-point evaluations. *)
 let test_kde_cutoff_accuracy () =
   let rng = Rng.create 5 in
   let xs = Array.init 200 (fun _ -> Dist.gaussian rng ~mu:2e-11 ~sigma:2e-12) in
@@ -336,26 +288,19 @@ let test_kde_cutoff_accuracy () =
       0.0 xs
     /. (n *. h *. sqrt (2.0 *. Float.pi))
   in
-  let brute_cdf x =
-    Array.fold_left
-      (fun acc s -> acc +. Slc_num.Special.normal_cdf ((x -. s) /. h))
-      0.0 xs
-    /. n
-  in
+  let pdf x = (Kde.evaluate k [| x |]).(0) in
   let grid = Kde.grid k 80 in
   Array.iter
     (fun x ->
-      let bp = brute_pdf x and bc = brute_cdf x in
+      let bp = brute_pdf x in
       Alcotest.(check bool) "pdf within 1e-12 relative" true
-        (Float.abs (Kde.pdf k x -. bp) <= 1e-12 *. bp);
-      Alcotest.(check bool) "cdf within 1e-12 relative" true
-        (Float.abs (Kde.cdf k x -. bc) <= 1e-12 *. bc))
+        (Float.abs (pdf x -. bp) <= 1e-12 *. bp))
     grid;
   let fast = Kde.evaluate k grid in
   Array.iteri
     (fun i x ->
       Alcotest.(check bool) "evaluate bitwise equals pdf" true
-        (Int64.bits_of_float fast.(i) = Int64.bits_of_float (Kde.pdf k x)))
+        (Int64.bits_of_float fast.(i) = Int64.bits_of_float (pdf x)))
     grid;
   (* Non-ascending grids fall back to the per-point path. *)
   let shuffled = Array.copy grid in
@@ -365,7 +310,7 @@ let test_kde_cutoff_accuracy () =
   Array.iteri
     (fun i x ->
       Alcotest.(check bool) "shuffled grid matches pdf" true
-        (Int64.bits_of_float slow.(i) = Int64.bits_of_float (Kde.pdf k x)))
+        (Int64.bits_of_float slow.(i) = Int64.bits_of_float (pdf x)))
     shuffled
 
 let test_rng_split_ix () =
@@ -391,7 +336,7 @@ let test_rng_split_ix () =
 
 (* The generator's stream, bit for bit: per seed, three [uint64] draws,
    two [float] draws (hex), four [int] draws (hex) at n = 1, 10,
-   1_000_003 and [max_int], the saved state of a [split] child, of
+   1_000_003 and [max_int], the saved state of
    [split_ix] children at ix = 0, 1, -3 and [max_int], and finally of
    the parent generator itself.  A change to any line changes every
    seeded design, population and stored artifact key. *)
@@ -405,8 +350,10 @@ let rng_golden_lines seed =
       [ 1; 10; 1_000_003; max_int ]
   in
   let ix = List.map (fun ix -> Rng.save (Rng.split_ix r ix)) [ 0; 1; -3; max_int ] in
-  let sp = Rng.save (Rng.split r) in
-  (String.concat " " u :: String.concat " " f :: String.concat " " i :: sp :: ix)
+  (* One [uint64] draw between the children and the final state: the
+     recorded final-state lines include it. *)
+  ignore (Rng.uint64 r);
+  (String.concat " " u :: String.concat " " f :: String.concat " " i :: ix)
   @ [ Rng.save r ]
 
 let rng_golden =
@@ -416,7 +363,6 @@ let rng_golden =
         "53175d61490b23df 61da6f3dc380d507 5c0fdf91ec9a7bfc";
         "0x1.775fc61ddf2cp-7 0x1.fb2813aebd296p-2";
         "0 3 cbd0a 25bed05011c4f87f";
-        "31577428d8024b9b 24ce00c1c014ed2f 8d157aeaccfda634 4607ff0b465acf2f";
         "be5248664bcd8505 7e8e5ec4bab289e9 a52aadc1aa93556c 884fa8e4e8ae15f";
         "365d8f45eb373efe bbf2715e5771d20a 1f9757ae3a0988d1 611c2e90505bf0c2";
         "1ed02e7c9ff61e2c d01efd15a549e786 66f0048d55d000d7 3360ec3889bc21cb";
@@ -428,7 +374,6 @@ let rng_golden =
         "cfc5d07f6f03c29b bf424132963fe08d 19a37d5757aaf520";
         "0x1.7e10233e0b9aap-1 0x1.7a38c25c30c34p-3";
         "0 1 6f040 c5d72d98699a5e8";
-        "22f751a6b6d0033c 260ce3b0d9e26881 8c6c28c7567a420 b0c8a43a2e001830";
         "58f1a87a17b2bcf8 5f67c9f1912fc9ff e691204fa5bacc65 f369e7318a642f53";
         "43b562fdd80e1aa8 b2790d4d1fcedc11 5af5573b74c6ad42 a579a0eeb4276b6d";
         "998a8a158cb3fd6 2210beb8b8e4d192 d1b8a0c3b55cf7c 790cc5ec20eafbb3";
@@ -440,7 +385,6 @@ let rng_golden =
         "f36c6e15ccc9fd7 9274d2c9b17cbd4a bb9969078e1a9521";
         "0x1.91e12ec6384d8p-3 0x1.9f1f40017c852p-1";
         "0 6 2b8a6 13e51bf44cfaa71";
-        "5c1f0db5c4e759fc 686e9b564ddc9e08 e137caa4fe0f1473 bac30ccc5e0b652";
         "a7ef4ed7d44b4c24 aca6894686d7a93d f17eb9050483bd2a 4e0bcd175d07866e";
         "88876c9e9fa355fc 933e92c193484dbf ee7ba0c8266d8b47 bb338d41b9c013a";
         "d9c5c29dde102454 9ebe71394a45049e f7e4c18b10a866c1 a47d61db06a8f411";
@@ -452,7 +396,6 @@ let rng_golden =
         "45fb48efb1c2c1c2 c3add3a798906624 1f94c7639c6d4438";
         "0x1.26520bc6cf804p-3 0x1.00f74e7e3aa6p-6";
         "0 0 6c3ff 2e85bcf04d0f874";
-        "c73b78feea586787 b47b5e20adf47a73 654001d7968cf94d c7bffbc0a0907c75";
         "bccd26a0778cd87b f4665fa1f41d2802 37059c9323592fd9 726e24b7f3fd4e1c";
         "5456e785b01dd0ee 8807e05c0ea076fa c776e8ffb2737b5b 720137f5b91c133e";
         "baecc9df40a5c920 c5b8e71c021dea71 12d276e886a989d8 2fda53f55443f3c0";
@@ -485,14 +428,6 @@ let test_mvn_sample_n () =
   let flat = Array.map (fun v -> v.(0)) xs in
   check_close ~tol:0.2 "mean" 1.0 (Describe.mean flat)
 
-let test_histogram_build_auto_range () =
-  let h = Histogram.build ~bins:4 [| 0.0; 1.0; 2.0; 3.0; 4.0 |] in
-  Alcotest.(check int) "total" 5 h.Histogram.total;
-  Alcotest.(check int) "all included" 5
-    (Array.fold_left ( + ) 0 h.Histogram.counts);
-  Alcotest.(check int) "count_in" 1 (Histogram.count_in h 0.1);
-  Alcotest.(check int) "outside" 0 (Histogram.count_in h 9.0)
-
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -520,7 +455,7 @@ let prop_mvn_samples_finite =
       let rng = Rng.create (d * 7) in
       let cov = Mat.add_ridge (Mat.identity d) 0.5 in
       let m = Mvn.make ~mu:(Vec.create d) ~cov in
-      let s = Mvn.sample m rng in
+      let s = (Mvn.sample_n m rng 1).(0) in
       Array.for_all Float.is_finite s)
 
 let () =
@@ -545,8 +480,6 @@ let () =
           Alcotest.test_case "gaussian KS" `Quick test_gaussian_ks;
           Alcotest.test_case "truncated bounds" `Quick
             test_truncated_gaussian_bounds;
-          Alcotest.test_case "lognormal positive" `Quick test_lognormal_positive;
-          Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
           Alcotest.test_case "quantile roundtrip" `Quick
             test_gaussian_quantile_roundtrip;
         ] );
@@ -565,9 +498,6 @@ let () =
         [
           Alcotest.test_case "sampling recovers parameters" `Quick
             test_mvn_sampling_recovers;
-          Alcotest.test_case "logpdf closed form" `Quick test_mvn_logpdf;
-          Alcotest.test_case "mahalanobis" `Quick test_mvn_mahalanobis;
-          Alcotest.test_case "marginal" `Quick test_mvn_marginal;
           Alcotest.test_case "borderline covariance repaired" `Quick
             test_mvn_repairs_borderline;
           QCheck_alcotest.to_alcotest prop_mvn_samples_finite;
@@ -579,14 +509,12 @@ let () =
             test_latin_hypercube_stratification;
           Alcotest.test_case "halton" `Quick test_halton_deterministic_and_spread;
           Alcotest.test_case "full factorial" `Quick test_full_factorial;
-          Alcotest.test_case "center and corners" `Quick test_center_and_corners;
           Alcotest.test_case "unit mapping roundtrip" `Quick
             test_unit_mapping_roundtrip;
           QCheck_alcotest.to_alcotest prop_lhs_inside_box;
         ] );
       ( "density",
         [
-          Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
           Alcotest.test_case "kde recovers gaussian" `Quick
             test_kde_gaussian_recovery;
           Alcotest.test_case "kde integrates to one" `Quick
@@ -598,9 +526,6 @@ let () =
           Alcotest.test_case "kde cutoff accuracy" `Quick
             test_kde_cutoff_accuracy;
           Alcotest.test_case "mvn sample_n" `Quick test_mvn_sample_n;
-          Alcotest.test_case "histogram auto range" `Quick
-            test_histogram_build_auto_range;
           Alcotest.test_case "ks two-sample" `Quick test_ks_two_sample;
-          Alcotest.test_case "total variation" `Quick test_total_variation;
         ] );
     ]

@@ -8,7 +8,7 @@ let tech = Tech.n14
 let vdd = 0.8
 
 let test_capture_with_early_data () =
-  let r = Seq.simulate_capture tech ~vdd ~data_rises:true ~d_to_clk:40e-12 in
+  let r = Seq.simulate_capture_gen tech ~vdd ~data_rises:true ~d_to_clk:40e-12 in
   Alcotest.(check bool) "captured" true r.Seq.captured;
   Alcotest.(check bool) "q at rail" true (r.Seq.q_final > 0.95 *. vdd);
   match r.Seq.clk_to_q with
@@ -20,12 +20,12 @@ let test_capture_with_early_data () =
   | None -> Alcotest.fail "expected a clk-to-q delay"
 
 let test_capture_fails_with_late_data () =
-  let r = Seq.simulate_capture tech ~vdd ~data_rises:true ~d_to_clk:(-10e-12) in
+  let r = Seq.simulate_capture_gen tech ~vdd ~data_rises:true ~d_to_clk:(-10e-12) in
   Alcotest.(check bool) "not captured" false r.Seq.captured;
   Alcotest.(check bool) "q stays low" true (r.Seq.q_final < 0.05 *. vdd)
 
 let test_capture_falling_data () =
-  let r = Seq.simulate_capture tech ~vdd ~data_rises:false ~d_to_clk:40e-12 in
+  let r = Seq.simulate_capture_gen tech ~vdd ~data_rises:false ~d_to_clk:40e-12 in
   Alcotest.(check bool) "captured zero" true r.Seq.captured;
   Alcotest.(check bool) "q low" true (r.Seq.q_final < 0.15 *. vdd)
 
@@ -38,9 +38,9 @@ let test_setup_time_properties () =
   (* Verification at the boundary: a bit more margin captures, a bit
      less fails. *)
   Alcotest.(check bool) "captures just above" true
-    (Seq.simulate_capture tech ~vdd ~data_rises:true ~d_to_clk:(ts +. 1e-12)).Seq.captured;
+    (Seq.simulate_capture_gen tech ~vdd ~data_rises:true ~d_to_clk:(ts +. 1e-12)).Seq.captured;
   Alcotest.(check bool) "fails just below" false
-    (Seq.simulate_capture tech ~vdd ~data_rises:true ~d_to_clk:(ts -. 1e-12)).Seq.captured
+    (Seq.simulate_capture_gen tech ~vdd ~data_rises:true ~d_to_clk:(ts -. 1e-12)).Seq.captured
 
 let test_setup_grows_at_low_vdd () =
   let nominal = Seq.setup_time ~resolution:2e-13 tech ~vdd ~data_rises:true in
@@ -72,12 +72,12 @@ let test_hold_time () =
 let test_input_validation () =
   Alcotest.check_raises "bad vdd"
     (Slc_obs.Slc_error.Invalid_input (Slc_obs.Slc_error.invalid ~site:"Seq.simulate_capture" "vdd must be > 0")) (fun () ->
-      ignore (Seq.simulate_capture tech ~vdd:0.0 ~data_rises:true ~d_to_clk:0.0));
+      ignore (Seq.simulate_capture_gen tech ~vdd:0.0 ~data_rises:true ~d_to_clk:0.0));
   Alcotest.check_raises "data before priming pulse"
     (Slc_obs.Slc_error.Invalid_input (Slc_obs.Slc_error.invalid ~site:"Seq.simulate_capture" "data edge would precede the priming pulse"))
     (fun () ->
       ignore
-        (Seq.simulate_capture tech ~vdd ~data_rises:true ~d_to_clk:60e-12))
+        (Seq.simulate_capture_gen tech ~vdd ~data_rises:true ~d_to_clk:60e-12))
 
 let () =
   Alcotest.run "seq"

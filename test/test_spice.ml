@@ -40,8 +40,6 @@ let test_netlist_building () =
   let net = Netlist.create () in
   let a = Netlist.fresh_node net "a" in
   let b = Netlist.fresh_node net "b" in
-  Alcotest.(check string) "name" "a" (Netlist.node_name net a);
-  Alcotest.(check string) "gnd" "gnd" (Netlist.node_name net Netlist.ground);
   Netlist.add_resistor net 1e3 ~a ~b;
   Netlist.add_capacitor net 1e-15 ~a:b ~b:Netlist.ground;
   Netlist.add_vsource net (Stimulus.dc 1.0) a;
@@ -108,16 +106,6 @@ let test_waveform_value_at () =
   check_close ~tol:1e-9 "interior" 0.2 (Waveform.value_at w 1.0);
   check_close ~tol:1e-9 "clamped left" 0.0 (Waveform.value_at w (-5.0));
   check_close ~tol:1e-9 "clamped right" 1.0 (Waveform.value_at w 50.0)
-
-let test_waveform_csv () =
-  let w = ramp_waveform () in
-  let s = Format.asprintf "%a" (fun ppf () -> Waveform.to_csv ppf [ ("v", w) ]) () in
-  let lines = String.split_on_char '\n' (String.trim s) in
-  Alcotest.(check int) "header + samples" (1 + Waveform.length w)
-    (List.length lines);
-  Alcotest.(check string) "header" "time,v" (List.hd lines);
-  Alcotest.check_raises "empty" (Slc_obs.Slc_error.Invalid_input (Slc_obs.Slc_error.invalid ~site:"Waveform.to_csv" "no waveforms"))
-    (fun () -> Waveform.to_csv Format.str_formatter [])
 
 let test_cross_time_after_skips () =
   (* A wave crossing the level twice: ~after selects the second. *)
@@ -247,13 +235,13 @@ let test_charge_conservation_rc () =
 
 let test_breakpoints_hit () =
   let stim = Stimulus.ramp ~t0:1e-12 ~duration:2e-12 ~v_from:0.0 ~v_to:1.0 in
-  let net, _ = rc_netlist ~r:1e3 ~c:1e-15 ~stim in
+  let net, nout = rc_netlist ~r:1e3 ~c:1e-15 ~stim in
   let opts =
     { (Transient.default_options ~tstop:1e-11) with
       breakpoints = Stimulus.breakpoints ~t0:1e-12 ~duration:2e-12 }
   in
   let res = Transient.run opts net in
-  let times = Transient.times res in
+  let times = ((Transient.waveform res nout).Waveform.times :> float array) in
   let has t0 =
     Array.exists (fun t -> Float.abs (t -. t0) < 1e-18) times
   in
@@ -303,10 +291,18 @@ let test_trapezoidal_more_accurate () =
 let test_dc_sweep_inverter_vtc () =
   let tech = Tech.n14 in
   let vdd = 0.8 in
-  let net, nin, nout = inverter_netlist tech vdd in
-  Netlist.add_vsource net (Stimulus.dc 0.0) nin;
   let vins = Slc_num.Vec.linspace 0.0 vdd 17 in
-  let sols = Transient.dc_sweep net ~node:nin ~values:vins in
+  let nout = ref 0 in
+  let sols =
+    Array.map
+      (fun vin ->
+        let net, nin, out = inverter_netlist tech vdd in
+        Netlist.add_vsource net (Stimulus.dc vin) nin;
+        nout := out;
+        Transient.dc_operating_point net ~at:0.0)
+      vins
+  in
+  let nout = !nout in
   Alcotest.(check int) "one solution per point" 17 (Array.length sols);
   (* Rails at the ends... *)
   Alcotest.(check bool) "out high at vin=0" true (sols.(0).(nout) > 0.98 *. vdd);
@@ -328,12 +324,6 @@ let test_dc_sweep_inverter_vtc () =
   in
   Alcotest.(check bool) "threshold near mid rail" true
     (vm > 0.25 *. vdd && vm < 0.75 *. vdd)
-
-let test_dc_sweep_requires_pinned_node () =
-  let net, nout = rc_netlist ~r:1e3 ~c:1e-15 ~stim:(Stimulus.dc 1.0) in
-  Alcotest.check_raises "free node rejected"
-    (Slc_obs.Slc_error.Invalid_input (Slc_obs.Slc_error.invalid ~site:"Transient.dc_sweep" "node must be driven by a source"))
-    (fun () -> ignore (Transient.dc_sweep net ~node:nout ~values:[| 0.0 |]))
 
 let test_rc_ladder_matches_expm () =
   (* A 4-node RC ladder driven by a fast step, checked against the
@@ -427,7 +417,7 @@ let test_recovery_ladder () =
     }
   in
   let c = Transient.compile net in
-  (match Transient.run_compiled opts c with
+  (match Transient.run_recovered ~max_recovery:0 opts c with
   | _ -> Alcotest.fail "expected No_convergence at abstol = 1e-30"
   | exception Slc_obs.Slc_error.No_convergence d ->
     Alcotest.(check bool)
@@ -469,31 +459,6 @@ let test_recovery_exhaustion_reports_rungs () =
           true
           (List.mem rung d.Slc_obs.Slc_error.recovery))
       [ "tight-step"; "gmin-boost"; "relaxed-tol" ]
-
-let test_dc_sweep_restores_state () =
-  (* Regression: the sweep used to leave the compiled circuit's swept
-     stimulus at the last sweep value (and the fallback solved at the
-     WRONG voltage), corrupting cached templates.  After a sweep the
-     same compiled object must still simulate with its original
-     stimulus. *)
-  let tech = Tech.n14 in
-  let vdd = 0.8 in
-  let net, nin, nout = inverter_netlist tech vdd in
-  Netlist.add_vsource net (Stimulus.dc 0.0) nin;
-  let c = Transient.compile net in
-  let vins = Slc_num.Vec.linspace 0.0 vdd 9 in
-  let sols = Transient.dc_sweep_compiled c ~node:nin ~values:vins in
-  Alcotest.(check bool) "sweep reaches low rail" true
-    (sols.(8).(nout) < 0.02 *. vdd);
-  (* vin must be back at DC 0: output high, both at DC and transient. *)
-  let v = ref [||] in
-  v := Transient.dc_sweep_compiled c ~node:nin ~values:[| 0.0 |];
-  Alcotest.(check bool) "second sweep still works" true
-    ((!v).(0).(nout) > 0.98 *. vdd);
-  let res = Transient.run_compiled (Transient.default_options ~tstop:1e-11) c in
-  let w = Transient.waveform res nout in
-  Alcotest.(check bool) "original stimulus restored after sweep" true
-    (Waveform.final_value w > 0.95 *. vdd)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -540,7 +505,6 @@ let () =
           Alcotest.test_case "delay measurement" `Quick test_waveform_delay;
           Alcotest.test_case "value_at" `Quick test_waveform_value_at;
           Alcotest.test_case "validation" `Quick test_waveform_validation;
-          Alcotest.test_case "csv export" `Quick test_waveform_csv;
           Alcotest.test_case "after-crossing skip" `Quick
             test_cross_time_after_skips;
         ] );
@@ -559,8 +523,6 @@ let () =
           Alcotest.test_case "trapezoidal accuracy" `Quick
             test_trapezoidal_more_accurate;
           Alcotest.test_case "dc sweep VTC" `Quick test_dc_sweep_inverter_vtc;
-          Alcotest.test_case "dc sweep validation" `Quick
-            test_dc_sweep_requires_pinned_node;
           Alcotest.test_case "RC ladder matches matrix exponential" `Quick
             test_rc_ladder_matches_expm;
           QCheck_alcotest.to_alcotest prop_rc_monotone_rise;
@@ -571,7 +533,5 @@ let () =
             test_recovery_ladder;
           Alcotest.test_case "recovery exhaustion reports rungs" `Quick
             test_recovery_exhaustion_reports_rungs;
-          Alcotest.test_case "dc sweep restores state" `Quick
-            test_dc_sweep_restores_state;
         ] );
     ]

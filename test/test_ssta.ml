@@ -75,7 +75,7 @@ let test_chain_longer_is_slower () =
 let test_chain_seed_sensitivity () =
   let ch = small_chain () in
   let rng = Slc_prob.Rng.create 4 in
-  let seed = Process.sample rng tech 0 in
+  let seed = (Process.sample_batch rng tech 1).(0) in
   let a = (Chain.simulate ch ~sin ~vdd ~in_rises:true).Chain.total_delay in
   let b = (Chain.simulate ~seed ch ~sin ~vdd ~in_rises:true).Chain.total_delay in
   Alcotest.(check bool) "seed moves delay" true (Float.abs (a -. b) > 1e-16)
@@ -106,8 +106,8 @@ let test_oracle_library () =
       let p = { Harness.sin; cload; vdd } in
       let d, s = oracle.Oracle.query again p in
       Alcotest.(check bool) "bitwise Library.delay/slew" true
-        (Int64.bits_of_float d = Int64.bits_of_float (Library.delay lib arc p)
-        && Int64.bits_of_float s = Int64.bits_of_float (Library.slew lib arc p)))
+        (Int64.bits_of_float d = Int64.bits_of_float (Helpers.library_delay lib arc p)
+        && Int64.bits_of_float s = Int64.bits_of_float (Helpers.library_slew lib arc p)))
     [ 0.0; 2e-15; 9e-15 ];
   let missing = Arc.find Cells.nor2 ~pin:"A" ~out_dir:Arc.Rise in
   Alcotest.check_raises "missing arc" Not_found (fun () ->
@@ -539,6 +539,25 @@ let test_dag_loads_sum () =
   let z = Sdag.gate dag Cells.inv ~pins:[ ("A", a) ] "z" in
   Alcotest.(check int64) "no load" 0L (Int64.bits_of_float (Sdag.net_cap dag z))
 
+(* A net of another graph is refused, like [net_name] refuses it: both
+   one whose index lies inside this graph's grown arrays and one beyond
+   them. *)
+let test_dag_net_cap_foreign_net () =
+  let small = Sdag.create tech ~vdd in
+  ignore (Sdag.input small "only");
+  let big = Sdag.create tech ~vdd in
+  let nets = List.init 20 (fun i -> Sdag.input big (Printf.sprintf "i%d" i)) in
+  let unknown =
+    Slc_obs.Slc_error.Invalid_input
+      (Slc_obs.Slc_error.invalid ~site:"Sdag" "unknown net")
+  in
+  Alcotest.check_raises "inside the capacity" unknown (fun () ->
+      ignore (Sdag.net_cap small (List.nth nets 4)));
+  Alcotest.check_raises "beyond the capacity" unknown (fun () ->
+      ignore (Sdag.net_cap small (List.nth nets 19)));
+  Alcotest.check_raises "net_name agrees" unknown (fun () ->
+      ignore (Sdag.net_name small (List.nth nets 4)))
+
 let test_dag_single_edge_propagation () =
   let dag, _, _, out = simple_dag () in
   let oracle = Oracle.of_simulator tech in
@@ -712,7 +731,7 @@ let test_dag_fanout_adds_load () =
     let n1 = Sdag.gate dag Cells.inv ~pins:[ ("A", x) ] "n1" in
     let out = Sdag.gate dag Cells.inv ~pins:[ ("A", n1) ] "out" in
     if extra then
-      ignore (Sdag.gate dag Cells.nand4 ~pins:[ ("A", n1); ("B", n1); ("C", n1); ("D", n1) ] "sink");
+      ignore (Sdag.gate dag (Cells.by_name "NAND4") ~pins:[ ("A", n1); ("B", n1); ("C", n1); ("D", n1) ] "sink");
     Sdag.set_load dag out 1e-15;
     let input_arrivals _ = Sdag.input_edge ~at:0.0 ~slew:sin ~rises:true in
     match Sdag.at_edge (Sdag.analyze dag oracle ~input_arrivals out) ~rises:true with
@@ -1466,6 +1485,8 @@ let () =
             test_dag_pin_order_free;
           Alcotest.test_case "explicit loads sum (bitwise)" `Quick
             test_dag_loads_sum;
+          Alcotest.test_case "net_cap rejects a foreign net" `Quick
+            test_dag_net_cap_foreign_net;
           Alcotest.test_case "single-edge propagation" `Quick
             test_dag_single_edge_propagation;
           Alcotest.test_case "max semantics" `Slow test_dag_max_semantics;

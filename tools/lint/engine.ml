@@ -22,11 +22,16 @@
                               float physical equality in functions
                               reachable from the bitwise-contract
                               entry points
+     R8  dead-export          a [val] in a lib/ .mli that no shipped
+                              implementation outside its own module
+                              references
 
    R1–R4 are per-function; R5–R7 run over a module-qualified def/use
    call graph resolved across every scanned compilation unit (see
    "Call graph" below for the documented conservative treatment of
-   higher-order and functor-opaque calls).  Every rule can be silenced
+   higher-order and functor-opaque calls).  R8 reads the interfaces
+   ([.cmti]) of lib/ and every non-test [.cmt] of the build tree.
+   Every rule can be silenced
    at a use site with a reasoned annotation:
 
      [@slc.raw_exn "reason"]      silences R1
@@ -40,13 +45,15 @@
                                   (definition- or expression-level)
      [@slc.det_root]              R7: extra determinism root (marker,
                                   no reason required)
+     [@@slc.test_only "contract"] R8: a test pins shipped behaviour
+                                  through this export
 
    This module only unmarshals cmt files and walks saved trees; it
    never queries the type environment, so it needs no load path. *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8 ]
 
 let rule_id = function
   | R1 -> "R1"
@@ -56,6 +63,7 @@ let rule_id = function
   | R5 -> "R5"
   | R6 -> "R6"
   | R7 -> "R7"
+  | R8 -> "R8"
 
 let rule_name = function
   | R1 -> "error-taxonomy"
@@ -65,6 +73,7 @@ let rule_name = function
   | R5 -> "transitive-hot-alloc"
   | R6 -> "lock-order"
   | R7 -> "determinism"
+  | R8 -> "dead-export"
 
 let rule_of_id = function
   | "R1" -> Some R1
@@ -74,6 +83,7 @@ let rule_of_id = function
   | "R5" -> Some R5
   | "R6" -> Some R6
   | "R7" -> Some R7
+  | "R8" -> Some R8
   | _ -> None
 
 type finding = {
@@ -1095,15 +1105,14 @@ let walk_def univ u (def : def) =
 (* ------------------------------------------------------------------ *)
 (* Universe construction *)
 
-let build_universe (loaded : (string * string * bool * Typedtree.structure) list)
-    =
-  (* loaded: (src, cmt_modname, lib_scope, structure) *)
+(* The dune wrapper names the given cmt module names declare:
+   "Slc_cell__Harness" declares "Slc_cell", "Dune__exe__Slc_cli"
+   declares "Dune__exe". *)
+let wrappers_of modnames =
   let wrappers = Hashtbl.create 16 in
   Hashtbl.replace wrappers "Stdlib" ();
   List.iter
-    (fun (_, modname, _, _) ->
-      (* "Slc_cell__Harness" declares wrapper "Slc_cell";
-         "Dune__exe__Slc_cli" declares "Dune__exe". *)
+    (fun modname ->
       let n = String.length modname in
       let rec last i best =
         if i + 1 >= n then best
@@ -1113,7 +1122,13 @@ let build_universe (loaded : (string * string * bool * Typedtree.structure) list
       match last 0 (-1) with
       | -1 -> ()
       | i -> Hashtbl.replace wrappers (String.sub modname 0 i) ())
-    loaded;
+    modnames;
+  wrappers
+
+let build_universe (loaded : (string * string * bool * Typedtree.structure) list)
+    =
+  (* loaded: (src, cmt_modname, lib_scope, structure) *)
+  let wrappers = wrappers_of (List.map (fun (_, m, _, _) -> m) loaded) in
   let univ = { units = []; defs = Hashtbl.create 256; wrappers; ufindings = [] } in
   let units =
     List.map
@@ -1594,6 +1609,153 @@ let check_interproc_annotations univ =
     (all_defs univ)
 
 (* ================================================================== *)
+(* R8: dead exports.
+
+   A [val] in a lib/ interface is a finding unless an implementation
+   outside its own unit references it.  Exports come from the [.cmti]
+   files.  References come from one [Tast_iterator] pass over every
+   implementation that is not a test ([is_test_source]): it sees every
+   [Texp_ident], inside functor bodies and toplevel [let () =] items
+   too, where the R5–R7 call graph records only calls made inside
+   named bindings.  A reference is canonicalized through dune's
+   wrapper mangling ([canonical_name]) and through the unit's own
+   module aliases ([module L = Slc_num.Linalg], also [let module]).
+   Test references are collected separately, only to word the finding.
+
+   The one escape is [val f : … [@@slc.test_only "contract"]], for an
+   export a test uses as a reference or an observation point for
+   behaviour shipped code still has; the reason is required.  Values
+   only; types, exceptions and module types are out of scope. *)
+
+type export = {
+  x_name : string;  (* unit-qualified, e.g. "Parallel.Slot.get" *)
+  x_src : string;
+  x_loc : Location.t;
+  x_attrs : Parsetree.attributes;
+}
+
+let rec sig_exports ~src prefix (sg : Typedtree.signature) =
+  List.concat_map
+    (fun (item : Typedtree.signature_item) ->
+      match item.sig_desc with
+      | Tsig_value vd ->
+        [
+          {
+            x_name = prefix ^ "." ^ vd.val_name.txt;
+            x_src = src;
+            x_loc = vd.val_loc;
+            x_attrs = vd.val_attributes;
+          };
+        ]
+      | Tsig_module
+          {
+            md_name = { txt = Some name; _ };
+            md_type = { mty_desc = Tmty_signature sub; _ };
+            _;
+          } ->
+        sig_exports ~src (prefix ^ "." ^ name) sub
+      | _ -> [])
+    sg.sig_items
+
+let is_test_source src =
+  List.mem "test" (String.split_on_char '/' (Filename.dirname src))
+
+(* Adds to [acc] the canonical name of every value [str] references,
+   bound to the referencing unit.  A path rooted at a local ident (a
+   value or submodule of the unit itself) is qualified by the unit's
+   module, so own-unit uses are recognizable; stdlib paths are
+   dropped. *)
+let unit_references univ ~unit_mod (str : Typedtree.structure) acc =
+  let aliases : (string, string) Hashtbl.t = Hashtbl.create 8 in
+  let rec raw (p : Path.t) =
+    match p with
+    | Pident id -> (
+      match Hashtbl.find_opt aliases (Ident.unique_name id) with
+      | Some target -> target
+      | None when Ident.persistent id -> Ident.name id
+      | None -> unit_mod ^ "." ^ Ident.name id)
+    | Pdot (q, s) -> raw q ^ "." ^ s
+    | _ -> Path.name p
+  in
+  let is_stdlib name = has_prefix "Stdlib." name || has_prefix "Stdlib__" name in
+  let alias id (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _)
+    | Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _) ->
+      Hashtbl.replace aliases (Ident.unique_name id)
+        (canonical_name univ (raw p))
+    | _ -> ()
+  in
+  let default = Tast_iterator.default_iterator in
+  let structure_item sub (item : Typedtree.structure_item) =
+    (match item.str_desc with
+    | Tstr_module { mb_id = Some id; mb_expr; _ } -> alias id mb_expr
+    | _ -> ());
+    default.structure_item sub item
+  in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) ->
+      let name = raw p in
+      if not (is_stdlib name) then
+        Hashtbl.add acc (canonical_name univ name) unit_mod
+    | Texp_letmodule (Some id, _, _, me, _) -> alias id me
+    | _ -> ());
+    default.expr sub e
+  in
+  let it = { default with structure_item; expr } in
+  it.structure it str
+
+(* [interfaces]: (src, cmt modname, signature) of the checked units;
+   [shipped] and [tests]: (src, cmt modname, structure) of the
+   implementations whose references count and of the test ones. *)
+let check_r8 ~interfaces ~shipped ~tests =
+  let modnames l = List.map (fun (_, m, _) -> m) l in
+  let wrappers =
+    wrappers_of (modnames interfaces @ modnames shipped @ modnames tests)
+  in
+  let univ = { units = []; defs = Hashtbl.create 1; wrappers; ufindings = [] } in
+  (* canonical name -> the units referencing it *)
+  let refs units =
+    let acc = Hashtbl.create 4096 in
+    List.iter
+      (fun (_, modname, str) ->
+        unit_references univ ~unit_mod:(after_dunder modname) str acc)
+      units;
+    Hashtbl.find_all acc
+  in
+  let shipped_refs = refs shipped and test_refs = refs tests in
+  List.iter
+    (fun (src, modname, sg) ->
+      let unit_mod = after_dunder modname in
+      List.iter
+        (fun x ->
+          let users = shipped_refs x.x_name in
+          let outside = List.exists (fun u -> u <> unit_mod) users in
+          let report = ureport univ R8 x.x_src x.x_loc in
+          match find_annot "slc.test_only" x.x_attrs with
+          | Unreasoned ->
+            report
+              "[@@slc.test_only] annotation needs a reason string: the \
+               contract the test pins"
+          | Reasoned -> ()
+          | No_annot ->
+            if not outside then
+              report
+                (Printf.sprintf "[%s] is exported but %s" x.x_name
+                   (if test_refs x.x_name <> [] then
+                      "only tests reference it outside its own module — \
+                       delete it with its tests, or annotate \
+                       [@@slc.test_only \"contract\"] if a test pins \
+                       shipped behaviour through it"
+                    else if users <> [] then
+                      "only its own module uses it — drop it from the .mli"
+                    else "nothing references it — delete it")))
+        (sig_exports ~src unit_mod sg))
+    interfaces;
+  univ.ufindings
+
+(* ================================================================== *)
 (* Driver *)
 
 let in_lib_scope src =
@@ -1627,13 +1789,22 @@ let interproc_findings ?(rules = all_rules) univ =
   let keep f = List.mem f.rule rules in
   List.filter keep univ.ufindings
 
-let read_unit path =
+(* (source path, cmt module name, typed tree) of a .cmt or .cmti. *)
+let read_annots path =
   let cmt = Cmt_format.read_cmt path in
   let src =
     match cmt.cmt_sourcefile with Some s -> s | None -> Filename.basename path
   in
-  match cmt.cmt_annots with
-  | Cmt_format.Implementation str -> Some (src, cmt.cmt_modname, str)
+  (src, cmt.cmt_modname, cmt.cmt_annots)
+
+let read_unit path =
+  match read_annots path with
+  | src, modname, Cmt_format.Implementation str -> Some (src, modname, str)
+  | _ -> None
+
+let read_interface path =
+  match read_annots path with
+  | src, modname, Cmt_format.Interface sg -> Some (src, modname, sg)
   | _ -> None
 
 (* Lint one cmt file: R1–R4 per structure plus R5–R7 over a
@@ -1652,8 +1823,7 @@ let lint_cmt ?(treat_as_lib = false) ?(rules = all_rules) path =
     List.sort compare_finding (List.rev_append inter per_unit)
 
 (* ------------------------------------------------------------------ *)
-(* cmt discovery: walk _build/default for *.cmt whose recorded source
-   file falls under one of the requested prefixes. *)
+(* cmt discovery: walk _build/default for every *.cmt and *.cmti. *)
 
 let rec walk dir acc =
   match Sys.readdir dir with
@@ -1662,7 +1832,9 @@ let rec walk dir acc =
       (fun acc name ->
         let p = Filename.concat dir name in
         if Sys.is_directory p then walk p acc
-        else if Filename.check_suffix name ".cmt" then p :: acc
+        else if
+          Filename.check_suffix name ".cmt" || Filename.check_suffix name ".cmti"
+        then p :: acc
         else acc)
       acc entries
   | exception Sys_error _ -> acc
@@ -1675,7 +1847,9 @@ let source_matches prefixes src =
       || (String.length src >= String.length p && String.sub src 0 (String.length p) = p))
     prefixes
 
-let load_tree ~build_root prefixes =
+(* Every typed tree of the build, one per source file, sorted by source
+   so the result does not depend on readdir order. *)
+let load_tree ~build_root =
   (* Accept either a source checkout (scan its _build/default) or a
      position already inside the compiled tree (dune actions run in
      _build/default). *)
@@ -1687,32 +1861,65 @@ let load_tree ~build_root prefixes =
   if not (Sys.file_exists root && Sys.is_directory root) then
     Error (Printf.sprintf "no build tree at %s (run `dune build @check` first)" root)
   else begin
-    let cmts = walk root [] in
     let seen_src = Hashtbl.create 64 in
     let units =
       List.fold_left
-        (fun acc cmt_path ->
-          match read_unit cmt_path with
+        (fun acc path ->
+          match read_annots path with
           | exception _ -> acc (* stale or foreign cmt: not ours to judge *)
-          | None -> acc
-          | Some (src, modname, str) ->
-            if source_matches prefixes src && not (Hashtbl.mem seen_src src)
-            then begin
+          | (src, _, _) as u ->
+            if Hashtbl.mem seen_src src then acc
+            else begin
               Hashtbl.add seen_src src ();
-              (src, modname, str) :: acc
-            end
-            else acc)
-        [] cmts
+              u :: acc
+            end)
+        [] (walk root [])
     in
-    (* Deterministic unit order regardless of readdir order. *)
-    Ok
-      (List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) units)
+    Ok (List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) units)
   end
 
+let implementations units =
+  List.filter_map
+    (fun (src, modname, annots) ->
+      match annots with
+      | Cmt_format.Implementation str -> Some (src, modname, str)
+      | _ -> None)
+    units
+
+let matching prefixes units =
+  List.filter (fun (src, _, _) -> source_matches prefixes src) units
+
+(* R8 over a build tree: the lib/ interfaces under [prefixes] against
+   every implementation in the tree. *)
+let dead_exports_tree prefixes units =
+  let interfaces =
+    List.filter_map
+      (fun (src, modname, annots) ->
+        match annots with
+        | Cmt_format.Interface sg
+          when has_prefix "lib/" src && source_matches prefixes src ->
+          Some (src, modname, sg)
+        | _ -> None)
+      units
+  in
+  let tests, shipped =
+    List.partition (fun (src, _, _) -> is_test_source src) (implementations units)
+  in
+  check_r8 ~interfaces ~shipped ~tests
+
+(* R8 over explicit files, for the fixture tests. *)
+let dead_exports ~interfaces ~shipped ~tests =
+  let units read = List.filter_map read in
+  List.sort compare_finding
+    (check_r8
+       ~interfaces:(units read_interface interfaces)
+       ~shipped:(units read_unit shipped) ~tests:(units read_unit tests))
+
 let lint_tree ~build_root ~treat_as_lib ?(rules = all_rules) prefixes =
-  match load_tree ~build_root prefixes with
+  match load_tree ~build_root with
   | Error _ as e -> e
-  | Ok units ->
+  | Ok all ->
+    let units = matching prefixes (implementations all) in
     let per_unit =
       List.concat_map
         (fun (src, _, str) ->
@@ -1728,19 +1935,22 @@ let lint_tree ~build_root ~treat_as_lib ?(rules = all_rules) prefixes =
            units)
     in
     let inter = interproc_findings ~rules univ in
+    let dead = if List.mem R8 rules then dead_exports_tree prefixes all else [] in
     Ok
-      ( List.sort compare_finding (List.rev_append inter per_unit),
+      ( List.sort compare_finding (List.concat [ inter; per_unit; dead ]),
         List.length units )
 
 (* Resolved call graph of a build tree (or of single cmts), one
    "caller -> callee" line per edge, for --dump-callgraph. *)
 let callgraph_tree ~build_root prefixes =
-  match load_tree ~build_root prefixes with
+  match load_tree ~build_root with
   | Error _ as e -> e
-  | Ok units ->
+  | Ok all ->
     let univ =
       build_universe
-        (List.map (fun (src, modname, str) -> (src, modname, true, str)) units)
+        (List.map
+           (fun (src, modname, str) -> (src, modname, true, str))
+           (matching prefixes (implementations all)))
     in
     Ok (callgraph_lines univ)
 

@@ -8,6 +8,9 @@
 
    PATHs are build-root-relative source prefixes (e.g. `lib`); any PATH
    ending in `.cmt` is linted directly instead (fixture/debug use).
+   Rules are R1..R8; R8 (dead-export) checks the lib/ interfaces under
+   the PATHs against every non-test implementation in the build tree,
+   so it runs over prefixes only, not over single .cmt files.
 
    Stale baseline entries (keys that no longer fire) are always
    reported; --forbid-stale additionally makes them fail the run, so a
@@ -22,7 +25,10 @@ let usage () =
   prerr_endline
     "usage: slc_lint [--build-root DIR] [--baseline FILE] \
      [--update-baseline] [--forbid-stale] [--treat-as-lib] \
-     [--rules R1,R5,...] [--json FILE] [--dump-callgraph] PATH...";
+     [--rules R1,R5,...] [--json FILE] [--dump-callgraph] PATH...\n\
+     rules: R1 error-taxonomy, R2 domain-safety, R3 hot-path-alloc, \
+     R4 exception-safety, R5 transitive-hot-alloc, R6 lock-order, \
+     R7 determinism, R8 dead-export";
   exit 2
 
 let parse_rules s =
@@ -32,7 +38,7 @@ let parse_rules s =
       match Engine.rule_of_id (String.trim id) with
       | Some r -> r
       | None ->
-        Printf.eprintf "slc_lint: unknown rule %S (known: R1..R7)\n" id;
+        Printf.eprintf "slc_lint: unknown rule %S (known: R1..R8)\n" id;
         exit 2)
     (List.filter (fun id -> String.trim id <> "") ids)
 

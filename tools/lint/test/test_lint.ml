@@ -13,6 +13,8 @@ let cmt name =
   Filename.concat "fixtures/.slc_lint_fixtures.objs/byte"
     ("slc_lint_fixtures__" ^ name ^ ".cmt")
 
+let cmti name = cmt name ^ "i"
+
 let findings ?treat_as_lib name =
   Engine.lint_cmt ?treat_as_lib (cmt name)
 
@@ -66,6 +68,52 @@ let test_r7 =
 let test_r7_clean = check_fixture "Fix_r7_clean" []
 
 let test_clean = check_fixture "Fix_clean" []
+
+(* R8 reads Fix_r8's interface against Fix_r8 and Fix_r8_user as
+   shipped code and Fix_r8_test as a test (over a build tree the split
+   is by source directory, see [test_r8_test_sources]). *)
+let r8_findings () =
+  Engine.dead_exports ~interfaces:[ cmti "Fix_r8" ]
+    ~shipped:[ cmt "Fix_r8"; cmt "Fix_r8_user" ]
+    ~tests:[ cmt "Fix_r8_test" ]
+
+(* Clean: used_elsewhere, pinned (annotated with a reason), via_alias
+   (module alias), at_toplevel (let () =), in_functor (functor body).
+   Findings: test_only (line 6), own_only (8), unreasoned (12). *)
+let test_r8 () =
+  Alcotest.check hits "Fix_r8" [ ("R8", 6); ("R8", 8); ("R8", 12) ]
+    (summarize (r8_findings ()))
+
+let test_r8_reports () =
+  let fs = r8_findings () in
+  let test_only = message_at fs 6 in
+  Alcotest.(check bool)
+    "test-only export: named, with both fixes" true
+    (has_sub test_only "[Fix_r8.test_only]"
+    && has_sub test_only "only tests reference it"
+    && has_sub test_only "slc.test_only");
+  Alcotest.(check bool)
+    "own-module export: drop it from the .mli" true
+    (has_sub (message_at fs 8) "only its own module uses it");
+  Alcotest.(check bool)
+    "annotation without a reason" true
+    (has_sub (message_at fs 12) "needs a reason string")
+
+(* Over a build tree, references from a source under a test/ directory
+   do not count; the fixtures themselves live under one. *)
+let test_r8_test_sources () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check bool) src expected (Engine.is_test_source src))
+    [
+      ("test/test_num.ml", true);
+      ("perfbench/test/test_perfbench.ml", true);
+      ("tools/lint/test/fixtures/fix_r8_user.ml", true);
+      ("lib/num/vec.ml", false);
+      ("perfbench/ssta.ml", false);
+      ("examples/quickstart.ml", false);
+      ("lib/test_like.ml", false);
+    ]
 
 (* Without --treat-as-lib the fixtures are out of R1's lib/ scope, so
    only the scope-independent rules remain. *)
@@ -142,7 +190,9 @@ let test_rule_filter () =
     (summarize only_r7);
   let only_r5 = Engine.lint_cmt ~treat_as_lib:true ~rules:[ Engine.R5 ] (cmt "Fix_r5") in
   Alcotest.check hits "R5 fixture still fires under --rules R5" [ ("R5", 2) ]
-    (summarize only_r5)
+    (summarize only_r5);
+  Alcotest.(check bool) "R8 is a rule id" true
+    (Engine.rule_of_id "R8" = Some Engine.R8)
 
 (* The resolved def/use graph behind R5–R7 (--dump-callgraph). *)
 let test_callgraph () =
@@ -230,6 +280,8 @@ let () =
           Alcotest.test_case "R6 clean fixture is silent" `Quick test_r6_clean;
           Alcotest.test_case "R7 determinism" `Quick test_r7;
           Alcotest.test_case "R7 clean fixture is silent" `Quick test_r7_clean;
+          Alcotest.test_case "R8 dead-export" `Quick test_r8;
+          Alcotest.test_case "R8 test sources" `Quick test_r8_test_sources;
           Alcotest.test_case "clean fixture is silent" `Quick test_clean;
           Alcotest.test_case "R1 scoped to lib/" `Quick test_r1_scope;
           Alcotest.test_case "per-rule enable flags" `Quick test_rule_filter;
@@ -240,6 +292,7 @@ let () =
           Alcotest.test_case "R5 call-chain text" `Quick test_r5_chain;
           Alcotest.test_case "R6 cycle and blocking text" `Quick test_r6_reports;
           Alcotest.test_case "R7 root-chain text" `Quick test_r7_reports;
+          Alcotest.test_case "R8 finding text" `Quick test_r8_reports;
           Alcotest.test_case "call-graph dump" `Quick test_callgraph;
           Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
           Alcotest.test_case "stale baseline keys" `Quick test_stale_keys;
