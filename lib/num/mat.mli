@@ -45,8 +45,8 @@ val gram_into : t -> t -> unit
     identical to the allocating form. *)
 
 val tmul_vec_into : t -> Vec.t -> Vec.t -> unit
-(** [tmul_vec_into m v out] is [tmul_vec] into a pre-allocated [out]
-    (length [cols m]), bitwise identical to the allocating form. *)
+(** [tmul_vec_into m v out] stores [m^T * v] into a pre-allocated [out]
+    (length [cols m]) without forming the transpose. *)
 
 val add_ridge_into : t -> float -> t -> unit
 (** [add_ridge_into m lambda out] is [add_ridge] into a pre-allocated
