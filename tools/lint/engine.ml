@@ -1105,14 +1105,15 @@ let walk_def univ u (def : def) =
 (* ------------------------------------------------------------------ *)
 (* Universe construction *)
 
-(* The dune wrapper names the given cmt module names declare:
-   "Slc_cell__Harness" declares "Slc_cell", "Dune__exe__Slc_cli"
-   declares "Dune__exe". *)
-let wrappers_of modnames =
+let build_universe (loaded : (string * string * bool * Typedtree.structure) list)
+    =
+  (* loaded: (src, cmt_modname, lib_scope, structure) *)
   let wrappers = Hashtbl.create 16 in
   Hashtbl.replace wrappers "Stdlib" ();
   List.iter
-    (fun modname ->
+    (fun (_, modname, _, _) ->
+      (* "Slc_cell__Harness" declares wrapper "Slc_cell";
+         "Dune__exe__Slc_cli" declares "Dune__exe". *)
       let n = String.length modname in
       let rec last i best =
         if i + 1 >= n then best
@@ -1122,13 +1123,7 @@ let wrappers_of modnames =
       match last 0 (-1) with
       | -1 -> ()
       | i -> Hashtbl.replace wrappers (String.sub modname 0 i) ())
-    modnames;
-  wrappers
-
-let build_universe (loaded : (string * string * bool * Typedtree.structure) list)
-    =
-  (* loaded: (src, cmt_modname, lib_scope, structure) *)
-  let wrappers = wrappers_of (List.map (fun (_, m, _, _) -> m) loaded) in
+    loaded;
   let univ = { units = []; defs = Hashtbl.create 256; wrappers; ufindings = [] } in
   let units =
     List.map
@@ -1618,17 +1613,44 @@ let check_interproc_annotations univ =
    [Texp_ident], inside functor bodies and toplevel [let () =] items
    too, where the R5–R7 call graph records only calls made inside
    named bindings.  A reference is canonicalized through dune's
-   wrapper mangling ([canonical_name]) and through the unit's own
-   module aliases ([module L = Slc_num.Linalg], also [let module]).
-   Test references are collected separately, only to word the finding.
+   wrapper mangling ([r8_name]) and through the unit's own module
+   aliases ([module L = Slc_num.Linalg], also [let module]).  Unlike
+   [canonical_name], [r8_name] keeps the library: lib/server's [Engine]
+   and tools/lint's [Engine] are different units.  Test references are
+   collected separately, only to word the finding.
 
    The one escape is [val f : … [@@slc.test_only "contract"]], for an
    export a test uses as a reference or an observation point for
    behaviour shipped code still has; the reason is required.  Values
    only; types, exceptions and module types are out of scope. *)
 
+(* "Slc_cell__Harness.simulate" and "Slc_cell.Harness.simulate" both
+   become "Slc_cell.Harness.simulate"; "Dune__exe__Slc_cli" becomes
+   "Dune.exe.Slc_cli". *)
+let r8_name name =
+  let rec dunder_parts c =
+    let n = String.length c in
+    let rec find i =
+      if i + 1 >= n then None
+      else if c.[i] = '_' && c.[i + 1] = '_' then Some i
+      else find (i + 1)
+    in
+    match find 0 with
+    | None -> [ c ]
+    | Some i -> String.sub c 0 i :: dunder_parts (String.sub c (i + 2) (n - i - 2))
+  in
+  String.split_on_char '.' name
+  |> List.concat_map (fun c ->
+         let c =
+           if c <> "" && c.[String.length c - 1] = '!' then
+             String.sub c 0 (String.length c - 1)
+           else c
+         in
+         List.filter (fun p -> p <> "") (dunder_parts c))
+  |> String.concat "."
+
 type export = {
-  x_name : string;  (* unit-qualified, e.g. "Parallel.Slot.get" *)
+  x_name : string;  (* e.g. "Slc_num.Parallel.Slot.get" *)
   x_src : string;
   x_loc : Location.t;
   x_attrs : Parsetree.attributes;
@@ -1665,7 +1687,7 @@ let is_test_source src =
    value or submodule of the unit itself) is qualified by the unit's
    module, so own-unit uses are recognizable; stdlib paths are
    dropped. *)
-let unit_references univ ~unit_mod (str : Typedtree.structure) acc =
+let unit_references ~unit_mod (str : Typedtree.structure) acc =
   let aliases : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let rec raw (p : Path.t) =
     match p with
@@ -1682,8 +1704,7 @@ let unit_references univ ~unit_mod (str : Typedtree.structure) acc =
     match me.mod_desc with
     | Tmod_ident (p, _)
     | Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _) ->
-      Hashtbl.replace aliases (Ident.unique_name id)
-        (canonical_name univ (raw p))
+      Hashtbl.replace aliases (Ident.unique_name id) (r8_name (raw p))
     | _ -> ()
   in
   let default = Tast_iterator.default_iterator in
@@ -1698,7 +1719,7 @@ let unit_references univ ~unit_mod (str : Typedtree.structure) acc =
     | Texp_ident (p, _, _) ->
       let name = raw p in
       if not (is_stdlib name) then
-        Hashtbl.add acc (canonical_name univ name) unit_mod
+        Hashtbl.add acc (r8_name name) unit_mod
     | Texp_letmodule (Some id, _, _, me, _) -> alias id me
     | _ -> ());
     default.expr sub e
@@ -1710,24 +1731,22 @@ let unit_references univ ~unit_mod (str : Typedtree.structure) acc =
    [shipped] and [tests]: (src, cmt modname, structure) of the
    implementations whose references count and of the test ones. *)
 let check_r8 ~interfaces ~shipped ~tests =
-  let modnames l = List.map (fun (_, m, _) -> m) l in
-  let wrappers =
-    wrappers_of (modnames interfaces @ modnames shipped @ modnames tests)
+  let univ =
+    { units = []; defs = Hashtbl.create 1; wrappers = Hashtbl.create 1; ufindings = [] }
   in
-  let univ = { units = []; defs = Hashtbl.create 1; wrappers; ufindings = [] } in
   (* canonical name -> the units referencing it *)
   let refs units =
     let acc = Hashtbl.create 4096 in
     List.iter
       (fun (_, modname, str) ->
-        unit_references univ ~unit_mod:(after_dunder modname) str acc)
+        unit_references ~unit_mod:(r8_name modname) str acc)
       units;
     Hashtbl.find_all acc
   in
   let shipped_refs = refs shipped and test_refs = refs tests in
   List.iter
     (fun (src, modname, sg) ->
-      let unit_mod = after_dunder modname in
+      let unit_mod = r8_name modname in
       List.iter
         (fun x ->
           let users = shipped_refs x.x_name in

@@ -89,7 +89,7 @@ let test_r8_reports () =
   let test_only = message_at fs 6 in
   Alcotest.(check bool)
     "test-only export: named, with both fixes" true
-    (has_sub test_only "[Fix_r8.test_only]"
+    (has_sub test_only "[Slc_lint_fixtures.Fix_r8.test_only]"
     && has_sub test_only "only tests reference it"
     && has_sub test_only "slc.test_only");
   Alcotest.(check bool)
