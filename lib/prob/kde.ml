@@ -8,11 +8,7 @@ type t = {
 (* Gaussian kernel terms beyond 8 bandwidths are below exp(-32) ~ 1.3e-14
    of the peak; dropping them perturbs the density far less than 1e-12
    relatively on any grid that overlaps the data (the fig9 grids span
-   the sample range +- 3 bandwidths).  The CDF is less forgiving on the
-   high side — a sample far above x still contributes Phi(-z), and at a
-   grid point where the CDF itself is ~1e-5 those tails matter — so the
-   upper CDF cutoff is wider; below x - 8h a sample just counts as 1
-   (error Phi(-8) ~ 6e-16, relative to a kept mass of at least 1). *)
+   the sample range +- 3 bandwidths). *)
 let pdf_cutoff = 8.0
 
 let silverman_bandwidth xs =

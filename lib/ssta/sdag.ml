@@ -186,13 +186,10 @@ let net_name t n =
   t.names.(n)
 
 (* Total capacitance on a net: explicit loads plus the accumulated gate
-   caps of all fanout pins.  [compile] reads only its own gates' output
-   nets, so it skips the check. *)
-let[@inline] net_cap_unchecked t net = t.loads.(net) +. t.caps.(net)
-
+   caps of all fanout pins. *)
 let net_cap t net =
   check_net t net;
-  net_cap_unchecked t net
+  t.loads.(net) +. t.caps.(net)
 
 type edge_arrival = { at : float; slew : float }
 
@@ -283,7 +280,7 @@ let compile t =
     fill_pins memo g.cell Arc.Rise pin_net rise p0 g.pins;
     fill_pins memo g.cell Arc.Fall pin_net fall p0 g.pins;
     out.(gi) <- g.out;
-    load.(gi) <- net_cap_unchecked t g.out
+    load.(gi) <- net_cap t g.out
   done;
   { k_vdd = t.vdd; k_names = names; k_origins = origins; k_out = out;
     k_load = load; k_pin_off = pin_off; k_pin_net = pin_net; k_rise = rise;

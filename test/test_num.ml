@@ -343,10 +343,10 @@ let test_numeric_jacobian () =
 let test_erf_values () =
   let erf x = (2.0 *. Special.normal_cdf (x *. sqrt 2.0)) -. 1.0 in
   let erfc x = 2.0 *. Special.normal_cdf (-.x *. sqrt 2.0) in
-  check_close ~tol:4e-7 "erf 0" 0.0 (erf 0.0);
-  check_close ~tol:4e-7 "erf 1" 0.8427007929 (erf 1.0);
-  check_close ~tol:4e-7 "erf -1" (-0.8427007929) (erf (-1.0));
-  check_close ~tol:4e-7 "erfc 2" 0.0046777349 (erfc 2.0)
+  check_close ~tol:2e-7 "erf 0" 0.0 (erf 0.0);
+  check_close ~tol:2e-7 "erf 1" 0.8427007929 (erf 1.0);
+  check_close ~tol:2e-7 "erf -1" (-0.8427007929) (erf (-1.0));
+  check_close ~tol:2e-7 "erfc 2" 0.0046777349 (erfc 2.0)
 
 let test_normal_cdf_quantile_roundtrip () =
   List.iter

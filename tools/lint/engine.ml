@@ -795,34 +795,39 @@ let ureport univ rule src (loc : Location.t) message =
     }
     :: univ.ufindings
 
+(* One dotted component's dune mangling: a trailing '!' dropped, then
+   split at each "__" ("Slc_cell__Harness" -> ["Slc_cell"; "Harness"],
+   "Dune__exe__Slc_cli" -> ["Dune"; "exe"; "Slc_cli"]). *)
+let dunder_parts c =
+  let c =
+    if c <> "" && c.[String.length c - 1] = '!' then
+      String.sub c 0 (String.length c - 1)
+    else c
+  in
+  let rec split c =
+    let n = String.length c in
+    let rec find i =
+      if i + 1 >= n then None
+      else if c.[i] = '_' && c.[i + 1] = '_' then Some i
+      else find (i + 1)
+    in
+    match find 0 with
+    | None -> [ c ]
+    | Some i -> String.sub c 0 i :: split (String.sub c (i + 2) (n - i - 2))
+  in
+  List.filter (fun p -> p <> "") (split c)
+
 (* "Slc_cell__Harness" -> "Harness"; names without "__" are unchanged. *)
 let after_dunder s =
-  let n = String.length s in
-  let rec find i best =
-    if i + 1 >= n then best
-    else if s.[i] = '_' && s.[i + 1] = '_' then find (i + 1) (Some (i + 2))
-    else find (i + 1) best
-  in
-  match find 0 None with
-  | Some j when j < n -> String.sub s j (n - j)
-  | _ -> s
+  match List.rev (dunder_parts s) with
+  | last :: _ -> last
+  | [] -> s
 
 (* Canonical dotted name: per-component wrapped-name demangling, then
    leading wrapper components dropped ("Slc_cell.Harness.simulate" and
    "Slc_cell__Harness.simulate" both become "Harness.simulate"). *)
 let canonical_name univ name =
-  let comps = String.split_on_char '.' name in
-  let comps =
-    List.map
-      (fun c ->
-        let c =
-          if c <> "" && c.[String.length c - 1] = '!' then
-            String.sub c 0 (String.length c - 1)
-          else c
-        in
-        after_dunder c)
-      comps
-  in
+  let comps = List.map after_dunder (String.split_on_char '.' name) in
   let rec drop = function
     | c :: (_ :: _ as rest) when Hashtbl.mem univ.wrappers c -> drop rest
     | l -> l
@@ -1628,25 +1633,8 @@ let check_interproc_annotations univ =
    become "Slc_cell.Harness.simulate"; "Dune__exe__Slc_cli" becomes
    "Dune.exe.Slc_cli". *)
 let r8_name name =
-  let rec dunder_parts c =
-    let n = String.length c in
-    let rec find i =
-      if i + 1 >= n then None
-      else if c.[i] = '_' && c.[i + 1] = '_' then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> [ c ]
-    | Some i -> String.sub c 0 i :: dunder_parts (String.sub c (i + 2) (n - i - 2))
-  in
   String.split_on_char '.' name
-  |> List.concat_map (fun c ->
-         let c =
-           if c <> "" && c.[String.length c - 1] = '!' then
-             String.sub c 0 (String.length c - 1)
-           else c
-         in
-         List.filter (fun p -> p <> "") (dunder_parts c))
+  |> List.concat_map dunder_parts
   |> String.concat "."
 
 type export = {
