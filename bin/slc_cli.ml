@@ -77,13 +77,10 @@ let load_prior path =
     Printf.eprintf "%s: malformed prior: %s\n" path m;
     exit 2
 
-(* Learn the historical prior — or load it from the store, where a
-   previous process already paid for it. *)
-let prior_for ?store tech =
-  let historical = Tech.historical_for tech in
-  match store with
-  | Some st -> Store.get_prior st ~historical
-  | None -> Prior.learn_pair ~historical ()
+(* The process's one prior source for the subcommands without a
+   store: each target node's prior is learned once and shared by every
+   section that asks for it. *)
+let priors_term = Term.(const Store.prior_source $ const None)
 
 (* Runs [f] and prints its cost: [\[N simulator runs, T s\]], prefixed
    by the section name inside [slc all]. *)
@@ -123,39 +120,45 @@ let fig3 tech () =
 
 let fig5 tech () = Exp_nominal.print_fig5 std (Exp_nominal.fig5 tech)
 
-let fig6 config tech () =
-  Exp_nominal.print_fig6 std (Exp_nominal.fig6 ~config ~tech ())
+let fig6 config priors tech () =
+  Exp_nominal.print_fig6 std
+    (Exp_nominal.fig6 ~config ~tech ~prior:(priors tech) ())
 
-let fig78 config tech () =
-  Exp_statistical.print_fig78 std (Exp_statistical.fig78 ~config ~tech ())
+let fig78 config priors tech () =
+  Exp_statistical.print_fig78 std
+    (Exp_statistical.fig78 ~config ~tech ~prior:(priors tech) ())
 
-let fig9 config tech () =
-  Exp_statistical.print_fig9 std (Exp_statistical.fig9 ~config ~tech ())
+let fig9 config priors tech () =
+  Exp_statistical.print_fig9 std
+    (Exp_statistical.fig9 ~config ~tech ~prior:(priors tech) ())
 
 (* The headline claim is a simulator-run count, so the section also
    prints it from the telemetry [simulations] counter, switched on for
    the section: the same counter [slc serve]'s [stats] reports. *)
-let adaptive_budget config () =
+let adaptive_budget config priors () =
   let module Telemetry = Slc_obs.Telemetry in
   let was_on = Telemetry.on () in
   Telemetry.enable ();
   let sims0 = Telemetry.read Telemetry.simulations in
   Exp_statistical.print_adaptive_budget std
-    (Exp_statistical.adaptive_budget ~config ());
+    (Exp_statistical.adaptive_budget ~config ~tech:Tech.n28
+       ~prior:(priors Tech.n28) ());
   Format.fprintf std "[telemetry simulations counter: %d]@."
     (Telemetry.read Telemetry.simulations - sims0);
   if not was_on then Telemetry.disable ()
 
-let ablations config () =
+let ablations config priors () =
+  let tech = Tech.n14 in
+  let prior = priors tech in
   Exp_ablation.print_rows std ~title:"Ablation: learned vs constant beta"
-    (Exp_ablation.ablation_beta ~config ());
+    (Exp_ablation.ablation_beta ~config ~tech ~prior ());
   Exp_ablation.print_rows std ~title:"Ablation: historical-library selection"
-    (Exp_ablation.ablation_history ~config ());
+    (Exp_ablation.ablation_history ~config ~tech ~prior ());
   Exp_ablation.print_rows std ~title:"Ablation: pooled vs chained prior"
-    (Exp_ablation.ablation_chain ~config ());
+    (Exp_ablation.ablation_chain ~config ~tech ~prior ());
   Exp_ablation.print_rows std
     ~title:"Ablation: curated vs random fitting design"
-    (Exp_ablation.ablation_design ~config ());
+    (Exp_ablation.ablation_design ~config ~tech ~prior ());
   Exp_ablation.print_complexity std (Exp_ablation.ablation_model_complexity ());
   Exp_ablation.print_sampling std (Exp_ablation.ablation_sampling ())
 
@@ -190,7 +193,7 @@ let ring () =
 
 (* The consumer-side check: a 5-stage path timed transistor-level and
    through the Bayes-characterized compact models. *)
-let ssta_check () =
+let ssta_check priors () =
   let module Chain = Slc_cell.Chain in
   let tech = Tech.n14 in
   let chain =
@@ -204,7 +207,7 @@ let ssta_check () =
       ]
   in
   let truth = Chain.simulate chain ~sin:5e-12 ~vdd:0.8 ~in_rises:true in
-  let oracle = Slc_ssta.Oracle.bayes_bank ~prior:(prior_for tech) tech ~k:3 in
+  let oracle = Slc_ssta.Oracle.bayes_bank ~prior:(priors tech) tech ~k:3 in
   let module Sdag = Slc_ssta.Sdag in
   let dag, chain_in, chain_out = Sdag.of_chain chain ~vdd:0.8 in
   let input_arrivals name =
@@ -247,24 +250,24 @@ let fig5_cmd =
 let fig6_cmd =
   experiment "fig6"
     ~doc:"Nominal error vs training samples, Bayes/LSE/LUT (Fig 6)"
-    Term.(const fig6 $ config_term $ tech_term "n14")
+    Term.(const fig6 $ config_term $ priors_term $ tech_term "n14")
 
 let fig78_cmd =
   experiment "fig78"
     ~doc:"Statistical mean/sigma errors vs training samples (Figs 7-8)"
-    Term.(const fig78 $ config_term $ tech_term "n28")
+    Term.(const fig78 $ config_term $ priors_term $ tech_term "n28")
 
 let fig9_cmd =
   experiment "fig9" ~doc:"Delay pdf at a low-Vdd condition (Fig 9)"
-    Term.(const fig9 $ config_term $ tech_term "n28")
+    Term.(const fig9 $ config_term $ priors_term $ tech_term "n28")
 
 let ablations_cmd =
-  let run config () =
-    ablations config ();
+  let run config priors () =
+    ablations config priors ();
     vt_transfer config ()
   in
   experiment "ablations" ~doc:"Design-choice ablations and multi-Vt transfer"
-    Term.(const run $ config_term)
+    Term.(const run $ config_term $ priors_term)
 
 let characterize_cmd =
   let cell_arg =
@@ -295,22 +298,18 @@ let characterize_cmd =
         Format.fprintf std "Learning prior from %s...@."
           (String.concat ","
              (List.map (fun t -> t.Tech.name) (Tech.historical_for tech)));
-        let prior = prior_for ?store tech in
+        let prior = Store.prior_source store tech in
+        let train () = Char_flow.train_bayes ~prior tech arc ~k in
         let p =
           match store with
-          | None -> Char_flow.train_bayes ~prior tech arc ~k
-          | Some st -> (
-            let key =
-              Store.predictor_key
-                ~prior_fp:(Store.prior_fingerprint prior)
-                ~tech ~arc ~k ~seed:None ()
-            in
-            match Store.find_predictor st ~key ~tech ~arc with
-            | Some p -> p
-            | None ->
-              let p = Char_flow.train_bayes ~prior tech arc ~k in
-              Store.put_predictor st ~key p;
-              p)
+          | None -> train ()
+          | Some st ->
+            Store.get_predictor st
+              ~key:
+                (Store.predictor_key
+                   ~prior_fp:(Store.prior_fingerprint prior)
+                   ~tech ~arc ~k ~seed:None ())
+              ~seed:None ~tech ~arc train
         in
         let ds =
           Char_flow.simulate_dataset tech arc
@@ -347,7 +346,7 @@ let prior_cmd =
             Format.fprintf std "learning prior from %s@."
               (String.concat ","
                  (List.map (fun t -> t.Tech.name) (Tech.historical_for tech)));
-            Prior.learn_pair ~historical:(Tech.historical_for tech) ()
+            Store.prior_source None tech
         in
         Prior.pp_summary std prior.Prior.delay;
         match save with
@@ -471,7 +470,7 @@ let sta_cmd =
       let prior =
         match prior_path with
         | Some p -> load_prior p
-        | None -> prior_for ?store tech
+        | None -> Store.prior_source store tech
       in
       Slc_ssta.Oracle.bayes_bank ?store ~prior tech ~k
     in
@@ -590,7 +589,7 @@ let population_cmd =
         in
         let method_ =
           match meth with
-          | "bayes" -> Statistical.Bayes (prior_for ?store tech)
+          | "bayes" -> Statistical.Bayes (Store.prior_source store tech)
           | "lse" -> Statistical.Lse
           | "lut" -> Statistical.Lut
           | m ->
@@ -803,7 +802,7 @@ let query_cmd =
     Term.(const run $ connect_arg $ store_arg)
 
 let all_cmd =
-  let run config =
+  let run config priors =
     Format.fprintf std
       "Regenerating all paper tables/figures at scale %.2f (--scale or \
        SLC_SCALE to change)@."
@@ -818,17 +817,17 @@ let all_cmd =
         ("Fig 2", "fig2", fig2 Tech.n14);
         ("Fig 3", "fig3", fig3 Tech.n14);
         ("Fig 5", "fig5", fig5 Tech.n28);
-        ("Fig 6", "fig6", fig6 config Tech.n14);
-        ("Figs 7/8", "fig78", fig78 config Tech.n28);
-        ("Fig 9", "fig9", fig9 config Tech.n28);
+        ("Fig 6", "fig6", fig6 config priors Tech.n14);
+        ("Figs 7/8", "fig78", fig78 config priors Tech.n28);
+        ("Fig 9", "fig9", fig9 config priors Tech.n28);
         ( "Extension: adaptive simulation budgets", "adaptive-budget",
-          adaptive_budget config );
-        ("Ablations", "ablations", ablations config);
+          adaptive_budget config priors );
+        ("Ablations", "ablations", ablations config priors);
         ("Extension: multi-Vt transfer", "vt-transfer", vt_transfer config);
         ( "Extension: sequential (DFF) setup characterization", "dff-setup",
           dff_setup );
         ("Extension: ring-oscillator cross-check", "ring", ring);
-        ("Extension: SSTA consumer validation", "ssta", ssta_check);
+        ("Extension: SSTA consumer validation", "ssta", ssta_check priors);
       ];
     telemetry_report ()
   in
@@ -837,7 +836,7 @@ let all_cmd =
        ~doc:
          "Regenerate every table and figure of the paper, the ablations \
           and the extensions, one timed section each")
-    Term.(const run $ config_term)
+    Term.(const run $ config_term $ priors_term)
 
 let main =
   Cmd.group

@@ -48,12 +48,7 @@ let small_ks (config : Config.t) =
   List.filter (fun k -> k <= 5) config.Config.ks
   |> function [] -> [ 2; 3 ] | l -> l
 
-let ablation_beta ~config ?(tech = Tech.n14) ?prior () =
-  let prior =
-    match prior with
-    | Some p -> p
-    | None -> Prior.learn_pair ~historical:(Tech.historical_for tech) ()
-  in
+let ablation_beta ~config ?(tech = Tech.n14) ~prior () =
   let const =
     {
       Prior.delay = Prior.constant_beta prior.Prior.delay;
@@ -64,25 +59,17 @@ let ablation_beta ~config ?(tech = Tech.n14) ?prior () =
   rows_of "learned beta(xi)" (eval_prior ~config ~tech ~prior ~ks)
   @ rows_of "constant beta" (eval_prior ~config ~tech ~prior:const ~ks)
 
-let ablation_history ~config ?(tech = Tech.n14) () =
-  let similar = [ Tech.n20; Tech.n28 ] in
-  let dissimilar = [ Tech.n40; Tech.n45 ] in
-  let all = Tech.historical_for tech in
+let ablation_history ~config ?(tech = Tech.n14) ~prior () =
   let ks = small_ks config in
-  let variant name historical =
-    let prior = Prior.learn_pair ~historical () in
-    rows_of name (eval_prior ~config ~tech ~prior ~ks)
+  let variant name prior = rows_of name (eval_prior ~config ~tech ~prior ~ks) in
+  let subset name historical =
+    variant name (Prior.learn_pair ~historical ())
   in
-  variant "similar nodes (n20,n28)" similar
-  @ variant "all five nodes" all
-  @ variant "dissimilar nodes (n40,n45)" dissimilar
+  subset "similar nodes (n20,n28)" [ Tech.n20; Tech.n28 ]
+  @ variant "all five nodes" prior
+  @ subset "dissimilar nodes (n40,n45)" [ Tech.n40; Tech.n45 ]
 
-let ablation_design ~config ?(tech = Tech.n14) ?prior ?(n_draws = 5) () =
-  let prior =
-    match prior with
-    | Some p -> p
-    | None -> Prior.learn_pair ~historical:(Tech.historical_for tech) ()
-  in
+let ablation_design ~config ?(tech = Tech.n14) ~prior ?(n_draws = 5) () =
   let ks = small_ks config in
   let curated_bayes =
     eval_train ~config ~tech ~ks ~train:(fun arc ~k ->
@@ -237,12 +224,7 @@ let print_sampling ppf rows =
          ])
        rows)
 
-let ablation_chain ~config ?(tech = Tech.n14) ?prior () =
-  let prior =
-    match prior with
-    | Some p -> p
-    | None -> Prior.learn_pair ~historical:(Tech.historical_for tech) ()
-  in
+let ablation_chain ~config ?(tech = Tech.n14) ~prior () =
   (* Oldest to newest among the historical nodes. *)
   let ordered =
     List.filter_map

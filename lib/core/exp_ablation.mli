@@ -4,7 +4,11 @@
     - choice of historical nodes feeding the prior (bias–variance
       tradeoff discussed in Section IV of the paper);
     - pooled prior vs sequential belief-chain propagation across
-      nodes. *)
+      nodes.
+
+    Every driver that takes [~prior] expects [tech]'s prior learned
+    from [Tech.historical_for tech] (the five other nodes), learned
+    once by the caller and shared between drivers. *)
 
 type row = {
   variant : string;
@@ -15,21 +19,26 @@ type row = {
 val ablation_beta :
   config:Config.t ->
   ?tech:Slc_device.Tech.t ->
-  ?prior:Prior.pair ->
+  prior:Prior.pair ->
   unit ->
   row list
-(** MAP error at small k with the learned β(ξ) versus its
+(** MAP error at small k with [prior]'s learned β(ξ) versus its
     input-averaged constant. *)
 
 val ablation_history :
-  config:Config.t -> ?tech:Slc_device.Tech.t -> unit -> row list
+  config:Config.t ->
+  ?tech:Slc_device.Tech.t ->
+  prior:Prior.pair ->
+  unit ->
+  row list
 (** Prior learned from similar nodes (adjacent geometry), all five
-    nodes, and dissimilar (oldest) nodes only. *)
+    nodes ([prior] itself), and dissimilar (oldest) nodes only.  The
+    two 2-node priors are learned here. *)
 
 val ablation_design :
   config:Config.t ->
   ?tech:Slc_device.Tech.t ->
-  ?prior:Prior.pair ->
+  prior:Prior.pair ->
   ?n_draws:int ->
   unit ->
   row list
@@ -76,10 +85,10 @@ val print_sampling : Format.formatter -> sampling_row list -> unit
 val ablation_chain :
   config:Config.t ->
   ?tech:Slc_device.Tech.t ->
-  ?prior:Prior.pair ->
+  prior:Prior.pair ->
   unit ->
   row list
-(** Pooled Gaussian prior versus {!Belief.chain_prior} over nodes
-    ordered oldest-to-newest. *)
+(** Pooled Gaussian [prior] versus {!Belief.chain_prior} of it over
+    nodes ordered oldest-to-newest. *)
 
 val print_rows : Format.formatter -> title:string -> row list -> unit

@@ -92,12 +92,7 @@ let curve_of budgets per_arc_errors =
   done;
   { budgets; mean_err; std_err }
 
-let fig6 ~config ?(tech = Tech.n14) ?(cells = Cells.paper_set) ?prior () =
-  let prior =
-    match prior with
-    | Some p -> p
-    | None -> Prior.learn_pair ~historical:(Tech.historical_for tech) ()
-  in
+let fig6 ~config ?(tech = Tech.n14) ?(cells = Cells.paper_set) ~prior () =
   let prior_cost = prior.Prior.delay.Prior.learn_cost in
   let arcs = List.concat_map Arc.all_of_cell cells in
   let points =

@@ -52,11 +52,13 @@ val fig6 :
   config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?cells:Slc_cell.Cells.t list ->
-  ?prior:Prior.pair ->
+  prior:Prior.pair ->
   unit ->
   fig6_result
-(** Learns the prior from the other five nodes (unless one is supplied),
-    simulates a shared validation baseline per arc, then sweeps the
-    training budget for all three methods. *)
+(** Simulates a shared validation baseline per arc, then sweeps the
+    training budget for all three methods.  [prior] must be [tech]'s
+    prior learned from [Tech.historical_for tech] (the other five
+    nodes); the caller learns it once and shares it between drivers.
+    [prior_cost] reports its [learn_cost]. *)
 
 val print_fig6 : Format.formatter -> fig6_result -> unit

@@ -70,13 +70,8 @@ let speedup_at ~bayes_budgets ~bayes_errs ~other_budgets ~other_errs =
   Char_flow.speedup_vs ~budget:(float_of_int bayes_budgets.(idx)) ~curve
     ~target
 
-let fig78 ~config ?(tech = Tech.n28) ?arcs ?prior () =
+let fig78 ~config ?(tech = Tech.n28) ?arcs ~prior () =
   let arcs = match arcs with Some a -> a | None -> default_arcs () in
-  let prior =
-    match prior with
-    | Some p -> p
-    | None -> Prior.learn_pair ~historical:(Tech.historical_for tech) ()
-  in
   let rng = Rng.create config.Config.rng_seed in
   let seeds = Process.sample_batch rng tech config.Config.n_seeds in
   let points =
@@ -164,13 +159,8 @@ let max_metric c i =
     (Float.max c.e_mu_td.(i) c.e_sigma_td.(i))
     (Float.max c.e_mu_sout.(i) c.e_sigma_sout.(i))
 
-let adaptive_budget ~config ?(tech = Tech.n28) ?arcs ?prior () =
+let adaptive_budget ~config ?(tech = Tech.n28) ?arcs ~prior () =
   let arcs = match arcs with Some a -> a | None -> default_arcs () in
-  let prior =
-    match prior with
-    | Some p -> p
-    | None -> Prior.learn_pair ~historical:(Tech.historical_for tech) ()
-  in
   let rng = Rng.create config.Config.rng_seed in
   let seeds = Process.sample_batch rng tech config.Config.n_seeds in
   let points =
@@ -368,41 +358,30 @@ type fig9_result = {
 
 let paper_fig9_point = { Harness.sin = 5.09e-12; cload = 1.67e-15; vdd = 0.734 }
 
-let fig9 ~config ?(tech = Tech.n28) ?arc ?point ?prior () =
+let fig9 ~config ?(tech = Tech.n28) ?arc ?point ~prior () =
   let arc =
     match arc with
     | Some a -> a
     | None -> Arc.find Cells.inv ~pin:"A" ~out_dir:Arc.Fall
   in
   let point = match point with Some p -> p | None -> paper_fig9_point in
-  let prior =
-    match prior with
-    | Some p -> p
-    | None -> Prior.learn_pair ~historical:(Tech.historical_for tech) ()
-  in
   let rng = Rng.create (config.Config.rng_seed + 9) in
   let seeds = Process.sample_batch rng tech config.Config.n_seeds_fig9 in
-  let cost_from f =
-    let before = Harness.sim_count () in
-    let x = f () in
-    (x, Harness.sim_count () - before)
+  let before = Harness.sim_count () in
+  let baseline_samples =
+    Array.map
+      (fun seed -> (Harness.simulate ~seed tech arc point).Harness.td)
+      seeds
   in
-  let baseline_samples, cost_baseline =
-    cost_from (fun () ->
-        Array.map
-          (fun seed -> (Harness.simulate ~seed tech arc point).Harness.td)
-          seeds)
-  in
+  let cost_baseline = Harness.sim_count () - before in
   let k_bayes = 7 and lut_points = 60 in
-  let bayes_pop, cost_bayes =
-    cost_from (fun () ->
-        Statistical.extract_population ~method_:(Statistical.Bayes prior)
-          ~tech ~arc ~seeds ~budget:k_bayes ())
+  let bayes_pop =
+    Statistical.extract_population ~method_:(Statistical.Bayes prior) ~tech
+      ~arc ~seeds ~budget:k_bayes ()
   in
-  let lut_pop, cost_lut =
-    cost_from (fun () ->
-        Statistical.extract_population ~method_:Statistical.Lut ~tech ~arc
-          ~seeds ~budget:lut_points ())
+  let lut_pop =
+    Statistical.extract_population ~method_:Statistical.Lut ~tech ~arc ~seeds
+      ~budget:lut_points ()
   in
   let bayes_samples = Statistical.predict_samples bayes_pop point ~td:true in
   let lut_samples = Statistical.predict_samples lut_pop point ~td:true in
@@ -426,8 +405,8 @@ let fig9 ~config ?(tech = Tech.n28) ?arc ?point ?prior () =
     ks_bayes = Stattest.ks_two_sample baseline_samples bayes_samples;
     ks_lut = Stattest.ks_two_sample baseline_samples lut_samples;
     cost_baseline;
-    cost_bayes;
-    cost_lut;
+    cost_bayes = bayes_pop.Statistical.train_cost;
+    cost_lut = lut_pop.Statistical.train_cost;
   }
 
 let print_fig9 ppf r =

@@ -30,12 +30,13 @@ val fig78 :
   config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?arcs:Slc_cell.Arc.t list ->
-  ?prior:Prior.pair ->
+  prior:Prior.pair ->
   unit ->
   fig78_result
 (** Statistical errors (Eqs. 16–19, relative) versus per-seed training
     budget for the three methods, averaged over the given arcs (default:
-    one representative arc each of INV, NAND2, NOR2). *)
+    one representative arc each of INV, NAND2, NOR2).  [prior] must be
+    [tech]'s prior learned from [Tech.historical_for tech]. *)
 
 val print_fig78 : Format.formatter -> fig78_result -> unit
 
@@ -76,7 +77,7 @@ val adaptive_budget :
   config:Config.t ->
   ?tech:Slc_device.Tech.t ->
   ?arcs:Slc_cell.Arc.t list ->
-  ?prior:Prior.pair ->
+  prior:Prior.pair ->
   unit ->
   adaptive_budget_result
 (** Paired comparison of {!Statistical.Random_per_seed} against
@@ -88,7 +89,8 @@ val adaptive_budget :
     headline number is how many simulator runs the adaptive design
     saves while matching the random design's worst statistical error
     at its largest budget — the active-learning analogue of the
-    paper's Figs. 7–8 simulation-count claims. *)
+    paper's Figs. 7–8 simulation-count claims.  [prior] must be
+    [tech]'s prior learned from [Tech.historical_for tech]. *)
 
 val print_adaptive_budget : Format.formatter -> adaptive_budget_result -> unit
 
@@ -117,12 +119,14 @@ val fig9 :
   ?tech:Slc_device.Tech.t ->
   ?arc:Slc_cell.Arc.t ->
   ?point:Input_space.point ->
-  ?prior:Prior.pair ->
+  prior:Prior.pair ->
   unit ->
   fig9_result
 (** Delay probability density at one low-Vdd condition (default: the
     paper's Vdd=0.734 V, Sin=5.09 ps, Cload=1.67 fF) for the MC
     baseline, the proposed method with 7 fitting conditions, and a
-    60-point LUT. *)
+    60-point LUT.  [prior] must be [tech]'s prior learned from
+    [Tech.historical_for tech].  The two methods' costs are their
+    populations' [train_cost]. *)
 
 val print_fig9 : Format.formatter -> fig9_result -> unit

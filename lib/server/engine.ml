@@ -43,20 +43,11 @@ type t = {
 }
 
 let create ?store ?prior_for ?bank () =
+  (* One learned (or store-loaded) prior per technology, shared by every
+     k and by the pdf path — prior physical identity is what keys the
+     process-wide trained-predictor cache. *)
   let prior_for =
-    match prior_for with
-    | Some f -> f
-    | None ->
-      (* One learned (or store-loaded) prior per technology, shared by
-         every k and by the pdf path — prior physical identity is what
-         keys the process-wide trained-predictor cache. *)
-      let priors = Memo.create () in
-      fun tech ->
-        Memo.find_or_build priors tech.Tech.name (fun () ->
-            match store with
-            | Some st ->
-              Store.get_prior st ~historical:(Tech.historical_for tech)
-            | None -> Prior.learn_pair ~historical:(Tech.historical_for tech) ())
+    match prior_for with Some f -> f | None -> Store.prior_source store
   in
   let bank =
     match bank with

@@ -271,47 +271,26 @@ let bayes_bank ?seed ?store ?gpr_fallback ~prior tech ~k =
         (pid, tech.Slc_device.Tech.name, k, seed, Arc.name arc, gpr_fallback)
       in
       Memo.find_or_build trained key (fun () ->
-          let skey =
-            Option.map
-              (fun (st, prior_fp) ->
-                ( st,
-                  Slc_store.Store.predictor_key ?gpr:gpr_fallback ~prior_fp
-                    ~tech ~arc ~k ~seed () ))
-              persistent
+          let train () =
+            match gpr_fallback with
+            | None -> Char_flow.train_bayes ?seed ~prior tech arc ~k
+            | Some threshold ->
+              (* Same curated design and MAP fit as [train_bayes], but
+                 the dataset is kept so the analytical fit can be
+                 checked against it and replaced by a GPR model when
+                 its residuals exceed the threshold. *)
+              let ds =
+                Char_flow.simulate_dataset ?seed tech arc
+                  (Slc_core.Input_space.fitting_points tech ~k)
+              in
+              let p = Char_flow.train_bayes_on ?seed ~prior tech ds in
+              Char_flow.with_gpr_fallback ~threshold tech ds p
           in
-          let stored =
-            match skey with
-            | None -> None
-            | Some (st, skey) -> (
-              match
-                Slc_store.Store.find_predictor ?seed st ~key:skey ~tech ~arc
-              with
-              | Some p ->
-                Telemetry.incr Telemetry.store_hits;
-                Some p
-              | None ->
-                Telemetry.incr Telemetry.store_misses;
-                None)
-          in
-          match stored with
-          | Some p -> p
-          | None ->
-            let p =
-              match gpr_fallback with
-              | None -> Char_flow.train_bayes ?seed ~prior tech arc ~k
-              | Some threshold ->
-                (* Same curated design and MAP fit as [train_bayes],
-                   but the dataset is kept so the analytical fit can
-                   be checked against it and replaced by a GPR model
-                   when its residuals exceed the threshold. *)
-                let ds =
-                  Char_flow.simulate_dataset ?seed tech arc
-                    (Slc_core.Input_space.fitting_points tech ~k)
-                in
-                let p = Char_flow.train_bayes_on ?seed ~prior tech ds in
-                Char_flow.with_gpr_fallback ~threshold tech ds p
-            in
-            Option.iter
-              (fun (st, skey) -> Slc_store.Store.put_predictor st ~key:skey p)
-              skey;
-            p))
+          match persistent with
+          | None -> train ()
+          | Some (st, prior_fp) ->
+            Slc_store.Store.get_predictor st
+              ~key:
+                (Slc_store.Store.predictor_key ?gpr:gpr_fallback ~prior_fp
+                   ~tech ~arc ~k ~seed ())
+              ~seed ~tech ~arc train))

@@ -233,6 +233,15 @@ let get_prior t ~historical =
     put_prior t ~key p;
     p
 
+let prior_source store =
+  let priors = Slc_num.Memo.create () in
+  fun tech ->
+    Slc_num.Memo.find_or_build priors tech.Tech.name (fun () ->
+        let historical = Tech.historical_for tech in
+        match store with
+        | Some t -> get_prior t ~historical
+        | None -> Prior.learn_pair ~historical ())
+
 (* ---------------------------------------------------------------- *)
 (* Predictor blocks                                                 *)
 
@@ -367,6 +376,17 @@ let find_predictor ?seed t ~key ~tech ~arc =
           block)
     in
     Some (Char_flow.predictor_of_model ?seed ~label ~train_cost tech arc model)
+
+let get_predictor t ~key ~seed ~tech ~arc train =
+  match find_predictor ?seed t ~key ~tech ~arc with
+  | Some p ->
+    Tel.incr Tel.store_hits;
+    p
+  | None ->
+    Tel.incr Tel.store_misses;
+    let p = train () in
+    put_predictor t ~key p;
+    p
 
 (* ---------------------------------------------------------------- *)
 (* Libraries                                                        *)

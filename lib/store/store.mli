@@ -84,6 +84,16 @@ val get_prior : t -> historical:Slc_device.Tech.t list -> Slc_core.Prior.pair
     back to
     [Prior.learn_pair ~historical ()] and persisting the result. *)
 
+val prior_source :
+  t option -> Slc_device.Tech.t -> Slc_core.Prior.pair
+(** [prior_source store] is where a process's target priors come from:
+    a function returning the prior learned from
+    [Tech.historical_for tech], built once per technology name and then
+    returned physically the same.  With a store it loads (or learns and
+    persists) through {!get_prior}; without one it runs
+    [Prior.learn_pair].  Each [prior_source store] is a fresh memo, so
+    a caller that wants one learn per node holds one source. *)
+
 (** {2 Trained per-arc predictors (the [Oracle.bayes_bank] tier)} *)
 
 val predictor_key :
@@ -102,6 +112,9 @@ val predictor_key :
     format — existing stores stay warm. *)
 
 val put_predictor : t -> key:key -> Slc_core.Char_flow.predictor -> unit
+[@@slc.test_only
+  "get_predictor's persist step; the tests round-trip every model kind \
+   through it bitwise"]
 (** Persists the predictor's {!Slc_core.Char_flow.model} (analytical
     parameter pairs, NLDM tables and GPR training sets all round-trip
     exactly via {!Slc_num.Hexfloat}).  Raises [Invalid_argument] for
@@ -114,11 +127,27 @@ val find_predictor :
   tech:Slc_device.Tech.t ->
   arc:Slc_cell.Arc.t ->
   Slc_core.Char_flow.predictor option
+[@@slc.test_only
+  "get_predictor's load step; the tests pin that a damaged predictor \
+   artifact raises Store_corrupt"]
 (** Rebuilds the predictor with
     {!Slc_core.Char_flow.predictor_of_model}; predictions are bitwise
     identical to the stored predictor's.  [?seed] must be the seed the
     predictor was trained under (it participates in the key, so a
     mismatch simply misses). *)
+
+val get_predictor :
+  t ->
+  key:key ->
+  seed:Slc_device.Process.seed option ->
+  tech:Slc_device.Tech.t ->
+  arc:Slc_cell.Arc.t ->
+  (unit -> Slc_core.Char_flow.predictor) ->
+  Slc_core.Char_flow.predictor
+(** Load-or-train: {!find_predictor} under [key] (with [seed] the seed
+    the predictor is trained under), counting a telemetry
+    [store_hits]; on a miss, counts [store_misses], calls the trainer
+    and persists its predictor with {!put_predictor}. *)
 
 (** {2 Characterized libraries (NLDM/Liberty tier)} *)
 

@@ -253,6 +253,72 @@ let test_predictor_opaque_rejected () =
   | () -> Alcotest.fail "expected Invalid_input"
   | exception Slc_obs.Slc_error.Invalid_input _ -> ()
 
+(* Load-or-train: the cold call is one miss that trains (k sims) and
+   persists; the warm call is one hit that never trains and predicts
+   bitwise the same. *)
+let test_get_predictor_counts () =
+  let st = Store.open_ (fresh_dir ()) in
+  let prior = Lazy.force tiny_prior in
+  let k = 2 in
+  let key =
+    Store.predictor_key ~prior_fp:(Store.prior_fingerprint prior) ~tech
+      ~arc:inv_fall ~k ~seed:None ()
+  in
+  let get train = Store.get_predictor st ~key ~seed:None ~tech ~arc:inv_fall train in
+  let was_on = Tel.on () in
+  Tel.enable ();
+  let counts () =
+    ( Tel.read Tel.store_hits,
+      Tel.read Tel.store_misses,
+      Tel.read Tel.simulations )
+  in
+  Tel.reset ();
+  let cold = get (fun () -> Char_flow.train_bayes ~prior tech inv_fall ~k) in
+  let cold_counts = counts () in
+  Tel.reset ();
+  let warm = get (fun () -> Alcotest.fail "warm call trained") in
+  let warm_counts = counts () in
+  Tel.reset ();
+  if not was_on then Tel.disable ();
+  Alcotest.(check (triple int int int))
+    "cold: 0 hits, 1 miss, k sims" (0, 1, k) cold_counts;
+  Alcotest.(check (triple int int int))
+    "warm: 1 hit, 0 misses, 0 sims" (1, 0, 0) warm_counts;
+  Array.iter
+    (fun pt ->
+      check_bits "td prediction"
+        (cold.Char_flow.predict_td pt)
+        (warm.Char_flow.predict_td pt);
+      check_bits "sout prediction"
+        (cold.Char_flow.predict_sout pt)
+        (warm.Char_flow.predict_sout pt))
+    points3
+
+(* One learn per node per store: the first request learns and
+   persists, the same source returns that very pair for free, and a new
+   source on the same store loads identical content for free. *)
+let test_prior_source_learns_once () =
+  let st = Store.open_ (fresh_dir ()) in
+  let cost f =
+    let before = Harness.sim_count () in
+    let x = f () in
+    (x, Harness.sim_count () - before)
+  in
+  let source = Store.prior_source (Some st) in
+  let first, first_cost = cost (fun () -> source Tech.n14) in
+  Alcotest.(check bool) "first request learns" true (first_cost > 0);
+  let again, again_cost = cost (fun () -> source Tech.n14) in
+  Alcotest.(check int) "same source: 0 sims" 0 again_cost;
+  Alcotest.(check bool) "same source: physically the same pair" true
+    (again == first);
+  let loaded, loaded_cost =
+    cost (fun () -> Store.prior_source (Some st) Tech.n14)
+  in
+  Alcotest.(check int) "new source on the store: 0 sims" 0 loaded_cost;
+  Alcotest.(check string)
+    "new source on the store: same content"
+    (Prior_io.to_string first) (Prior_io.to_string loaded)
+
 (* ------------------------------------------------------------------ *)
 (* Library round-trip *)
 
@@ -1118,6 +1184,10 @@ let () =
             test_predictor_roundtrip_bitwise;
           Alcotest.test_case "opaque predictor rejected" `Quick
             test_predictor_opaque_rejected;
+          Alcotest.test_case "get_predictor miss then hit" `Slow
+            test_get_predictor_counts;
+          Alcotest.test_case "prior source learns once" `Slow
+            test_prior_source_learns_once;
           Alcotest.test_case "library roundtrip" `Quick
             test_library_roundtrip_bitwise;
         ] );
